@@ -19,13 +19,13 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from .chaincplx import ChainMap, GradedComplex, verify_boundary
 from .errors import EmptyWindow, NotAChainMap, UnsupportedModel
 from .exactlin import IntMatrix
-from .novikov import (Laurent, NovikovContext, lm_identity, lm_mul, lm_rank,
-                      lm_zero)
+from .novikov import Laurent, lm_identity, lm_mul, lm_rank, lm_zero
 
 CapSpec = Union[str, dict]   # "cpn" | "surface" | "zero" | {"degree_matrices": {d: rows}}
 
@@ -80,20 +80,45 @@ class BaseModel:
     def half_dim(self) -> int:
         return self.dim // 2
 
-    @property
+    # -- lookups, built once per model ----------------------------------------
+
+    @cached_property
     def lambda_nu(self) -> int:
         return 0 if self.aspherical else int(self.lam * self.nu)
 
-    def novikov_context(self) -> NovikovContext:
-        if self.aspherical:
-            return NovikovContext(trivial=True)
-        return NovikovContext(trivial=False, c_min=self.c_min)
+    @cached_property
+    def position(self) -> dict[str, int]:
+        """Critical-point label -> its position in `crit`."""
+        return {label: i for i, (label, _) in enumerate(self.crit)}
 
-    def crit_index(self, label: str) -> int:
-        for lab, idx in self.crit:
-            if lab == label:
-                return idx
-        raise KeyError(label)
+    @cached_property
+    def index_of(self) -> dict[str, int]:
+        """Critical-point label -> its Morse index."""
+        return dict(self.crit)
+
+    @cached_property
+    def morse_terms(self) -> dict[tuple[str, str], int]:
+        """Nonzero coefficients of the Morse differential, keyed by
+        (target label, source label)."""
+        by_index: dict[int, list[str]] = {}
+        for label, idx in self.crit:
+            by_index.setdefault(idx, []).append(label)
+        terms = {}
+        for idx, mat in (self.morse_boundary or {}).items():
+            for i, t in enumerate(by_index.get(idx - 1, [])):
+                for j, s in enumerate(by_index.get(idx, [])):
+                    if mat.get(i, j):
+                        terms[(t, s)] = mat.get(i, j)
+        return terms
+
+    @cached_property
+    def cap_terms(self) -> dict[str, tuple[tuple[str, int, int, int], ...]]:
+        """The unit cap pattern by source: label -> its terms (target label,
+        target Morse index, sphere-class shift, coefficient)."""
+        L = unit_cap_lambda_matrix(self)
+        return {src: tuple((tgt, idx, s, c) for row, (tgt, idx) in zip(L, self.crit)
+                           for s, c in row[j].items())
+                for j, (src, _) in enumerate(self.crit)}
 
     def fh_degree(self, morse_index: int, k: int) -> int:
         return morse_index - self.half_dim - 2 * self.lambda_nu * k
@@ -253,17 +278,7 @@ def build_fc(model: BaseModel, window: Window = None,
 
     boundary: dict[int, IntMatrix] = {}
     if model.morse_boundary:
-        morse = {}  # (target label, source label) -> coefficient
-        by_index: dict[int, list[str]] = {}
-        for label, idx in model.crit:
-            by_index.setdefault(idx, []).append(label)
-        for idx, mat in model.morse_boundary.items():
-            src = by_index.get(idx, [])
-            tgt = by_index.get(idx - 1, [])
-            for i, t in enumerate(tgt):
-                for j, s in enumerate(src):
-                    if mat.get(i, j):
-                        morse[(t, s)] = mat.get(i, j)
+        morse = model.morse_terms
         for d in range(lo + 1, hi + 1):
             rows = []
             for (tl, tk) in gens[d - 1]:
@@ -287,7 +302,7 @@ def unit_cap_lambda_matrix(model: BaseModel) -> list[list[Laurent]]:
     critical-point basis; entry {s: c} means coefficient c combined with a
     sphere-class shift by s."""
     n = len(model.crit)
-    order = {label: i for i, (label, _) in enumerate(model.crit)}
+    order = model.position
     L = lm_zero(n, n)
     if model.cap == "cpn":
         for i in range(1, n):
@@ -328,36 +343,24 @@ def cap_lambda_matrix(model: BaseModel, m: int) -> list[list[Laurent]]:
     return [[{e: m * c for e, c in entry.items()} for entry in row] for row in unit]
 
 
-def cap_map(model: BaseModel, m: int, window: Window = None,
-            degrees: Optional[tuple[int, int]] = None,
-            fc: Optional[GradedComplex] = None,
-            zero: bool = False) -> ChainMap:
-    """The degree -2 cap chain map on the windowed Floer complex.  Image
-    terms falling outside the window are truncated.  `zero=True` builds the
-    zero chain map on the same complex (test mode)."""
-    if fc is None:
-        fc = build_fc(model, window=window, degrees=degrees)
+def cap_map(model: BaseModel, m: int, fc: GradedComplex) -> ChainMap:
+    """The degree -2 cap chain map on the windowed Floer complex `fc` of the
+    model.  Image terms falling outside the window are truncated."""
     lo, hi = fc.degrees
-    L = cap_lambda_matrix(model, m)
-    order = {label: i for i, (label, _) in enumerate(model.crit)}
-    labels = [label for label, _ in model.crit]
     maps: dict[int, IntMatrix] = {}
     for d in range(lo, hi + 1):
         src = fc.basis[d]
         tgt = fc.basis.get(d - 2, ()) if lo <= d - 2 <= hi else ()
         tgt_pos = {lab: i for i, lab in enumerate(tgt)}
         rows = [[0] * len(src) for _ in tgt]
-        if not zero:
-            for j, lab in enumerate(src):
-                # parse "(label,k)"
-                name, k = lab[1:-1].rsplit(",", 1)
-                k = int(k)
-                col = order[name]
-                for ti in range(len(labels)):
-                    for s, c in L[ti][col].items():
-                        t_lab = gen_label(labels[ti], k + s)
-                        if t_lab in tgt_pos:
-                            rows[tgt_pos[t_lab]][j] += c
+        for j, lab in enumerate(src):
+            # parse "(label,k)"
+            name, k = lab[1:-1].rsplit(",", 1)
+            k = int(k)
+            for t, _, s, c in model.cap_terms[name]:
+                i = tgt_pos.get(gen_label(t, k + s))
+                if i is not None:
+                    rows[i][j] += m * c
         maps[d] = IntMatrix.from_rows(rows, cols=len(src))
     psi = ChainMap(fc, fc, -2, maps)
     psi.check()

@@ -33,10 +33,6 @@ class BaseMismatch(EngineError):
     """Both operands of a digit operation must share the same base."""
 
 
-class TrivialRingPower(EngineError):
-    """The trivial Novikov ring has no formal variable to raise to a power."""
-
-
 class OverflowIntoInfinite(EngineError):
     """A finite-sum (tilde) element would acquire an infinite tail."""
 

@@ -56,10 +56,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def column(cls, vec: Sequence[int]) -> "IntMatrix":
-        return cls(len(vec), 1, tuple(int(x) for x in vec))
-
     # -- access ------------------------------------------------------------
 
     def get(self, i: int, j: int) -> int:
@@ -71,7 +67,7 @@ class IntMatrix:
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def row_lists(self) -> list[list[int]]:
+    def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
@@ -123,10 +119,6 @@ class IntMatrix:
         return tuple(sum(self.get(i, j) * vec[j] for j in range(self.cols))
                      for i in range(self.rows))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.get(i, j) for j in range(self.cols) for i in range(self.rows)))
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
@@ -136,9 +128,6 @@ class IntMatrix:
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
         rows = [[self.get(i, j) for j in col_idx] for i in row_idx]
         return IntMatrix.from_rows(rows, cols=len(col_idx))
-
-    def to_lists(self) -> list[list[int]]:
-        return self.row_lists()
 
     def __repr__(self) -> str:  # compact, test-failure friendly
         if self.rows == 0 or self.cols == 0:
@@ -227,9 +216,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     Zero-size matrices are allowed.
     """
     m, n = A.rows, A.cols
-    D = A.row_lists()
-    U = IntMatrix.identity(m).row_lists()
-    V = IntMatrix.identity(n).row_lists()
+    D = A.to_lists()
+    U = IntMatrix.identity(m).to_lists()
+    V = IntMatrix.identity(n).to_lists()
 
     def reduce_at(t: int) -> None:
         """Clear row and column t, assuming some nonzero entry exists in
@@ -301,63 +290,44 @@ def rank(A: IntMatrix) -> int:
     return smith_normal_form(A).rank
 
 
-def nullity(A: IntMatrix) -> int:
-    return A.cols - rank(A)
-
-
 # ---------------------------------------------------------------------------
-# Solving, kernels, membership
+# Kernels and solving
 # ---------------------------------------------------------------------------
 
-def kernel_basis(A: IntMatrix, snf: Optional[SmithDecomposition] = None) -> IntMatrix:
+def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Columns form a basis of ker(A) as a direct summand of Z^cols."""
-    if snf is None:
-        snf = smith_normal_form(A)
-    r = snf.rank
-    idx = list(range(r, A.cols))
-    return snf.V.submatrix(range(A.cols), idx)
-
-
-def solve(A: IntMatrix, b: Sequence[int],
-          snf: Optional[SmithDecomposition] = None) -> Optional[tuple[int, ...]]:
-    """One integer solution x of A x = b, or None if none exists."""
-    if len(b) != A.rows:
-        raise ShapeMismatch("rhs length mismatch")
-    if snf is None:
-        snf = smith_normal_form(A)
-    ub = snf.U.apply(b)
-    diag = snf.D.diagonal()
-    y = [0] * A.cols
-    for i in range(A.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            if i < A.cols:
-                y[i] = ub[i] // d
-    return snf.V.apply(y)
+    snf = smith_normal_form(A)
+    return snf.V.submatrix(range(A.cols), range(snf.rank, A.cols))
 
 
 def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
-    """Integer X with A X = B, or None."""
+    """Integer X with A X = B, or None if some column of B has no integer
+    solution.  With U A V = D in Smith form, D Y = U B is solved row by row
+    and X = V Y."""
     if A.rows != B.rows:
         raise ShapeMismatch("solve_matrix row mismatch")
     snf = smith_normal_form(A)
-    cols = []
-    for j in range(B.cols):
-        x = solve(A, B.col(j), snf=snf)
-        if x is None:
+    UB = (snf.U @ B).entries
+    diag = snf.D.diagonal()
+    k = B.cols
+    Y = [0] * (A.cols * k)
+    for i in range(A.rows):
+        row = UB[i * k:(i + 1) * k]
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if any(row):
+                return None
+        elif any(x % d for x in row):
             return None
-        cols.append(x)
-    rows = [[cols[j][i] for j in range(B.cols)] for i in range(A.cols)]
-    return IntMatrix.from_rows(rows, cols=B.cols)
+        else:
+            Y[i * k:(i + 1) * k] = [x // d for x in row]
+    return snf.V @ IntMatrix(A.cols, k, tuple(Y))
 
 
-def is_in_image(A: IntMatrix, b: Sequence[int]) -> bool:
-    return solve(A, b) is not None
+def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """One integer solution x of A x = b, or None if none exists."""
+    X = solve_matrix(A, IntMatrix(len(b), 1, tuple(int(x) for x in b)))
+    return None if X is None else X.entries
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +343,11 @@ def presentation_from_relations(n_generators: int, relations: IntMatrix) -> ZMod
     return ZModulePresentation(n_generators - len(factors), torsion)
 
 
-def homology(d_out: IntMatrix, d_in: IntMatrix) -> ZModulePresentation:
-    """ker(d_out) / im(d_in) for consecutive boundary maps.
+def homology_with_cycles(d_out: IntMatrix, d_in: IntMatrix
+                         ) -> tuple[IntMatrix, IntMatrix, ZModulePresentation]:
+    """ker(d_out) / im(d_in) for consecutive boundary maps, together with
+    the basis K of ker(d_out) it is presented on and the coordinates X of
+    im(d_in) in that basis: the group is Z^{K.cols} / colspan(X).
 
     d_out : C_k -> C_{k-1} and d_in : C_{k+1} -> C_k, so d_out has one
     column per generator of C_k and d_in one row per generator of C_k.
@@ -383,13 +356,16 @@ def homology(d_out: IntMatrix, d_in: IntMatrix) -> ZModulePresentation:
         raise ShapeMismatch(
             f"chain group mismatch: d_out has {d_out.cols} columns, "
             f"d_in has {d_in.rows} rows")
-    if not (d_out @ d_in).is_zero():
-        raise NotAComplex("d_out . d_in != 0")
     K = kernel_basis(d_out)
     X = solve_matrix(K, d_in)
-    if X is None:  # cannot happen once d_out . d_in == 0
-        raise NotAComplex("image does not lie in the kernel")
-    return presentation_from_relations(K.cols, X)
+    if X is None:  # K spans the whole kernel, so this means d_out . d_in != 0
+        raise NotAComplex("d_out . d_in != 0")
+    return K, X, presentation_from_relations(K.cols, X)
+
+
+def homology(d_out: IntMatrix, d_in: IntMatrix) -> ZModulePresentation:
+    """ker(d_out) / im(d_in); see `homology_with_cycles`."""
+    return homology_with_cycles(d_out, d_in)[2]
 
 
 def is_surjective_over_z(A: IntMatrix) -> bool:
@@ -426,7 +402,7 @@ def rank_bareiss(A: IntMatrix) -> int:
     """Rank by fraction-free Gaussian elimination (Bareiss); exact, and
     independent of the Smith normal form code path."""
     m, n = A.rows, A.cols
-    M = A.row_lists()
+    M = A.to_lists()
     prev = 1
     r = 0
     for c in range(n):
@@ -456,7 +432,7 @@ def det_bareiss(A: IntMatrix) -> int:
     n = A.rows
     if n == 0:
         return 1
-    M = A.row_lists()
+    M = A.to_lists()
     prev = 1
     sign = 1
     for c in range(n - 1):
@@ -503,7 +479,7 @@ def _fp_echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[in
 def rank_mod_p(A: IntMatrix, p: int) -> int:
     if A.rows == 0 or A.cols == 0:
         return 0
-    _, pivots = _fp_echelon(A.row_lists(), p)
+    _, pivots = _fp_echelon(A.to_lists(), p)
     return len(pivots)
 
 
@@ -513,7 +489,7 @@ def kernel_basis_mod_p(A: IntMatrix, p: int) -> list[list[int]]:
         return []
     if A.rows == 0:
         return [[1 if i == j else 0 for i in range(A.cols)] for j in range(A.cols)]
-    rows, pivots = _fp_echelon(A.row_lists(), p)
+    rows, pivots = _fp_echelon(A.to_lists(), p)
     free = [c for c in range(A.cols) if c not in pivots]
     basis = []
     for fc in free:

@@ -18,32 +18,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import (BaseMismatch, BaseTooSmall, NonPositiveTau,
-                     OverflowIntoInfinite, TrivialRingPower)
-
-
-@dataclass(frozen=True)
-class NovikovContext:
-    """Either the trivial ring Z (aspherical base) or Z[t, t^{-1}] with the
-    formal variable sitting in degree -2*c_min."""
-
-    trivial: bool
-    c_min: Optional[int] = None
-
-    def __post_init__(self):
-        if not self.trivial and (self.c_min is None or self.c_min <= 0):
-            raise ValueError("nontrivial Novikov ring needs a positive minimal Chern number")
-
-
-def lambda_degree(ctx: NovikovContext, power: int) -> int:
-    """Degree of t**power; the trivial ring only admits power 0."""
-    if ctx.trivial:
-        if power != 0:
-            raise TrivialRingPower("the trivial ring has no formal variable")
-        return 0
-    return -2 * ctx.c_min * power
+                     OverflowIntoInfinite)
 
 
 class CompletionRegime(enum.Enum):
@@ -235,10 +213,6 @@ def qm_tilde_add(a: QmNumber, b: QmNumber) -> QmNumber:
 # A Laurent polynomial is a dict {exponent: coefficient} with no zero values.
 
 Laurent = dict
-
-
-def l_poly(d: Mapping[int, int]) -> Laurent:
-    return {e: c for e, c in d.items() if c != 0}
 
 
 def l_add(p: Laurent, q: Laurent) -> Laurent:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .basemodel import (BaseModel, build_fc, cap_lambda_matrix, cap_map,
                         primitivity_report)
@@ -35,7 +35,7 @@ from .errors import (ConsecutiveIndexModel, EmptyWindow, TruncationTooNarrow,
                      UnstabilizedTruncation, WindowMismatch)
 from .exactlin import (IntMatrix, ZModulePresentation, kernel_basis,
                        kernel_basis_mod_p, presentation_from_relations,
-                       rank_mod_p, smith_normal_form, solve)
+                       rank_mod_p, solve_matrix)
 from .novikov import (CompletionRegime, l_is_unit, lm_det, lm_is_zero,
                       lm_power, regime_for)
 
@@ -89,10 +89,52 @@ def base_action(gen: RFHGenerator, model: BaseModel) -> Fraction:
     return -Fraction(gen.k * model.nu)
 
 
-def _sort_key(model: BaseModel, m: int):
-    def key(g: RFHGenerator):
-        return (rfh_index(g, model, m), g.k, g.cov, 0 if not g.hat else 1)
-    return key
+def _lattice_points(strips: list[tuple[int, int, Optional[int], Optional[int]]]
+                    ) -> list[tuple[int, int]]:
+    """Integer points (k, l) with lo <= a*k + b*l <= hi on every strip
+    (a, b, lo, hi), a bound of None being infinite.  Eliminating l
+    (Fourier-Motzkin) gives the range of k, then each k gets its interval of
+    l.  Raises TruncationTooNarrow when the region is unbounded."""
+    k_lo: Optional[int] = None
+    k_hi: Optional[int] = None
+    lower, upper = [], []     # (a, b, c) with b > 0: l >= or <= (c - a*k) / b
+    for a, b, lo, hi in strips:
+        if b < 0 or (b == 0 and a < 0):
+            a, b, lo, hi = -a, -b, (None if hi is None else -hi), (None if lo is None else -lo)
+        if b > 0:
+            if lo is not None:
+                lower.append((a, b, lo))
+            if hi is not None:
+                upper.append((a, b, hi))
+        elif a == 0:
+            if (lo is not None and lo > 0) or (hi is not None and hi < 0):
+                return []
+        else:
+            if lo is not None:
+                k_lo = -(-lo // a) if k_lo is None else max(k_lo, -(-lo // a))
+            if hi is not None:
+                k_hi = hi // a if k_hi is None else min(k_hi, hi // a)
+    for a1, b1, lo in lower:
+        for a2, b2, hi in upper:
+            # (lo - a1*k)/b1 <= (hi - a2*k)/b2  <=>  coef*k <= rhs
+            coef, rhs = a2 * b1 - a1 * b2, hi * b1 - lo * b2
+            if coef > 0:
+                k_hi = rhs // coef if k_hi is None else min(k_hi, rhs // coef)
+            elif coef < 0:
+                bound = -(rhs // -coef)
+                k_lo = bound if k_lo is None else max(k_lo, bound)
+            elif rhs < 0:
+                return []
+    if k_lo is not None and k_hi is not None and k_lo > k_hi:
+        return []
+    if k_lo is None or k_hi is None or not lower or not upper:
+        raise TruncationTooNarrow(
+            "the constraints leave infinitely many generators; add a winding "
+            "filter, a finite window (off the regime boundary), a degree range, "
+            "or k/l truncations")
+    return [(k, l) for k in range(k_lo, k_hi + 1)
+            for l in range(max(-((a * k - c) // b) for a, b, c in lower),
+                           min((c - a * k) // b for a, b, c in upper) + 1)]
 
 
 def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
@@ -102,9 +144,14 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
                          k_bound: Optional[int] = None,
                          l_bound: Optional[int] = None) -> list[RFHGenerator]:
     """All generators satisfying the given constraints, one hat and one
-    check per circle family, in (degree, k, l, flag) order.  The constraints
-    must pin down a finite set: a winding filter, a finite window (off the
-    regime boundary), a degree range, or explicit k/l truncations."""
+    check per circle family, in (degree, k, l, flag, critical point) order.
+
+    Each constraint is a strip lo <= a*k + b*l <= hi in the (k, l) plane:
+    the winding filter, the action window, the degree range, |k| <= k_bound,
+    |l| <= l_bound and, over an aspherical base, k = 0.  The strips must cut
+    out a bounded region for every critical point and flag, or
+    TruncationTooNarrow is raised; at the regime boundary, for example, a
+    degree range and an action window are parallel strips."""
     tau = Fraction(tau)
     if tau <= 0:
         raise EmptyWindow(f"tau = {tau} must be positive")
@@ -114,136 +161,49 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
             raise EmptyWindow(f"window ({a}, {b}) is empty")
 
     nu = model.nu
-    ln = model.lambda_nu
-
-    def k_interval_from(lo_val: Fraction, hi_val: Fraction, coef: Fraction,
-                        off: Fraction) -> range:
-        """Integers k with lo_val < coef*k + off < hi_val, coef != 0."""
-        x1 = (lo_val - off) / coef
-        x2 = (hi_val - off) / coef
-        if x1 > x2:
-            x1, x2 = x2, x1
-        return range(math.floor(x1) - 1, math.ceil(x2) + 2)
-
-    families: set[tuple[str, int, int, int]] = set()  # (label, idx, l, k)
-
-    def consider(label: str, idx: int, l: int, k: int) -> None:
-        families.add((label, idx, l, k))
-
+    strips: list[tuple[int, int, Optional[int], Optional[int]]] = []
+    if winding_filter is not None:
+        strips.append((-m * nu, 1, winding_filter, winding_filter))
+    if window is not None:
+        # a < -k*nu - (tau/m)*l < b, times s = m*den(tau), on integer bounds
+        s = m * tau.denominator
+        strips.append((-s * nu, -tau.numerator,
+                       None if a is None else math.floor(s * a) + 1,
+                       None if b is None else math.ceil(s * b) - 1))
+    if k_bound is not None:
+        strips.append((1, 0, -k_bound, k_bound))
+    if l_bound is not None:
+        strips.append((0, 1, -l_bound, l_bound))
     if model.aspherical:
-        for label, idx in model.crit:
-            ls: Optional[Iterable[int]] = None
-            if winding_filter is not None:
-                ls = [winding_filter]
-            elif l_bound is not None:
-                ls = range(-l_bound, l_bound + 1)
-            elif window is not None and window[0] is not None and window[1] is not None:
-                a, b = window
-                ls = k_interval_from(a, b, Fraction(-tau, m), Fraction(0))
-            elif degrees is not None:
-                lo, hi = degrees
-                # mu(check) = -2l + idx - half_dim in [lo-1, hi]
-                base = idx - model.half_dim
-                ls = range((base - hi - 1) // 2 - 1, (base - (lo - 1)) // 2 + 2)
-            else:
-                raise TruncationTooNarrow(
-                    "aspherical enumeration needs a winding filter, window, "
-                    "degree range, or l truncation")
-            for l in ls:
-                consider(label, idx, l, 0)
-    else:
-        for label, idx in model.crit:
-            if winding_filter is not None:
-                w = winding_filter
-                # l = w + m*k*nu; pick the k range from whatever bound exists
-                if window is not None and window[0] is not None and window[1] is not None:
-                    a, b = window
-                    coef = Fraction(-nu) * (1 + tau)
-                    off = Fraction(-tau * w, m)
-                    ks: Iterable[int] = k_interval_from(a, b, coef, off)
-                elif degrees is not None:
-                    lo, hi = degrees
-                    # mu(check) = -2w + idx - half_dim - 2*ln*k, solved for k;
-                    # the interval helper keeps this right for negative ln too
-                    base = -2 * w + idx - model.half_dim
-                    ks = k_interval_from(Fraction(lo - 1), Fraction(hi + 1),
-                                         Fraction(-2 * ln), Fraction(base))
-                elif k_bound is not None:
-                    ks = range(-k_bound, k_bound + 1)
-                else:
-                    raise TruncationTooNarrow(
-                        "winding-filtered enumeration needs a window, degree "
-                        "range, or k truncation")
-                for k in ks:
-                    consider(label, idx, w + m * k * nu, k)
-            elif k_bound is not None and l_bound is not None:
-                for k in range(-k_bound, k_bound + 1):
-                    for l in range(-l_bound, l_bound + 1):
-                        consider(label, idx, l, k)
-            elif degrees is not None:
-                lo, hi = degrees
-                if window is not None and window[0] is not None and window[1] is not None:
-                    a, b = window
-                    # on a fixed degree, action is linear in k with slope
-                    # -nu*(m - tau*(lam - m))/m, nonzero off the boundary
-                    slope = -Fraction(nu) * (m - tau * (Fraction(model.lam) - m)) / m
-                    if slope == 0:
-                        if k_bound is None:
-                            raise TruncationTooNarrow(
-                                "at the regime boundary a k truncation is required")
-                        ks = range(-k_bound, k_bound + 1)
-                        for d in range(lo - 1, hi + 1):
-                            for k in ks:
-                                l2 = idx - model.half_dim - d - 2 * (ln - m * nu) * k
-                                if l2 % 2 == 0:
-                                    consider(label, idx, l2 // 2, k)
-                        continue
-                    for d in range(lo - 1, hi + 1):
-                        # mu(check) = d: l = (idx - half_dim - d)/2 - (ln - m nu) k
-                        num = idx - model.half_dim - d
-                        if num % 2 != 0:
-                            continue
-                        off = Fraction(-tau, m) * Fraction(num, 2)
-                        for k in k_interval_from(a, b, slope, off):
-                            l = num // 2 - (ln - m * nu) * k
-                            consider(label, idx, l, k)
-                elif k_bound is not None:
-                    for d in range(lo - 1, hi + 1):
-                        num = idx - model.half_dim - d
-                        if num % 2 != 0:
-                            continue
-                        for k in range(-k_bound, k_bound + 1):
-                            consider(label, idx, num // 2 - (ln - m * nu) * k, k)
-                else:
-                    raise TruncationTooNarrow(
-                        "degree-ranged enumeration needs a window or k truncation")
-            else:
-                raise TruncationTooNarrow(
-                    "enumeration needs a winding filter, k and l truncations, "
-                    "or a degree range")
+        strips.append((1, 0, 0, 0))
 
-    out: list[RFHGenerator] = []
-    for label, idx, l, k in families:
+    def admitted(g: RFHGenerator) -> bool:
+        if winding_filter is not None and winding(g, model, m) != winding_filter:
+            return False
+        if window is not None:
+            act = action(g, model, m, tau)
+            if (a is not None and not a < act) or (b is not None and not act < b):
+                return False
+        if degrees is not None and not degrees[0] <= rfh_index(g, model, m) <= degrees[1]:
+            return False
+        return ((k_bound is None or abs(g.k) <= k_bound)
+                and (l_bound is None or abs(g.cov) <= l_bound))
+
+    keyed = []
+    for pos, (label, idx) in enumerate(model.crit):
         for hat in (False, True):
-            g = RFHGenerator(label, idx, l, k, hat)
-            if winding_filter is not None and winding(g, model, m) != winding_filter:
-                continue
-            if window is not None:
-                a, b = window
-                act = action(g, model, m, tau)
-                if (a is not None and not a < act) or (b is not None and not act < b):
-                    continue
+            fam = strips
             if degrees is not None:
-                lo, hi = degrees
-                if not lo <= rfh_index(g, model, m) <= hi:
-                    continue
-            if k_bound is not None and abs(g.k) > k_bound:
-                continue
-            if l_bound is not None and abs(g.cov) > l_bound:
-                continue
-            out.append(g)
-    out.sort(key=_sort_key(model, m))
-    return out
+                # index = -2l - 2(lambda*nu - m*nu)k + c
+                c = idx - model.half_dim + hat
+                fam = strips + [(-2 * (model.lambda_nu - m * nu), -2,
+                                 degrees[0] - c, degrees[1] - c)]
+            for k, l in _lattice_points(fam):
+                g = RFHGenerator(label, idx, l, k, hat)
+                if admitted(g):
+                    keyed.append(((rfh_index(g, model, m), k, l, hat, pos), g))
+    keyed.sort(key=lambda kg: kg[0])
+    return [g for _, g in keyed]
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +228,8 @@ def rfc_w0(model: BaseModel, m: int, tau: Fraction,
     lo, hi = degrees
     nu = model.nu
     tau = Fraction(tau)
-    L = cap_lambda_matrix(model, m)
-    order = {label: i for i, (label, _) in enumerate(model.crit)}
-    idx_of = dict(model.crit)
+    idx_of = model.index_of
+    morse = model.morse_terms
 
     def admitted(k: int) -> bool:
         if window is None:
@@ -283,17 +242,6 @@ def rfc_w0(model: BaseModel, m: int, tau: Fraction,
         # (label, l, k) with check index d
         return [(label, m * k * nu, k) for label, k in model.generators_in_degree(d)
                 if admitted(k)]
-
-    morse: dict[tuple[str, str], int] = {}
-    if model.morse_boundary:
-        by_index: dict[int, list[str]] = {}
-        for label, idx in model.crit:
-            by_index.setdefault(idx, []).append(label)
-        for idx, mat in model.morse_boundary.items():
-            for i, t in enumerate(by_index.get(idx - 1, [])):
-                for j, s in enumerate(by_index.get(idx, [])):
-                    if mat.get(i, j):
-                        morse[(t, s)] = mat.get(i, j)
 
     basis: dict[int, tuple[str, ...]] = {}
     layout: dict[int, list[RFHGenerator]] = {}
@@ -320,13 +268,10 @@ def rfc_w0(model: BaseModel, m: int, tau: Fraction,
                         t = RFHGenerator(tl, idx_of[tl], m * g.k * nu, g.k, False)
                         if t in tgt_pos:
                             rows[tgt_pos[t]][j] += c
-                col = order[g.label]
-                for ti, (tlab, _) in enumerate(model.crit):
-                    for s, c in L[ti][col].items():
-                        t = RFHGenerator(tlab, idx_of[tlab],
-                                         g.cov + m * nu * s, g.k + s, True)
-                        if t in tgt_pos:
-                            rows[tgt_pos[t]][j] += c
+                for tlab, tidx, s, c in model.cap_terms[g.label]:
+                    t = RFHGenerator(tlab, tidx, g.cov + m * nu * s, g.k + s, True)
+                    if t in tgt_pos:
+                        rows[tgt_pos[t]][j] += m * c
         boundary[d] = IntMatrix.from_rows(rows, cols=len(layout[d]))
     return GradedComplex(degrees, basis, boundary)
 
@@ -368,20 +313,12 @@ def boundary_full(gen: RFHGenerator, model: BaseModel, m: int) -> dict[RFHGenera
     _require_index_gaps(model)
     if gen.hat:
         return {}
-    out: dict[RFHGenerator, int] = {}
-    idx_of = dict(model.crit)
     # d0
-    t0 = RFHGenerator(gen.label, gen.morse_index, gen.cov + 1, gen.k, True)
-    out[t0] = out.get(t0, 0) + 1
+    out = {RFHGenerator(gen.label, gen.morse_index, gen.cov + 1, gen.k, True): 1}
     # d2
-    L = cap_lambda_matrix(model, m)
-    order = {label: i for i, (label, _) in enumerate(model.crit)}
-    col = order[gen.label]
-    for ti, (tlab, _) in enumerate(model.crit):
-        for s, c in L[ti][col].items():
-            t = RFHGenerator(tlab, idx_of[tlab], gen.cov + m * model.nu * s,
-                             gen.k + s, True)
-            out[t] = out.get(t, 0) + c
+    for tlab, tidx, s, c in model.cap_terms[gen.label]:
+        t = RFHGenerator(tlab, tidx, gen.cov + m * model.nu * s, gen.k + s, True)
+        out[t] = out.get(t, 0) + m * c
     return {g: c for g, c in out.items() if c != 0}
 
 
@@ -420,23 +357,18 @@ def full_complex(model: BaseModel, m: int, tau: Fraction,
 
 
 def _cap_monomial(model: BaseModel, m: int):
-    """For permutation-pattern caps: maps source column -> (target row,
+    """For permutation-pattern caps: maps source label -> (target label,
     sphere shift, coefficient), and the inverse."""
-    L = cap_lambda_matrix(model, m)
-    fwd: dict[int, tuple[int, int, int]] = {}
-    inv: dict[int, tuple[int, int, int]] = {}
-    n = len(L)
-    for j in range(n):
-        entries = [(i, s, c) for i in range(n) for s, c in L[i][j].items()]
-        if len(entries) != 1:
+    fwd: dict[str, tuple[str, int, int]] = {}
+    inv: dict[str, tuple[str, int, int]] = {}
+    for src, _ in model.crit:
+        terms = model.cap_terms[src]
+        if len(terms) != 1 or terms[0][0] in inv:
             raise UnstabilizedTruncation(
                 "explicit primitives need a permutation-pattern cap")
-        i, s, c = entries[0]
-        fwd[j] = (i, s, c)
-        if i in inv:
-            raise UnstabilizedTruncation(
-                "explicit primitives need a permutation-pattern cap")
-        inv[i] = (j, s, c)
+        tgt, _, s, c = terms[0]
+        fwd[src] = (tgt, s, m * c)
+        inv[tgt] = (src, s, m * c)
     return fwd, inv
 
 
@@ -450,9 +382,8 @@ def primitive_partial_sum(model: BaseModel, m: int, target: RFHGenerator,
     if not target.hat:
         raise ValueError("primitives are built for hat generators")
     fwd, inv = _cap_monomial(model, m)
-    order = {label: i for i, (label, _) in enumerate(model.crit)}
-    labels = [label for label, _ in model.crit]
-    idx_of = dict(model.crit)
+    idx_of = model.index_of
+    shift = m * model.nu
     x: dict[RFHGenerator, int] = {}
     need: tuple[RFHGenerator, int] = (target, 1)
     for _ in range(n_terms):
@@ -460,17 +391,15 @@ def primitive_partial_sum(model: BaseModel, m: int, target: RFHGenerator,
         if direction == "lower":
             p = RFHGenerator(h.label, h.morse_index, h.cov - 1, h.k, False)
             x[p] = x.get(p, 0) + c
-            i, s, cc = fwd[order[p.label]]
-            extra = RFHGenerator(labels[i], idx_of[labels[i]],
-                                 p.cov + m * model.nu * s, p.k + s, True)
+            t, s, cc = fwd[p.label]
+            extra = RFHGenerator(t, idx_of[t], p.cov + shift * s, p.k + s, True)
             need = (extra, -c * cc)
         elif direction == "upper":
-            j, s, cc = inv[order[h.label]]
+            j, s, cc = inv[h.label]
             if abs(cc) != 1:
                 raise UnstabilizedTruncation(
                     "upper-direction primitives need unit cap coefficients (m = 1)")
-            p = RFHGenerator(labels[j], idx_of[labels[j]],
-                             h.cov - m * model.nu * s, h.k - s, False)
+            p = RFHGenerator(j, idx_of[j], h.cov - shift * s, h.k - s, False)
             x[p] = x.get(p, 0) + c * cc
             extra = RFHGenerator(p.label, p.morse_index, p.cov + 1, p.k, True)
             need = (extra, -c * cc)
@@ -522,16 +451,23 @@ class GroupValue:
             return {"QmTilde": self.m}
         return {"relations": self.relations}
 
-    def __str__(self) -> str:
+    def render(self, coeff: str = "z") -> str:
+        """Text form; with field coefficients fp:<p> a free rank n reads F^n."""
         if self.kind == "zero":
             return "0"
         if self.kind == "presentation":
+            free = self.presentation.free_rank
+            if coeff.startswith("fp:"):
+                return "0" if free == 0 else ("F" if free == 1 else f"F^{free}")
             return str(self.presentation)
         if self.kind == "qm":
             return f"Q_{self.m}"
         if self.kind == "qm_tilde":
             return f"Q~_{self.m}"
-        return "relations(...)"
+        return "relations(see json)"
+
+    def __str__(self) -> str:
+        return self.render()
 
 
 @dataclass(frozen=True)
@@ -561,6 +497,7 @@ class _SectorData:
         self.fc = build_fc(model, degrees=(lo - 3, hi + 3))
         self.psi = cap_map(model, m, fc=self.fc)
         self._bases: dict[int, HomologyBasis] = {}
+        self._psi_induced: dict[int, IntMatrix] = {}
 
     def basis(self, e: int) -> HomologyBasis:
         if e not in self._bases:
@@ -571,7 +508,10 @@ class _SectorData:
         return self.basis(e).presentation
 
     def psi_induced(self, e: int) -> IntMatrix:
-        return induced_matrix(self.psi.at(e), self.basis(e), self.basis(e - 2))
+        if e not in self._psi_induced:
+            self._psi_induced[e] = induced_matrix(self.psi.at(e), self.basis(e),
+                                                  self.basis(e - 2))
+        return self._psi_induced[e]
 
 
 def _field_total_betti(model: BaseModel, p: int) -> int:
@@ -602,37 +542,44 @@ def _field_quotient_dim(sect: _SectorData, e: int, b: int, p: int) -> int:
     return rank_mod_p(aug, p) - rank_mod_p(B, p)
 
 
+def _sector_blocks(sect: _SectorData, star: int, src: Sequence[int],
+                   tgt: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
+    """id + cap-shift from the sum of the sectors `src` into the sum of the
+    sectors `tgt`, cap terms landing outside `tgt` dropped, and the torsion
+    relations of the `tgt` sectors as columns on the same rows.  Sector k
+    is the base homology in degree star + 2k, on its cycle basis."""
+    dims = {k: sect.basis(star + 2 * k).cycles.cols for k in (*src, *tgt)}
+    row_off, total = {}, 0
+    for k in tgt:
+        row_off[k] = total
+        total += dims[k]
+    n_src = sum(dims[k] for k in src)
+    delta = [[0] * n_src for _ in range(total)]
+    col = 0
+    for k in src:
+        M = sect.psi_induced(star + 2 * k) if k - 1 in row_off else None
+        for j in range(dims[k]):
+            delta[row_off[k] + j][col + j] = 1
+            if M is not None:
+                for i in range(M.rows):
+                    delta[row_off[k - 1] + i][col + j] += M.get(i, j)
+        col += dims[k]
+    rels = [sect.basis(star + 2 * k).relations for k in tgt]
+    rel = [[0] * sum(R.cols for R in rels) for _ in range(total)]
+    col = 0
+    for k, R in zip(tgt, rels):
+        for i in range(R.rows):
+            rel[row_off[k] + i][col:col + R.cols] = R.row(i)
+        col += R.cols
+    return IntMatrix.from_rows(delta, cols=n_src), IntMatrix.from_rows(rel, cols=col)
+
+
 def _truncated_coker(sect: _SectorData, star: int,
                      sectors: Sequence[int]) -> ZModulePresentation:
     """Smith-normal-form cokernel of id + cap-shift on finitely supported
     sums; exact whenever the listed sectors cover all nonzero groups."""
-    dims = {k: sect.basis(star + 2 * k).cycles.cols for k in sectors}
-    offs = {}
-    total = 0
-    for k in sectors:
-        offs[k] = total
-        total += dims[k]
-    cols: list[list[int]] = []
-    for k in sectors:
-        for j in range(dims[k]):
-            col = [0] * total
-            col[offs[k] + j] = 1
-            if k - 1 in offs:
-                M = sect.psi_induced(star + 2 * k)
-                for i in range(M.rows):
-                    col[offs[k - 1] + i] += M.get(i, j)
-            cols.append(col)
-    # torsion relations of the sector groups enter as extra columns
-    for k in sectors:
-        R = sect.basis(star + 2 * k).relations
-        for j in range(R.cols):
-            col = [0] * total
-            for i in range(R.rows):
-                col[offs[k] + i] = R.get(i, j)
-            cols.append(col)
-    rel = IntMatrix.from_rows([[c[i] for c in cols] for i in range(total)],
-                              cols=len(cols))
-    return presentation_from_relations(total, rel)
+    delta, rel = _sector_blocks(sect, star, sectors, sectors)
+    return presentation_from_relations(delta.rows, delta.hstack(rel))
 
 
 def full_rfh(model: BaseModel, m: int, tau: Fraction,
@@ -762,50 +709,15 @@ def delta_injectivity(model: BaseModel, m: int, tau: Fraction,
     span = 2 * (k_range + 2)
     results: dict[int, bool] = {}
     sect = _SectorData(model, m, dlo - span - 2, dhi + span + 2)
+    in_sectors = range(-k_range, k_range + 1)
+    out_sectors = range(-k_range - 1, k_range + 1)
     for star in range(dlo, dhi + 1):
-        in_sectors = list(range(-k_range, k_range + 1))
-        out_sectors = list(range(-k_range - 1, k_range + 1))
-        in_dims = {k: sect.basis(star + 2 * k).cycles.cols for k in in_sectors}
-        out_dims = {j: sect.basis(star + 2 * j).cycles.cols for j in out_sectors}
-        in_off, total_in = {}, 0
-        for k in in_sectors:
-            in_off[k] = total_in
-            total_in += in_dims[k]
-        out_off, total_out = {}, 0
-        for j in out_sectors:
-            out_off[j] = total_out
-            total_out += out_dims[j]
-        rows = [[0] * total_in for _ in range(total_out)]
-        for k in in_sectors:
-            for j in range(in_dims[k]):
-                rows[out_off[k] + j][in_off[k] + j] += 1
-            M = sect.psi_induced(star + 2 * k)
-            for i in range(M.rows):
-                for j in range(M.cols):
-                    if M.get(i, j):
-                        rows[out_off[k - 1] + i][in_off[k] + j] += M.get(i, j)
-        delta = IntMatrix.from_rows(rows, cols=total_in)
+        delta, R_out = _sector_blocks(sect, star, in_sectors, out_sectors)
+        _, R_in = _sector_blocks(sect, star, (), in_sectors)
         # group-level kernel: delta(x) in output relations => x in input relations
-        def rel_block(sectors, offs, total):
-            cols = []
-            for k in sectors:
-                R = sect.basis(star + 2 * k).relations
-                for j in range(R.cols):
-                    col = [0] * total
-                    for i in range(R.rows):
-                        col[offs[k] + i] = R.get(i, j)
-                    cols.append(col)
-            return IntMatrix.from_rows([[c[i] for c in cols] for i in range(total)],
-                                       cols=len(cols))
-        R_out = rel_block(out_sectors, out_off, total_out)
-        R_in = rel_block(in_sectors, in_off, total_in)
-        aug = delta.hstack(R_out)
-        kb = kernel_basis(aug)
-        proj = kb.submatrix(range(total_in), range(kb.cols))
-        snf_in = smith_normal_form(R_in)
-        injective = all(solve(R_in, proj.col(j), snf=snf_in) is not None
-                        for j in range(proj.cols))
-        results[star] = injective
+        kb = kernel_basis(delta.hstack(R_out))
+        proj = kb.submatrix(range(delta.cols), range(kb.cols))
+        results[star] = solve_matrix(R_in, proj) is not None
     return {"regime": regime.value, "k_range": k_range,
             "degrees": results, "all": all(results.values())}
 

@@ -68,13 +68,6 @@ def test_cap_map_is_chain_map_and_pattern(n, m):
             assert abs(M.get(0, 0)) == m
 
 
-def test_cap_zero_mode():
-    model = cp_model(2)
-    fc = build_fc(model, degrees=(-6, 6))
-    psi = cap_map(model, 3, fc=fc, zero=True)
-    assert all(psi.at(d).is_zero() for d in range(-6, 7))
-
-
 def test_surface_cap_single_block():
     model = surface_model(1)
     fc = build_fc(model, degrees=(-1, 1))
@@ -173,7 +166,7 @@ def test_custom_model_with_morse_differential():
     assert str(tbl[-1]) == "Z"      # a, b with a - b killed by c
     assert str(tbl[0]) == "0"
     assert str(tbl[1]) == "Z"
-    psi = cap_map(model, 2, degrees=(-3, 3))
+    psi = cap_map(model, 2, build_fc(model, degrees=(-3, 3)))
     assert all(psi.at(d).is_zero() for d in range(-3, 4))
 
 
@@ -188,4 +181,4 @@ def test_custom_cap_validation():
             "morseBoundary": {"1": [[2]], "4": [[5]]}}
     model = load_model(spec)
     with pytest.raises(NotAChainMap):
-        cap_map(model, 1, degrees=(-4, 4))
+        cap_map(model, 1, build_fc(model, degrees=(-4, 4)))

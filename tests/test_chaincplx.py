@@ -125,17 +125,6 @@ def test_corrupted_map_fails_exactness():
     assert not verify_exactness(bad).ok
 
 
-def test_verify_exactness_degree_filter():
-    C = GradedComplex((-3, 5), {d: ("e",) for d in range(-3, 6) if d % 2 == 0}, {})
-    psi = ChainMap(C, C, -2, {d: IntMatrix.from_rows([[4]])
-                              for d in range(-1, 6) if d % 2 == 0})
-    les = cone_les(psi)
-    rep = verify_exactness(les, degrees=[1, 2])
-    assert rep.ok
-    with pytest.raises(DegreeOutOfRange):
-        verify_exactness(les, degrees=[40])
-
-
 def test_json_shape():
     C = two_step(3, 0)
     blob = C.to_json()

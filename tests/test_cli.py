@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 try:
     import jsonschema
 except ImportError:      # pragma: no cover
@@ -147,6 +149,26 @@ def test_usage_errors(capsys):
     assert main(["rfh-w0", "--m", "0"]) == 2
     assert main(["rfh-w0", "--degrees", "9..1"]) == 2
     assert main(["nosuchcommand"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["rfh-w0", "--model", "cp:x"],
+    ["rfh-w0", "--model", "file:/nonexistent/model.json"],
+    ["rfh-full", "--coeff", "fp:x"],
+    ["rfh-full", "--coeff", "fp:4"],
+    ["rfh-full", "--coeff", "fp:1"],
+    ["rfh-full", "--tau", "1/0"],
+    ["gysin", "--coeff", "fp:5"],
+    ["selftest", "--model", "cp:2"],
+    ["cp2-demo", "--model", "cp:2"],
+    ["orderability", "--degrees", "-2..2"],
+])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    """Malformed or unread arguments exit 2 with one `error:` line and no
+    traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_negative_degree_token(capsys):

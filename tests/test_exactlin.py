@@ -144,6 +144,37 @@ def _rational_solve_unique(A: IntMatrix, b):
     return [M[i][n] for i in range(n)]
 
 
+full_column_rank = st.integers(1, 4).flatmap(
+    lambda m: st.integers(1, m).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                           min_size=m, max_size=m).map(
+            lambda rows: IntMatrix.from_rows(rows, cols=n)))).filter(
+    lambda A: rank_bareiss(A) == A.cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_column_rank, st.data())
+def test_solve_matrix_none_exactly_when_unsolvable(A, data):
+    """solve_matrix returns None exactly when some column of B has no
+    integer solution, judged by the rational oracle; otherwise A X = B.
+    Each column of B is either random or the image of an integer vector."""
+    entries = st.integers(-6, 6)
+    cols = []
+    for _ in range(data.draw(st.integers(2, 3))):
+        if data.draw(st.booleans()):
+            cols.append(A.apply(data.draw(st.lists(entries, min_size=A.cols,
+                                                   max_size=A.cols))))
+        else:
+            cols.append(data.draw(st.lists(entries, min_size=A.rows, max_size=A.rows)))
+    B = IntMatrix.from_rows([list(r) for r in zip(*cols)], cols=len(cols))
+    sols = [_rational_solve_unique(A, c) for c in cols]
+    solvable = all(x is not None and all(v.denominator == 1 for v in x) for x in sols)
+    X = solve_matrix(A, B)
+    assert (X is not None) == solvable
+    if X is not None:
+        assert (A @ X).entries == B.entries
+
+
 def _orders_of_quotient(L: IntMatrix, g: int):
     """Multiset of element orders of Z^n / colspan(L), |quotient| = g, by
     explicit coset enumeration (L has independent columns)."""

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfhomology.errors import (BaseMismatch, BaseTooSmall, NonPositiveTau,
-                               OverflowIntoInfinite, TrivialRingPower)
-from rfhomology.novikov import (CompletionRegime, NovikovContext, QmNumber,
-                                l_is_unit, l_mul, lambda_degree, lm_det,
+                               OverflowIntoInfinite)
+from rfhomology.novikov import (CompletionRegime, QmNumber,
+                                l_is_unit, l_mul, lm_det,
                                 lm_is_zero, lm_power, lm_rank, qm_add,
                                 qm_neg, qm_reduce, qm_scale, qm_tilde_add,
                                 qm_zero, regime_for)
@@ -37,25 +37,6 @@ def test_regime_boundary_exactness_large_denominators():
         assert regime_for(boundary, lam, m) == CompletionRegime.FINITE
         assert regime_for(boundary - eps, lam, m) == CompletionRegime.ALL_LOWER
         assert regime_for(boundary + eps, lam, m) == CompletionRegime.ALL_UPPER
-
-
-def test_context_validation():
-    with pytest.raises(ValueError):
-        NovikovContext(trivial=False, c_min=None)
-    with pytest.raises(ValueError):
-        NovikovContext(trivial=False, c_min=0)
-    assert NovikovContext(trivial=True).c_min is None
-
-
-def test_lambda_degree():
-    ctx = NovikovContext(trivial=False, c_min=3)
-    assert lambda_degree(ctx, 1) == -6
-    assert lambda_degree(ctx, 0) == 0
-    assert lambda_degree(NovikovContext(trivial=False, c_min=2), -2) == 8
-    triv = NovikovContext(trivial=True)
-    assert lambda_degree(triv, 0) == 0
-    with pytest.raises(TrivialRingPower):
-        lambda_degree(triv, 1)
 
 
 # -- digit numbers ------------------------------------------------------------

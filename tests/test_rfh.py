@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -49,6 +52,23 @@ def test_enumerate_deterministic_and_complete():
                for h in (False, True)}
         if all(-4 <= mu <= 4 for mu in mus):
             assert (*fam, False) in by_flag and (*fam, True) in by_flag
+
+
+def test_enumerate_order_independent_of_hash_seed():
+    """Critical points of equal Morse index (the a_i of a surface) come out
+    in model order, whatever the string hash seed."""
+    code = ("from rfhomology.basemodel import surface_model\n"
+            "from rfhomology.rfh import enumerate_generators\n"
+            "print([str(g) for g in enumerate_generators(surface_model(2), 1, 1, "
+            "degrees=(0, 0), l_bound=0)])")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        outs.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout)
+    assert len(outs) == 1
 
 
 def test_enumerate_window_completeness():
