@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -50,6 +51,16 @@ class BaseModel:
         for label, idx in self.crit:
             if not 0 <= idx <= self.dim:
                 raise UnsupportedModel(f"Morse index {idx} of {label} out of [0, {self.dim}]")
+        if len(self.position) != len(self.crit):
+            raise UnsupportedModel("critical point labels must be distinct")
+        if self.cap == "surface" and not {"bot", "top"} <= self.position.keys():
+            raise UnsupportedModel("the surface cap needs critical points bot and top")
+        count = Counter(idx for _, idx in self.crit)
+        for idx, mat in (self.morse_boundary or {}).items():
+            if (mat.rows, mat.cols) != (count[idx - 1], count[idx]):
+                raise UnsupportedModel(
+                    f"Morse boundary at index {idx} is {mat.rows}x{mat.cols}, "
+                    f"expected {count[idx - 1]}x{count[idx]}")
         if self.nu > 0:
             ln = self.lam * self.nu
             if ln.denominator != 1:
@@ -97,28 +108,30 @@ class BaseModel:
         return dict(self.crit)
 
     @cached_property
-    def morse_terms(self) -> dict[tuple[str, str], int]:
-        """Nonzero coefficients of the Morse differential, keyed by
-        (target label, source label)."""
+    def morse_terms(self) -> dict[str, tuple[tuple[str, int], ...]]:
+        """The Morse differential by source: label -> its nonzero terms
+        (target label, coefficient)."""
         by_index: dict[int, list[str]] = {}
         for label, idx in self.crit:
             by_index.setdefault(idx, []).append(label)
-        terms = {}
+        terms: dict[str, list[tuple[str, int]]] = {label: [] for label, _ in self.crit}
         for idx, mat in (self.morse_boundary or {}).items():
             for i, t in enumerate(by_index.get(idx - 1, [])):
                 for j, s in enumerate(by_index.get(idx, [])):
                     if mat.get(i, j):
-                        terms[(t, s)] = mat.get(i, j)
-        return terms
+                        terms[s].append((t, mat.get(i, j)))
+        return {s: tuple(ts) for s, ts in terms.items()}
 
     @cached_property
     def cap_terms(self) -> dict[str, tuple[tuple[str, int, int, int], ...]]:
         """The unit cap pattern by source: label -> its terms (target label,
         target Morse index, sphere-class shift, coefficient)."""
-        L = unit_cap_lambda_matrix(self)
-        return {src: tuple((tgt, idx, s, c) for row, (tgt, idx) in zip(L, self.crit)
-                           for s, c in row[j].items())
-                for j, (src, _) in enumerate(self.crit)}
+        terms: dict[str, list[tuple[str, int, int, int]]] = {src: [] for src, _ in self.crit}
+        for row, (tgt, idx) in zip(unit_cap_lambda_matrix(self), self.crit):
+            for entry, (src, _) in zip(row, self.crit):
+                if entry:
+                    terms[src].extend((tgt, idx, s, c) for s, c in entry.items())
+        return {src: tuple(ts) for src, ts in terms.items()}
 
     def fh_degree(self, morse_index: int, k: int) -> int:
         return morse_index - self.half_dim - 2 * self.lambda_nu * k
@@ -196,6 +209,8 @@ def load_model(source) -> BaseModel:
             obj = json.load(fh)
     else:
         obj = dict(source)
+    if not isinstance(obj, Mapping):
+        raise UnsupportedModel("a model file holds one JSON object")
     lam = Fraction(str(obj.get("lambda", "0")))
     cap = obj.get("cap", "zero")
     if isinstance(cap, str) and cap.startswith("builtin:"):
@@ -280,10 +295,13 @@ def build_fc(model: BaseModel, window: Window = None,
     if model.morse_boundary:
         morse = model.morse_terms
         for d in range(lo + 1, hi + 1):
-            rows = []
-            for (tl, tk) in gens[d - 1]:
-                rows.append([morse.get((tl, sl), 0) if sk == tk else 0
-                             for (sl, sk) in gens[d]])
+            tgt_pos = {g: i for i, g in enumerate(gens[d - 1])}
+            rows = [[0] * len(gens[d]) for _ in gens[d - 1]]
+            for j, (sl, k) in enumerate(gens[d]):
+                for tl, c in morse[sl]:
+                    i = tgt_pos.get((tl, k))
+                    if i is not None:
+                        rows[i][j] = c
             boundary[d] = IntMatrix.from_rows(rows, cols=len(gens[d]))
     C = GradedComplex(degrees, basis, boundary)
     rep = verify_boundary(C)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import DegreeOutOfRange, NotAChainMap
+from .errors import DegreeOutOfRange, NotAChainMap, NotAComplex
 from .exactlin import (IntMatrix, ZModulePresentation, homology_with_cycles,
-                       kernel_basis, solve_matrix)
+                       invariant_factors, kernel_basis, solve_matrix)
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,26 @@ def homology_basis(C: GradedComplex, d: int) -> HomologyBasis:
 
 
 def homology_table(C: GradedComplex, degrees: Iterable[int]) -> dict[int, ZModulePresentation]:
-    return {d: homology_basis(C, d).presentation for d in degrees}
+    """H_d(C) for each interior degree d, from ranks and invariant factors
+    alone: with r_k the rank of d_k, H_d = Z^(n_d - r_d - r_{d+1}) plus
+    Z_t for every invariant factor t >= 2 of d_{d+1}, since ker d_d is a
+    direct summand.  Each boundary is eliminated once; no cycle basis is
+    built (see `homology_basis` for that)."""
+    lo, hi = C.degrees
+    factors: dict[int, tuple[int, ...]] = {}
+    table = {}
+    for d in degrees:
+        if not (lo < d < hi):
+            raise DegreeOutOfRange(f"degree {d} not interior to {C.degrees}")
+        if not (C.boundary_at(d) @ C.boundary_at(d + 1)).is_zero():
+            raise NotAComplex(f"d_{d} . d_{d + 1} != 0")
+        for k in (d, d + 1):
+            if k not in factors:
+                factors[k] = invariant_factors(C.boundary_at(k))
+        out, inc = factors[d], factors[d + 1]
+        table[d] = ZModulePresentation(C.rank(d) - len(out) - len(inc),
+                                       tuple(t for t in inc if t >= 2))
+    return table
 
 
 def induced_matrix(phi: IntMatrix, src: HomologyBasis, tgt: HomologyBasis) -> IntMatrix:

@@ -33,7 +33,7 @@ from .rfh import (GroupValue, action, boundary_full, enumerate_generators,
 def _model(spec: str) -> BaseModel:
     try:
         return model_from_spec(spec)
-    except (OSError, ValueError, KeyError, TypeError, EngineError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, EngineError) as exc:
         raise argparse.ArgumentTypeError(f"bad model {spec!r}: {exc}") from exc
 
 
@@ -315,7 +315,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_preprocess(list(argv)))
+        parser = build_parser()
+        args = parser.parse_args(_preprocess(list(argv)))
+        # argparse drops a value that is exactly "--" and leaves [] unconverted
+        if any(isinstance(v, list) for v in vars(args).values()):
+            parser.error("an option value may not be '--'")
         return COMMANDS[args.command](args)
     except SystemExit as exc:
         return 2 if exc.code else 0

@@ -2,10 +2,22 @@
 homology of pairs of integer matrices.
 
 Everything here runs on Python's arbitrary-precision integers; there is no
-floating point anywhere in this module.  Matrices are small (a few hundred
-rows at most), so the algorithms favour simplicity over asymptotics:
-Smith normal form by row/column reduction with minimal-absolute-value
-pivoting, ranks double-checked by fraction-free (Bareiss) elimination.
+floating point anywhere in this module.
+
+Two eliminations serve two kinds of caller:
+
+* `invariant_factors` (and through it `rank`, `is_surjective_over_z` and
+  `presentation_from_relations`) needs no transforms.  It eliminates unit
+  pivots on a sparse row-dict copy, least Markowitz cost first, and hands
+  only the unit-free remainder to the dense Smith form.  Boundary matrices
+  of the complexes here are large and nearly empty, with mostly +-1
+  entries, so the remainder is usually empty or tiny.
+* `smith_normal_form` is dense, by row/column reduction with
+  minimal-absolute-value pivoting, and carries the unimodular transforms
+  U and V.  `kernel_basis`, `solve_matrix` and `homology_with_cycles`
+  read cycle bases and solutions off those transforms.
+
+Ranks are double-checked by fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ class IntMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise ShapeMismatch("ragged rows")
-            flat.extend(int(x) for x in r)
+            flat.extend(map(int, r))
         return cls(nrows, ncols, tuple(flat))
 
     @classmethod
@@ -283,11 +295,68 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
 
 def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
-    return smith_normal_form(A).invariant_factors()
+    """The nonzero invariant factors of A, equal to
+    ``smith_normal_form(A).invariant_factors()`` but with no transforms.
+
+    The nonzeros are kept as row dicts with a column -> rows index.  While a
+    +-1 entry exists, the one of least Markowitz cost (row nnz - 1) *
+    (column nnz - 1) clears its column from the other rows; its row and
+    column are then dropped (column operations against the now lone unit
+    would clear the row without touching anything else), which is one
+    invariant factor 1.  Only the unit-free remainder goes to the dense
+    Smith form.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for i in range(A.rows):
+        row = {j: x for j, x in enumerate(A.row(i)) if x}
+        if row:
+            rows[i] = row
+            for j in row:
+                col_rows.setdefault(j, set()).add(i)
+    units = 0
+    while True:
+        pivot, best = None, 0
+        for i, row in rows.items():
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = (len(row) - 1) * (len(col_rows[j]) - 1)
+                    if pivot is None or cost < best:
+                        pivot, best = (i, j), cost
+            if pivot is not None and best == 0:
+                break
+        if pivot is None:
+            break
+        p, q = pivot
+        prow = rows.pop(p)
+        u = prow.pop(q)
+        for j in prow:
+            col_rows[j].discard(p)
+        for i in col_rows.pop(q) - {p}:
+            row = rows[i]
+            f = row.pop(q) * u          # u = 1/u for a unit
+            for j, x in prow.items():
+                v = row.get(j, 0) - f * x
+                if v:
+                    if j not in row:
+                        col_rows[j].add(i)
+                    row[j] = v
+                elif j in row:
+                    del row[j]
+                    col_rows[j].discard(i)
+            if not row:
+                del rows[i]
+        units += 1
+    if not rows:
+        return (1,) * units
+    cols = sorted({j for row in rows.values() for j in row})
+    rest = IntMatrix.from_rows([[row.get(j, 0) for j in cols] for row in rows.values()],
+                               cols=len(cols))
+    return (1,) * units + smith_normal_form(rest).invariant_factors()
 
 
 def rank(A: IntMatrix) -> int:
-    return smith_normal_form(A).rank
+    return len(invariant_factors(A))
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +440,7 @@ def homology(d_out: IntMatrix, d_in: IntMatrix) -> ZModulePresentation:
 def is_surjective_over_z(A: IntMatrix) -> bool:
     """True iff coker(A) = 0, i.e. rank equals the row count and every
     invariant factor is 1."""
-    if A.rows == 0:
-        return True
-    snf = smith_normal_form(A)
-    factors = snf.invariant_factors()
+    factors = invariant_factors(A)
     return len(factors) == A.rows and all(d == 1 for d in factors)
 
 

@@ -238,16 +238,16 @@ def rfc_w0(model: BaseModel, m: int, tau: Fraction,
         act = -(1 + tau) * Fraction(k * nu)
         return (a is None or a < act) and (b is None or act < b)
 
-    def fams(d: int) -> list[tuple[str, int, int]]:
-        # (label, l, k) with check index d
-        return [(label, m * k * nu, k) for label, k in model.generators_in_degree(d)
+    # (label, l, k) with check index d
+    fams = {d: [(label, m * k * nu, k) for label, k in model.generators_in_degree(d)
                 if admitted(k)]
+            for d in range(lo - 1, hi + 1)}
 
     basis: dict[int, tuple[str, ...]] = {}
     layout: dict[int, list[RFHGenerator]] = {}
     for d in range(lo, hi + 1):
-        hats = [RFHGenerator(lb, idx_of[lb], l, k, True) for lb, l, k in fams(d - 1)]
-        checks = [RFHGenerator(lb, idx_of[lb], l, k, False) for lb, l, k in fams(d)]
+        hats = [RFHGenerator(lb, idx_of[lb], l, k, True) for lb, l, k in fams[d - 1]]
+        checks = [RFHGenerator(lb, idx_of[lb], l, k, False) for lb, l, k in fams[d]]
         layout[d] = hats + checks
         basis[d] = tuple(_rfc_label(g) for g in layout[d])
 
@@ -256,18 +256,12 @@ def rfc_w0(model: BaseModel, m: int, tau: Fraction,
         tgt_pos = {g: i for i, g in enumerate(layout[d - 1])}
         rows = [[0] * len(layout[d]) for _ in layout[d - 1]]
         for j, g in enumerate(layout[d]):
-            if g.hat:
-                for (tl, sl), c in morse.items():
-                    if sl == g.label:
-                        t = RFHGenerator(tl, idx_of[tl], m * g.k * nu, g.k, True)
-                        if t in tgt_pos:
-                            rows[tgt_pos[t]][j] -= c
-            else:
-                for (tl, sl), c in morse.items():
-                    if sl == g.label:
-                        t = RFHGenerator(tl, idx_of[tl], m * g.k * nu, g.k, False)
-                        if t in tgt_pos:
-                            rows[tgt_pos[t]][j] += c
+            sign = -1 if g.hat else 1
+            for tl, c in morse[g.label]:
+                t = RFHGenerator(tl, idx_of[tl], m * g.k * nu, g.k, g.hat)
+                if t in tgt_pos:
+                    rows[tgt_pos[t]][j] += sign * c
+            if not g.hat:
                 for tlab, tidx, s, c in model.cap_terms[g.label]:
                     t = RFHGenerator(tlab, tidx, g.cov + m * nu * s, g.k + s, True)
                     if t in tgt_pos:

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from rfhomology.chaincplx import (ChainMap, GradedComplex, LongExactSequence,
-                                  cone_les, homology_table, identity_chain_map,
-                                  mapping_cone, verify_boundary,
-                                  verify_exactness)
-from rfhomology.errors import DegreeOutOfRange, NotAChainMap
+                                  cone_les, homology_basis, homology_table,
+                                  identity_chain_map, mapping_cone,
+                                  verify_boundary, verify_exactness)
+from rfhomology.errors import DegreeOutOfRange, NotAChainMap, NotAComplex
 from rfhomology.exactlin import IntMatrix, ZModulePresentation
 from rfhomology.selftest import random_complex_and_map
 
@@ -94,6 +94,31 @@ def test_homology_table_degree_guard():
     with pytest.raises(DegreeOutOfRange):
         homology_table(C, [4])
     assert set(homology_table(C, [1, 2, 3])) == {1, 2, 3}
+
+
+def test_homology_table_rejects_non_complex():
+    """The rank formula is only valid when d . d = 0, so the table checks it
+    like the cycle-basis path does."""
+    C = GradedComplex((0, 3), {0: ("a",), 1: ("b",), 2: ("c",)},
+                      {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[1]])})
+    with pytest.raises(NotAComplex):
+        homology_basis(C, 1)
+    with pytest.raises(NotAComplex):
+        homology_table(C, [1])
+    assert homology_table(C, [2]) == {2: ZModulePresentation(0, ())}
+
+
+def test_homology_table_matches_cycle_bases_on_random_complexes():
+    """The rank-only table equals the presentation built on cycle bases, on
+    200 seeded random complexes and the cones of their degree -2 maps."""
+    rng = random.Random(4)
+    for _ in range(200):
+        C, phi = random_complex_and_map(rng)
+        for K in (C, mapping_cone(phi)):
+            lo, hi = K.degrees
+            degrees = range(lo + 1, hi)
+            assert homology_table(K, degrees) == {
+                d: homology_basis(K, d).presentation for d in degrees}
 
 
 def test_randomized_cone_les_exactness():

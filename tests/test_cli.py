@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 try:
     import jsonschema
 except ImportError:      # pragma: no cover
     jsonschema = None
 
-from rfhomology.cli import main
+from rfhomology.cli import COMMAND_FLAGS, FLAGS, main
 
 
 GROUP_SCHEMA = {
@@ -190,3 +195,105 @@ def test_selftest_command_reports_faithfully(capsys):
     assert by_id[1] is False
     assert all(by_id[i] for i in range(2, 11))
     assert payload["pass"] is False and code == 1
+
+
+# -- fuzzed malformed input ----------------------------------------------------
+
+COMMANDS = sorted(COMMAND_FLAGS)
+BAD_VALUES = {
+    "--m": st.sampled_from(["0", "-2", "x", "1.5", "", "1/2"]),
+    "--tau": st.sampled_from(["0", "-1", "1/0", "x", "", "--"]),
+    "--degrees": st.sampled_from(["3..1", "1", "a..b", "1..2..3", "..", ""]),
+    "--coeff": st.sampled_from(["q", "fp:", "fp:0", "fp:1", "fp:9", "fp:-3", "zz"]),
+    "--format": st.sampled_from(["", "txt", "JSON", "--"]),
+}
+SMALL_MODEL = {"dim": 2, "nu": 0, "lambda": "0", "cM": None,
+               "crit": [{"label": "bot", "index": 0}, {"label": "e", "index": 1},
+                        {"label": "top", "index": 2}],
+               "cap": "builtin:surface", "primitiveOmega": True,
+               "morseBoundary": {"2": [[0]]}}
+# each corruption makes the model file invalid on its own
+MODEL_CORRUPTIONS = {
+    "dim": [-2, 3, "x", None, [], {}],
+    "nu": [-1, "x", None, [2]],
+    "lambda": ["x", "1/0", [], {}],
+    "cM": ["x", []],
+    "crit": [None, 3, "ab", [1], [{"label": "a"}], [{"label": "a", "index": 9}],
+             [{"label": "a", "index": "x"}], [{"index": 0}],
+             [{"label": "a", "index": 0}, {"label": "b", "index": 2}],
+             [{"label": "bot", "index": 0}, {"label": "e", "index": 1},
+              {"label": "e", "index": 1}, {"label": "top", "index": 2}]],
+    "cap": ["builtin:nosuch", 7, {"1": [[1, 2], [3]]}, {"x": [[1]]}],
+    "morseBoundary": [{"2": [[1], [2, 3]]}, {"x": [[1]]}, {"2": "ab"},
+                      {"2": [[1, 2, 3]]}, {"1": [[1, 2]]}, {"2": 5}],
+}
+
+
+@st.composite
+def bad_argv(draw):
+    """A command line with one malformed part: the subcommand, a flag the
+    subcommand does not take, or a flag's value."""
+    kind = draw(st.sampled_from(["command", "flag", "value"]))
+    if kind == "command":
+        # this alphabet spells no subcommand and no -h/--help
+        return [draw(st.text("abcxyz-0123456789", max_size=8))]
+    command = draw(st.sampled_from(COMMANDS))
+    own = COMMAND_FLAGS[command]
+    if kind == "flag":
+        foreign = st.sampled_from(sorted(set(FLAGS) - set(own)))
+        unknown = st.text("abcxyz", min_size=1, max_size=6).map(lambda s: "--x" + s)
+        return [command, draw(foreign | unknown), "1"]
+    flag = draw(st.sampled_from([f for f in BAD_VALUES if f in own]))
+    return [command, flag, draw(BAD_VALUES[flag])]
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_usage_error(argv, code, err):
+    assert code == 2, (argv, code, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_argv())
+def test_fuzzed_argv_is_a_usage_error(argv):
+    """Unknown subcommands and flags and bad --m/--tau/--degrees/--coeff/
+    --format values exit 2 with one `error:` line and no traceback."""
+    assert_usage_error(argv, *run_quietly(argv))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(MODEL_CORRUPTIONS)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(MODEL_CORRUPTIONS[key]))),
+    st.sampled_from([None, "list", "truncated"]),
+    st.sampled_from([c for c in COMMANDS if "--model" in COMMAND_FLAGS[c]]))
+def test_fuzzed_model_file_is_a_usage_error(corruption, wrapper, command):
+    """A malformed `file:` model exits 2 with one `error:` line and no
+    traceback, whether a field is wrong, the top level is not an object or
+    the JSON is cut short."""
+    key, value = corruption
+    text = json.dumps({**SMALL_MODEL, key: value})
+    if wrapper == "list":
+        text = "[" + text + "]"
+    elif wrapper == "truncated":
+        text = text[:len(text) // 2]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = [command, "--model", f"file:{path}"]
+        assert_usage_error(argv, *run_quietly(argv))
+
+
+def test_small_model_file_is_valid(tmp_path):
+    """The fuzzed model files above differ from this one in one field."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(SMALL_MODEL))
+    code, err = run_quietly(["rfh-w0", "--model", f"file:{path}", "--degrees", "-1..1"])
+    assert code == 0 and err == ""

@@ -4,7 +4,9 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from rfhomology.errors import NotAComplex, NotSquare, ShapeMismatch
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation, det_bareiss,
@@ -44,6 +46,40 @@ def test_snf_invariants(A):
     assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
     # zeros trail the nonzero invariant factors
     assert diag[:len(nz)] == nz
+
+
+ENTRY_KINDS = {
+    "sparse": st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3)),
+    "dense": st.integers(-9, 9).filter(bool),
+    "all-unit": st.sampled_from((1, -1)),
+    "unit-free": st.sampled_from((0, 2, -2, 3, -4, 6, -9)),
+    "large-entry": st.integers(-10 ** 15, 10 ** 15),
+}
+
+
+@st.composite
+def kinded_matrices(draw):
+    entries = ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))]
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    return IntMatrix(m, n, tuple(draw(st.lists(entries, min_size=m * n, max_size=m * n))))
+
+
+def sympy_invariant_factors(A):
+    D = sympy_smith_normal_form(sympy.Matrix(A.rows, A.cols, list(A.entries)),
+                                domain=sympy.ZZ)
+    return tuple(abs(int(D[i, i])) for i in range(min(A.rows, A.cols)) if D[i, i])
+
+
+@settings(max_examples=400, deadline=None)
+@given(kinded_matrices())
+@example(IntMatrix.zero(0, 4))
+@example(IntMatrix.zero(4, 0))
+@example(IntMatrix.from_rows([[2, 3]]))
+def test_invariant_factors_match_two_oracles(A):
+    """The sparse unit-pivot path equals the dense Smith form and sympy's."""
+    got = invariant_factors(A)
+    assert got == smith_normal_form(A).invariant_factors()
+    assert got == sympy_invariant_factors(A)
 
 
 def test_snf_identity_and_diag():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from rfhomology.basemodel import (build_fc, cap_map, cp_model, load_model,
                                   point_model, surface_model)
-from rfhomology.chaincplx import (homology_table, mapping_cone,
+from rfhomology.chaincplx import (homology_basis, homology_table, mapping_cone,
                                   verify_boundary, verify_exactness)
 from rfhomology.errors import (ConsecutiveIndexModel, TruncationTooNarrow)
 from rfhomology.exactlin import IntMatrix, ZModulePresentation, rank
@@ -161,6 +162,43 @@ def test_rfc_w0_equals_cone_oracle():
         cone = mapping_cone(cap_map(model, m, fc=build_fc(model, degrees=(-8, 7))))
         oracle = homology_table(cone, range(-4, 5))
         assert direct == oracle, (model.name, m)
+
+
+def nonperfect_surface(g, rng):
+    """surface:g with g extra index-1/index-2 pairs (c_i, b_i): d b_i is a
+    seeded multiple of c_i plus a seeded multiple of a base loop, so the
+    Floer complex has nonzero boundaries and, for even multiples, torsion."""
+    ones = [f"a{i}" for i in range(2 * g)] + [f"c{i}" for i in range(g)]
+    twos = [f"b{i}" for i in range(g)] + ["top"]
+    rng.shuffle(ones)
+    rng.shuffle(twos)
+    rows = [[0] * len(twos) for _ in ones]
+    for i in range(g):
+        col = twos.index(f"b{i}")
+        rows[ones.index(f"c{i}")][col] = rng.choice((1, -1, 2, -3))
+        rows[ones.index(f"a{rng.randrange(2 * g)}")][col] = rng.choice((0, 1, -2))
+    crit = ([{"label": "bot", "index": 0}]
+            + [{"label": lab, "index": 1} for lab in ones]
+            + [{"label": lab, "index": 2} for lab in twos])
+    return load_model({"name": f"surface:{g}+{g}", "dim": 2, "nu": 0, "lambda": "0",
+                       "cM": None, "crit": crit, "cap": "builtin:surface",
+                       "primitiveOmega": True, "morseBoundary": {"2": rows}})
+
+
+def test_homology_table_matches_cycle_bases_on_models():
+    """The rank-only table equals the presentation built on cycle bases, on
+    the zero-winding complexes and the Floer complexes of the built-in and
+    non-perfect models."""
+    rng = random.Random(8)
+    models = [cp_model(n) for n in (1, 2, 3)] + [surface_model(g) for g in range(1, 9)]
+    models += [nonperfect_surface(g, rng) for g in (1, 2, 3, 5)]
+    for model in models:
+        complexes = [build_fc(model, degrees=(-6, 6))]
+        complexes += [rfc_w0(model, m, Fraction(1), (-6, 6)) for m in (1, 2, 3)]
+        for C in complexes:
+            degrees = range(-5, 6)
+            assert homology_table(C, degrees) == {
+                d: homology_basis(C, d).presentation for d in degrees}, model.name
 
 
 def test_rfc_w0_boundary_squares_to_zero():
