@@ -136,24 +136,26 @@ class BaseModel:
     def fh_degree(self, morse_index: int, k: int) -> int:
         return morse_index - self.half_dim - 2 * self.lambda_nu * k
 
-    def k_for_degree(self, morse_index: int, degree: int) -> Optional[int]:
-        """The unique sphere-class coordinate putting a critical point in the
-        given degree, or None."""
-        if self.aspherical:
-            return 0 if morse_index - self.half_dim == degree else None
-        num = morse_index - self.half_dim - degree
-        den = 2 * self.lambda_nu
-        if num % den != 0:
-            return None
-        return num // den
+    @cached_property
+    def degree_classes(self) -> dict[int, tuple[tuple[str, int], ...]]:
+        """Critical points by the degrees their generators reach: the residue
+        of mu - dim/2 modulo 2*lambda*nu (mu - dim/2 itself when aspherical)
+        -> (label, mu - dim/2) in `crit` order."""
+        classes: dict[int, list[tuple[str, int]]] = {}
+        for label, idx in self.crit:
+            shifted = idx - self.half_dim
+            key = shifted if self.aspherical else shifted % (2 * self.lambda_nu)
+            classes.setdefault(key, []).append((label, shifted))
+        return {key: tuple(c) for key, c in classes.items()}
 
     def generators_in_degree(self, degree: int) -> list[tuple[str, int]]:
-        out = []
-        for label, idx in self.crit:
-            k = self.k_for_degree(idx, degree)
-            if k is not None:
-                out.append((label, k))
-        return out
+        """(label, k) for every generator in the degree, in `crit` order: k is
+        the unique sphere-class coordinate putting the point there."""
+        if self.aspherical:
+            return [(label, 0) for label, _ in self.degree_classes.get(degree, ())]
+        den = 2 * self.lambda_nu
+        return [(label, (shifted - degree) // den)
+                for label, shifted in self.degree_classes.get(degree % den, ())]
 
     def betti_total(self) -> int:
         return len(self.crit)

@@ -194,19 +194,43 @@ def homology_table(C: GradedComplex, degrees: Iterable[int]) -> dict[int, ZModul
     built (see `homology_basis` for that)."""
     lo, hi = C.degrees
     factors: dict[int, tuple[int, ...]] = {}
+    columns: dict[int, list[dict[int, int]]] = {}
     table = {}
     for d in degrees:
         if not (lo < d < hi):
             raise DegreeOutOfRange(f"degree {d} not interior to {C.degrees}")
-        if not (C.boundary_at(d) @ C.boundary_at(d + 1)).is_zero():
-            raise NotAComplex(f"d_{d} . d_{d + 1} != 0")
         for k in (d, d + 1):
             if k not in factors:
                 factors[k] = invariant_factors(C.boundary_at(k))
+                columns[k] = _nonzero_columns(C.boundary_at(k))
+        if not _composes_to_zero(columns[d], columns[d + 1]):
+            raise NotAComplex(f"d_{d} . d_{d + 1} != 0")
         out, inc = factors[d], factors[d + 1]
         table[d] = ZModulePresentation(C.rank(d) - len(out) - len(inc),
                                        tuple(t for t in inc if t >= 2))
     return table
+
+
+def _nonzero_columns(M: IntMatrix) -> list[dict[int, int]]:
+    """The nonzeros of each column of M, as row -> entry."""
+    cols: list[dict[int, int]] = [{} for _ in range(M.cols)]
+    for pos, x in enumerate(M.entries):
+        if x:
+            i, j = divmod(pos, M.cols)
+            cols[j][i] = x
+    return cols
+
+
+def _composes_to_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) -> bool:
+    """outer . inner = 0, for matrices given by `_nonzero_columns`."""
+    for col in inner:
+        acc: dict[int, int] = {}
+        for i, x in col.items():
+            for r, y in outer[i].items():
+                acc[r] = acc.get(r, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 def induced_matrix(phi: IntMatrix, src: HomologyBasis, tgt: HomologyBasis) -> IntMatrix:

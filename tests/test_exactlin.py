@@ -82,6 +82,34 @@ def test_invariant_factors_match_two_oracles(A):
     assert got == sympy_invariant_factors(A)
 
 
+@settings(max_examples=300, deadline=None)
+@given(kinded_matrices(), st.data())
+def test_kernel_and_solve_on_kinded_matrices(A, data):
+    """The kernel is a direct summand of the right rank, and solve_matrix
+    fails exactly when B leaves the column lattice of A: judged by the
+    invariant factors of A and [A | B], which share no transforms."""
+    K = kernel_basis(A)
+    assert (A @ K).is_zero()
+    assert K.cols == A.cols - rank(A)
+    assert invariant_factors(K) == (1,) * K.cols
+    small = st.integers(-9, 9)
+    x = data.draw(st.lists(small, min_size=A.cols, max_size=A.cols))
+    b = data.draw(st.lists(small, min_size=A.rows, max_size=A.rows))
+    B = IntMatrix.from_rows([[y, z] for y, z in zip(A.apply(x), b)], cols=2)
+    X = solve_matrix(A, B)
+    assert (X is None) == (invariant_factors(A.hstack(B)) != invariant_factors(A))
+    if X is not None:
+        assert (A @ X).entries == B.entries
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 4), (4, 2)])
+def test_snf_of_zero_matrix_is_identity_transforms(m, n):
+    s = smith_normal_form(IntMatrix.zero(m, n))
+    assert (s.U.rows, s.U.cols, s.U.entries) == (m, m, IntMatrix.identity(m).entries)
+    assert (s.D.rows, s.D.cols, s.D.entries) == (m, n, IntMatrix.zero(m, n).entries)
+    assert (s.V.rows, s.V.cols, s.V.entries) == (n, n, IntMatrix.identity(n).entries)
+
+
 def test_snf_identity_and_diag():
     s = smith_normal_form(IntMatrix.identity(2))
     assert s.D.entries == IntMatrix.identity(2).entries
