@@ -76,8 +76,9 @@ def verify_boundary(C: GradedComplex) -> BoundaryReport:
     """Check d_{*-1} . d_* = 0 wherever both maps exist; reports the first
     offending degree."""
     lo, hi = C.degrees
+    columns = {d: _nonzero_columns(C.boundary_at(d)) for d in range(lo + 1, hi + 1)}
     for d in range(lo + 2, hi + 1):
-        if not (C.boundary_at(d - 1) @ C.boundary_at(d)).is_zero():
+        if not _composes_to_zero(columns[d - 1], columns[d]):
             return BoundaryReport(False, d)
     return BoundaryReport(True)
 

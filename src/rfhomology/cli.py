@@ -10,6 +10,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -133,7 +134,10 @@ def _preprocess(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process on first use;
+    `main` reuses it, since parsing leaves no state on it."""
     parser = _Parser(
         prog="rfh",
         description="Exact Rabinowitz Floer homology of negative line bundles")

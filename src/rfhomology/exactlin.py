@@ -17,14 +17,19 @@ an all-zero input.  Its callers:
 * `invariant_factors` reads only the diagonal, for the unit-free
   remainder below.
 
-`invariant_factors` (and through it `rank`, `is_surjective_over_z` and
-`presentation_from_relations`) is the transform-free path.  It eliminates
-unit pivots on a sparse row-dict copy, least Markowitz cost first, and
-hands only the unit-free remainder to `_smith`.  Boundary matrices of the
-complexes here are large and nearly empty, with mostly +-1 entries, so the
-remainder is usually empty or tiny.  The transform users see small
-matrices (at most 18 rows in the Gysin exactness checks, about 0.44
-nonzero), where dense row lists are the right fit.
+`invariant_factors` (and through it `rank`, `rank_mod_p`,
+`is_surjective_over_z` and `presentation_from_relations`) is the
+transform-free path.  It eliminates unit pivots on a sparse row-dict copy,
+least Markowitz cost first, and hands only the unit-free remainder to
+`_smith`.  Boundary matrices of the complexes here are large and nearly
+empty, with mostly +-1 entries, so the remainder is usually empty or tiny.
+The transform users see small matrices (at most 18 rows in the Gysin
+exactness checks, about 0.44 nonzero), where dense row lists are the right
+fit.
+
+Field coefficients use the same elimination: the rank of A over F_p is the
+number of invariant factors of A that p does not divide (`rank_mod_p`).
+There is no elimination over a field.
 
 Ranks are double-checked by fraction-free (Bareiss) elimination.
 """
@@ -84,9 +89,6 @@ class IntMatrix:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -388,6 +390,12 @@ def rank(A: IntMatrix) -> int:
     return len(invariant_factors(A))
 
 
+def rank_mod_p(A: IntMatrix, p: int) -> int:
+    """Rank of A over F_p: the invariant factors p does not divide, since U
+    and V of the Smith form stay invertible mod p."""
+    return sum(1 for d in invariant_factors(A) if d % p)
+
+
 # ---------------------------------------------------------------------------
 # Kernels and solving
 # ---------------------------------------------------------------------------
@@ -483,22 +491,6 @@ def is_surjective_over_z(A: IntMatrix) -> bool:
     return len(factors) == A.rows and all(d == 1 for d in factors)
 
 
-def matrix_power(A: IntMatrix, n: int) -> IntMatrix:
-    if not A.is_square():
-        raise NotSquare(f"{A.rows}x{A.cols} matrix has no powers")
-    if n < 0:
-        raise ValueError("negative power")
-    result = IntMatrix.identity(A.rows)
-    base = A
-    while n:
-        if n & 1:
-            result = result @ base
-        n >>= 1
-        if n:
-            base = base @ base
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Fraction-free elimination: the independent second method
 # ---------------------------------------------------------------------------
@@ -553,54 +545,3 @@ def det_bareiss(A: IntMatrix) -> int:
             M[i][c] = 0
         prev = M[c][c]
     return sign * M[n - 1][n - 1]
-
-
-# ---------------------------------------------------------------------------
-# Linear algebra over a prime field
-# ---------------------------------------------------------------------------
-
-def _fp_echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Row-reduce mod p; returns (reduced rows, pivot column list)."""
-    rows = [[x % p for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p != 0:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def rank_mod_p(A: IntMatrix, p: int) -> int:
-    if A.rows == 0 or A.cols == 0:
-        return 0
-    _, pivots = _fp_echelon(A.to_lists(), p)
-    return len(pivots)
-
-
-def kernel_basis_mod_p(A: IntMatrix, p: int) -> list[list[int]]:
-    """Basis vectors (length = cols) of ker(A mod p)."""
-    if A.cols == 0:
-        return []
-    if A.rows == 0:
-        return [[1 if i == j else 0 for i in range(A.cols)] for j in range(A.cols)]
-    rows, pivots = _fp_echelon(A.to_lists(), p)
-    free = [c for c in range(A.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * A.cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rows[r][fc]) % p
-        basis.append(v)
-    return basis

@@ -34,8 +34,7 @@ from .chaincplx import (ChainMap, GradedComplex, HomologyBasis,
 from .errors import (ConsecutiveIndexModel, EmptyWindow, TruncationTooNarrow,
                      UnstabilizedTruncation, WindowMismatch)
 from .exactlin import (IntMatrix, ZModulePresentation, kernel_basis,
-                       kernel_basis_mod_p, presentation_from_relations,
-                       rank_mod_p, solve_matrix)
+                       presentation_from_relations, rank_mod_p, solve_matrix)
 from .novikov import (CompletionRegime, l_is_unit, lm_det, lm_is_zero,
                       lm_power, regime_for)
 
@@ -509,31 +508,29 @@ class _SectorData:
 
 
 def _field_total_betti(model: BaseModel, p: int) -> int:
+    """Total F_p Betti number of the base: sum over e of
+    n_e - rank_p d_e - rank_p d_{e+1}."""
     if not model.morse_boundary:
         return len(model.crit)
-    fc = build_fc(model, degrees=(-model.half_dim - 1, model.half_dim + 1))
-    total = 0
-    for e in range(-model.half_dim, model.half_dim + 1):
-        d_out = fc.boundary_at(e)
-        d_in = fc.boundary_at(e + 1)
-        total += (fc.rank(e) - rank_mod_p(d_out, p)) - rank_mod_p(d_in, p)
-    return total
+    h = model.half_dim
+    fc = build_fc(model, degrees=(-h - 1, h + 1))
+    r = {e: rank_mod_p(fc.boundary_at(e), p) for e in range(-h, h + 2)}
+    return sum(fc.rank(e) - r[e] - r[e + 1] for e in range(-h, h + 1))
 
 
 def _field_quotient_dim(sect: _SectorData, e: int, b: int, p: int) -> int:
-    """dim over F_p of FH_e / ker(psi^b) = rank of the induced psi^b."""
+    """dim over F_p of FH_e / ker(psi^b) = rank of the induced psi^b.  With
+    f = psi^b : C_e -> C_t (t = e - 2b) a chain map, that rank is
+    rank_p [[d_{t+1}, f], [0, d_e]] - rank_p d_{t+1} - rank_p d_e."""
     fc = sect.fc
-    K = kernel_basis_mod_p(fc.boundary_at(e), p)
-    if not K:
-        return 0
-    Kmat = IntMatrix.from_rows([[K[j][i] for j in range(len(K))]
-                                for i in range(len(K[0]))], cols=len(K))
-    chain = Kmat
+    f = IntMatrix.identity(fc.rank(e))
     for i in range(b):
-        chain = sect.psi.at(e - 2 * i) @ chain
-    B = fc.boundary_at(e - 2 * b + 1)
-    aug = chain.hstack(B)
-    return rank_mod_p(aug, p) - rank_mod_p(B, p)
+        f = sect.psi.at(e - 2 * i) @ f
+    d_in, d_out = fc.boundary_at(e - 2 * b + 1), fc.boundary_at(e)
+    block = [d_in.row(i) + f.row(i) for i in range(f.rows)]
+    block += [(0,) * d_in.cols + d_out.row(i) for i in range(d_out.rows)]
+    return (rank_mod_p(IntMatrix.from_rows(block, cols=d_in.cols + f.cols), p)
+            - rank_mod_p(d_in, p) - rank_mod_p(d_out, p))
 
 
 def _sector_blocks(sect: _SectorData, star: int, src: Sequence[int],
@@ -593,13 +590,14 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
               else regime_for(tau, model.lam, m))
     L = cap_lambda_matrix(model, m)
     n_crit = len(model.crit)
-    nilpotent = lm_is_zero(lm_power(L, n_crit)) if n_crit else True
+    L_n = lm_power(L, n_crit)
+    nilpotent = lm_is_zero(L_n)
     iso_over_z = l_is_unit(lm_det(L)) if n_crit else True
     if field is not None:
         # over F_p a cap divisible by p dies: nilpotency can only improve
         nilpotent = nilpotent or lm_is_zero(
             [[{e: c % field for e, c in x.items() if c % field} for x in row]
-             for row in lm_power(L, n_crit)])
+             for row in L_n])
 
     dlo, dhi = degrees
     period = model.c_min if not model.aspherical else 0

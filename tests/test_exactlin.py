@@ -6,13 +6,13 @@ from math import gcd
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
-from rfhomology.errors import NotAComplex, NotSquare, ShapeMismatch
+from rfhomology.errors import NotAComplex, ShapeMismatch
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation, det_bareiss,
                                  homology, invariant_factors,
-                                 is_surjective_over_z, kernel_basis,
-                                 kernel_basis_mod_p, matrix_power, rank,
+                                 is_surjective_over_z, kernel_basis, rank,
                                  rank_bareiss, rank_mod_p, smith_normal_form,
                                  solve, solve_matrix)
 
@@ -334,7 +334,7 @@ def test_homology_known_presentation_after_scrambling():
         assert homology(d_out2, d_in2) == expected
 
 
-# -- surjectivity and powers --------------------------------------------------
+# -- surjectivity --------------------------------------------------
 
 def test_surjectivity():
     assert is_surjective_over_z(IntMatrix.identity(3))
@@ -343,17 +343,6 @@ def test_surjectivity():
     assert not is_surjective_over_z(IntMatrix.from_rows([[2, 4]]))
     assert is_surjective_over_z(IntMatrix.zero(0, 3))
     assert not is_surjective_over_z(IntMatrix.zero(2, 0))
-
-
-def test_matrix_power():
-    A = IntMatrix.from_rows([[3, 1], [0, 2]])
-    assert matrix_power(A, 0).entries == IntMatrix.identity(2).entries
-    assert matrix_power(IntMatrix.from_rows([[5]]), 4).get(0, 0) == 5 ** 4
-    N = IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert not matrix_power(N, 2).is_zero()
-    assert matrix_power(N, 3).is_zero()
-    with pytest.raises(NotSquare):
-        matrix_power(IntMatrix.zero(2, 3), 2)
 
 
 def test_presentation_canonical():
@@ -365,11 +354,28 @@ def test_presentation_canonical():
     assert str(ZModulePresentation(0, ())) == "0"
 
 
+def fp_matrix(A, p):
+    """A over GF(p) as a sympy DomainMatrix: the field-side oracle."""
+    rows = [[sympy.ZZ(x) for x in A.row(i)] for i in range(A.rows)]
+    return DomainMatrix(rows, (A.rows, A.cols), sympy.ZZ).convert_to(sympy.GF(p))
+
+
 def test_mod_p_helpers():
     A = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert rank_mod_p(A, 3) == 1
     assert rank_mod_p(A, 5) == 2
-    ker = kernel_basis_mod_p(A, 3)
-    assert len(ker) == 1
+    ker = fp_matrix(A, 3).nullspace().to_list()
+    assert len(ker) == A.cols - rank_mod_p(A, 3) == 1
     for v in ker:
-        assert all(x % 3 == 0 for x in A.apply(v))
+        assert all(x % 3 == 0 for x in A.apply([int(c) for c in v]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(kinded_matrices(), st.sampled_from((2, 3, 5, 7)))
+@example(IntMatrix.zero(0, 4), 2)
+@example(IntMatrix.zero(4, 0), 3)
+@example(IntMatrix.from_rows([[6, 0], [0, 35]]), 7)
+def test_rank_mod_p_matches_field_oracle(A, p):
+    """The rank read off the invariant factors equals a rank computed by
+    elimination over GF(p)."""
+    assert rank_mod_p(A, p) == fp_matrix(A, p).rank()

@@ -3,8 +3,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from rfhomology.basemodel import (build_fc, cap_map, cp_model, load_model,
                                   point_model, surface_model)
@@ -13,12 +16,14 @@ from rfhomology.chaincplx import (homology_basis, homology_table, mapping_cone,
 from rfhomology.errors import (ConsecutiveIndexModel, TruncationTooNarrow)
 from rfhomology.exactlin import IntMatrix, ZModulePresentation, rank
 from rfhomology.novikov import CompletionRegime
-from rfhomology.rfh import (RFHGenerator, action, base_action, boundary_full,
-                            boundary_full_chain, delta_injectivity,
-                            enumerate_generators, eta, fh_index, full_rfh,
-                            gysin, orderability_report, primitive_partial_sum,
-                            rfc_w0, rfh_index, rfh_w0_table, transfer_maps,
-                            winding)
+from rfhomology.rfh import (RFHGenerator, _field_quotient_dim,
+                            _field_total_betti, _SectorData, action,
+                            base_action, boundary_full, boundary_full_chain,
+                            delta_injectivity, enumerate_generators, eta,
+                            fh_index, full_rfh, gysin, orderability_report,
+                            primitive_partial_sum, rfc_w0, rfh_index,
+                            rfh_w0_table, transfer_maps, winding)
+from rfhomology.selftest import random_complex_and_map
 
 CP2 = cp_model(2)
 
@@ -470,6 +475,58 @@ def test_full_rfh_field_modes():
     # characteristic dividing m kills the cap: zero even at the boundary
     res2 = full_rfh(CP2, 2, Fraction(2), (-3, 3), "fp:2")
     assert all(v.kind == "zero" for v in res2.table.values())
+
+
+def fp_matrix(A, p):
+    """A over GF(p) as a sympy DomainMatrix: the field-side oracle."""
+    rows = [[sympy.ZZ(x) for x in A.row(i)] for i in range(A.rows)]
+    return DomainMatrix(rows, (A.rows, A.cols), sympy.ZZ).convert_to(sympy.GF(p))
+
+
+def induced_rank_on_cycles(sect, e, b, p):
+    """Rank over F_p of psi^b : H_e -> H_{e-2b}, from an F_p cycle basis of
+    C_e pushed forward and reduced modulo the boundaries of the target."""
+    fc = sect.fc
+    cycles = fp_matrix(fc.boundary_at(e), p).nullspace()
+    if cycles.shape[0] == 0:
+        return 0
+    f = IntMatrix.identity(fc.rank(e))
+    for i in range(b):
+        f = sect.psi.at(e - 2 * i) @ f
+    B = fp_matrix(fc.boundary_at(e - 2 * b + 1), p)
+    return (fp_matrix(f, p) * cycles.transpose()).hstack(B).rank() - B.rank()
+
+
+TORSION_MODEL = {"name": "surface:0+torsion", "dim": 2, "nu": 0, "lambda": "0",
+                 "cM": None, "primitiveOmega": True, "cap": "builtin:surface",
+                 "crit": [{"label": "bot", "index": 0}, {"label": "a1", "index": 1},
+                          {"label": "a2", "index": 1}, {"label": "top", "index": 2}],
+                 "morseBoundary": {"2": [[2], [0]]}}   # d top = 2 a1
+
+
+def test_field_quotient_dim_matches_cycle_bases():
+    """The block-rank formula for the induced psi^b equals its rank on F_p
+    cycle bases, on seeded random complexes with a degree -2 chain map and
+    on a base with 2-torsion."""
+    rng = random.Random(6)
+    sects = [SimpleNamespace(fc=C, psi=f)
+             for C, f in (random_complex_and_map(rng) for _ in range(40))]
+    model = load_model(TORSION_MODEL)
+    sects += [_SectorData(model, m, -4, 4) for m in (1, 2)]
+    for sect in sects:
+        lo, hi = sect.fc.degrees
+        for e in range(lo, hi + 1):
+            for b in range(4):
+                for p in (2, 3, 5):
+                    assert _field_quotient_dim(sect, e, b, p) == \
+                        induced_rank_on_cycles(sect, e, b, p), (e, b, p)
+
+
+def test_field_total_betti_sees_torsion():
+    """d top = 2 a1 kills a1 over F_3 but not over F_2."""
+    model = load_model(TORSION_MODEL)
+    assert _field_total_betti(model, 2) == 4
+    assert _field_total_betti(model, 3) == 2
 
 
 def test_full_rfh_cp1_parity():
