@@ -1,7 +1,7 @@
 """Exact-arithmetic Rabinowitz Floer homology of negative line bundles over
 monotone or aspherical symplectic bases."""
 
-from .basemodel import (BaseModel, build_fc, cap_lambda_matrix, cap_map,
+from .basemodel import (BaseModel, build_fc, cap_map, cap_matrix,
                         cap_stabilization, cp_model, load_model,
                         model_from_spec, point_model, primitivity_report,
                         surface_model)

@@ -8,6 +8,12 @@ for -f, and a unit cap pattern.  The cap stored on the model is the cap
 with -[omega]; capping with -m[omega] is m times that pattern, so a single
 model serves every bundle degree m.
 
+The cap lowers the degree by 2, and a generator's degree fixes its sphere
+class, so every cap term's sphere shift is fixed by the two Morse indices.
+The pattern is therefore stored by source (`BaseModel.cap_terms`) and, for
+the tests on the whole cap, as one integer matrix at t = 1 (`cap_matrix`);
+no matrix over the Novikov ring Z[t, t^-1] is built.
+
 Gradings follow the symmetric convention: a generator (q, k) sits in degree
 mu_{-f}(q) - dim/2 - 2*lambda*nu*k, and its action is -k*nu (critical values
 of f are normalized to 0, which keeps all window arithmetic rational).
@@ -25,8 +31,7 @@ from typing import Mapping, Optional, Union
 
 from .chaincplx import ChainMap, GradedComplex, verify_boundary
 from .errors import EmptyWindow, NotAChainMap, UnsupportedModel
-from .exactlin import IntMatrix
-from .novikov import Laurent, lm_identity, lm_mul, lm_rank, lm_zero
+from .exactlin import IntMatrix, rank
 
 CapSpec = Union[str, dict]   # "cpn" | "surface" | "zero" | {"degree_matrices": {d: rows}}
 
@@ -125,12 +130,35 @@ class BaseModel:
     @cached_property
     def cap_terms(self) -> dict[str, tuple[tuple[str, int, int, int], ...]]:
         """The unit cap pattern by source: label -> its terms (target label,
-        target Morse index, sphere-class shift, coefficient)."""
+        target Morse index, sphere-class shift, coefficient), targets in
+        `crit` order.  A term lowers the degree by 2, so its shift is
+        (idx_tgt - idx_src + 2) / (2*lambda*nu), and 0 when aspherical."""
         terms: dict[str, list[tuple[str, int, int, int]]] = {src: [] for src, _ in self.crit}
-        for row, (tgt, idx) in zip(unit_cap_lambda_matrix(self), self.crit):
-            for entry, (src, _) in zip(row, self.crit):
-                if entry:
-                    terms[src].extend((tgt, idx, s, c) for s, c in entry.items())
+        if self.cap == "cpn":
+            # q_i -> q_{i-1}, and q_0 -> t q_n closes the cycle
+            for i, (src, _) in enumerate(self.crit):
+                tgt, idx = self.crit[i - 1]
+                terms[src].append((tgt, idx, int(i == 0), 1))
+        elif self.cap == "surface":
+            terms["top"].append(("bot", self.index_of["bot"], 0, 1))
+        elif isinstance(self.cap, dict):
+            mats = self.cap["degree_matrices"]
+            for label, idx in self.crit:
+                d = self.fh_degree(idx, 0)
+                src = self.generators_in_degree(d)
+                tgt = self.generators_in_degree(d - 2)
+                if not tgt:
+                    continue
+                if d not in mats:
+                    raise NotAChainMap(f"custom cap misses degree {d}")
+                M = mats[d]
+                if (M.rows, M.cols) != (len(tgt), len(src)):
+                    raise NotAChainMap(f"custom cap at degree {d} has the wrong shape")
+                col = src.index((label, 0))
+                terms[label].extend((tl, self.index_of[tl], tk, M.get(i, col))
+                                    for i, (tl, tk) in enumerate(tgt) if M.get(i, col))
+        elif self.cap != "zero":
+            raise UnsupportedModel(f"unknown cap spec {self.cap!r}")
         return {src: tuple(ts) for src, ts in terms.items()}
 
     def fh_degree(self, morse_index: int, k: int) -> int:
@@ -317,50 +345,20 @@ def build_fc(model: BaseModel, window: Window = None,
 # Cap product
 # ---------------------------------------------------------------------------
 
-def unit_cap_lambda_matrix(model: BaseModel) -> list[list[Laurent]]:
-    """The cap with -[omega] as a matrix over the Novikov ring on the
-    critical-point basis; entry {s: c} means coefficient c combined with a
-    sphere-class shift by s."""
-    n = len(model.crit)
-    order = model.position
-    L = lm_zero(n, n)
-    if model.cap == "cpn":
-        for i in range(1, n):
-            L[i - 1][i] = {0: 1}
-        L[n - 1][0] = {1: 1}
-    elif model.cap == "surface":
-        L[order["bot"]][order["top"]] = {0: 1}
-    elif model.cap == "zero":
-        pass
-    elif isinstance(model.cap, dict):
-        mats = model.cap["degree_matrices"]
-        for j, (label, idx) in enumerate(model.crit):
-            d = model.fh_degree(idx, 0)
-            src = model.generators_in_degree(d)
-            tgt = model.generators_in_degree(d - 2)
-            if not tgt:
-                continue
-            if d not in mats:
-                raise NotAChainMap(f"custom cap misses degree {d}")
-            col = src.index((label, 0))
-            M = mats[d]
-            if (M.rows, M.cols) != (len(tgt), len(src)):
-                raise NotAChainMap(f"custom cap at degree {d} has the wrong shape")
-            for i, (tl, tk) in enumerate(tgt):
-                c = M.get(i, col)
-                if c:
-                    acc = L[order[tl]][j]
-                    acc[tk] = acc.get(tk, 0) + c
-                    L[order[tl]][j] = {e: v for e, v in acc.items() if v}
-    else:
-        raise UnsupportedModel(f"unknown cap spec {model.cap!r}")
-    return L
-
-
-def cap_lambda_matrix(model: BaseModel, m: int) -> list[list[Laurent]]:
-    """Cap with -m[omega] = m times the unit pattern."""
-    unit = unit_cap_lambda_matrix(model)
-    return [[{e: m * c for e, c in entry.items()} for entry in row] for row in unit]
+def cap_matrix(model: BaseModel, m: int) -> IntMatrix:
+    """The cap with -m[omega] on the critical-point basis at t = 1: entry
+    (target, source) is m times the unit pattern's coefficient.  Each term's
+    sphere shift is fixed by the two Morse indices (see `cap_terms`), so the
+    cap over the Novikov ring is D1 C D2 with D1, D2 diagonal powers of t:
+    its n-th power vanishes (also mod p) exactly when C^n does, its
+    determinant is a unit exactly when C is unimodular, and its powers have
+    the ranks of C's powers."""
+    n, pos = len(model.crit), model.position
+    rows = [[0] * n for _ in range(n)]
+    for src, terms in model.cap_terms.items():
+        for tgt, _, _, c in terms:
+            rows[pos[tgt]][pos[src]] += m * c
+    return IntMatrix.from_rows(rows, cols=n)
 
 
 def cap_map(model: BaseModel, m: int, fc: GradedComplex) -> ChainMap:
@@ -389,17 +387,16 @@ def cap_map(model: BaseModel, m: int, fc: GradedComplex) -> ChainMap:
 
 def cap_stabilization(model: BaseModel, m: int) -> tuple[int, int]:
     """Smallest n with rank im(Psi^n) = rank im(Psi^{n+1}) over the Novikov
-    ring's fraction field, together with that stabilized rank.  The answer is
-    certified to appear within the total Betti number."""
-    L = cap_lambda_matrix(model, m)
+    ring's fraction field, together with that stabilized rank; the ranks
+    are those of the powers of `cap_matrix`.  The answer is certified to
+    appear within the total Betti number."""
+    C = cap_matrix(model, m)
     bound = model.betti_total()
-    power = lm_identity(len(L))
+    power = IntMatrix.identity(C.rows)
     prev_rank = None
-    ranks = []
     for n in range(1, bound + 2):
-        power = lm_mul(power, L)
-        r = lm_rank(power)
-        ranks.append(r)
+        power = power @ C
+        r = rank(power)
         if prev_rank is not None and r == prev_rank:
             return (n - 1, r)
         prev_rank = r

@@ -136,12 +136,6 @@ class IntMatrix:
                     out[rbase + j] += a * other.entries[obase + j]
         return IntMatrix(self.rows, other.cols, tuple(out))
 
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise ShapeMismatch("vector length mismatch")
-        return tuple(sum(self.get(i, j) * vec[j] for j in range(self.cols))
-                     for i in range(self.rows))
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")

@@ -6,6 +6,13 @@ regimes classify which infinite sums of Floer classes are admissible for a
 given radius tau; the classification is an exact rational comparison of
 tau*(lambda - m) against m.
 
+No arithmetic over the ring is needed.  The only matrix over it is the cap,
+and the cap lowers the degree by 2, so the power of t in each of its terms
+is fixed by the Morse indices of the two ends.  The cap is therefore
+D1 C D2 with C an integer matrix and D1, D2 diagonal powers of t, and its
+nilpotency, unimodularity and ranks are read off C
+(`basemodel.cap_matrix`).
+
 Digit arithmetic: a QmNumber is a base-m expansion sum_{k >= start} a_k m^k
 with finitely many explicit digits followed by a constant tail of 0 or m-1.
 These are exactly the classes of finitely supported integer vectors under
@@ -206,154 +213,3 @@ def qm_tilde_add(a: QmNumber, b: QmNumber) -> QmNumber:
     qm_tilde_check(b)
     return qm_tilde_check(qm_add(a, b))
 
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials over Z: concrete carrier of the nontrivial ring
-# ---------------------------------------------------------------------------
-# A Laurent polynomial is a dict {exponent: coefficient} with no zero values.
-
-Laurent = dict
-
-
-def l_add(p: Laurent, q: Laurent) -> Laurent:
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0) + c
-        if out[e] == 0:
-            del out[e]
-    return out
-
-
-def l_neg(p: Laurent) -> Laurent:
-    return {e: -c for e, c in p.items()}
-
-
-def l_mul(p: Laurent, q: Laurent) -> Laurent:
-    out: Laurent = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def l_is_zero(p: Laurent) -> bool:
-    return not p
-
-
-def l_is_unit(p: Laurent) -> bool:
-    """Units of Z[t, t^-1] are +-t^j."""
-    return len(p) == 1 and abs(next(iter(p.values()))) == 1
-
-
-def l_div_exact(p: Laurent, q: Laurent) -> Laurent:
-    """Exact division p / q in Z[t, t^-1]; raises if not exact.  Used by the
-    fraction-free elimination below, whose intermediate divisions are exact
-    by the Sylvester identity."""
-    if l_is_zero(q):
-        raise ZeroDivisionError("division by zero polynomial")
-    if l_is_zero(p):
-        return {}
-    # shift both to ordinary polynomials
-    pmin, qmin = min(p), min(q)
-    pc = [0] * (max(p) - pmin + 1)
-    for e, c in p.items():
-        pc[e - pmin] = c
-    qc = [0] * (max(q) - qmin + 1)
-    for e, c in q.items():
-        qc[e - qmin] = c
-    out: dict[int, int] = {}
-    rem = pc[:]
-    dq = len(qc) - 1
-    lead = qc[-1]
-    for pos in range(len(rem) - 1, dq - 1, -1):
-        if rem[pos] == 0:
-            continue
-        if rem[pos] % lead != 0:
-            raise ValueError("inexact polynomial division")
-        f = rem[pos] // lead
-        out[pos - dq] = f
-        for i in range(dq + 1):
-            rem[pos - dq + i] -= f * qc[i]
-    if any(rem):
-        raise ValueError("inexact polynomial division")
-    return {e + pmin - qmin: c for e, c in out.items() if c != 0}
-
-
-LaurentMatrix = list  # list[list[Laurent]]
-
-
-def lm_zero(n: int, m: int) -> LaurentMatrix:
-    return [[{} for _ in range(m)] for _ in range(n)]
-
-
-def lm_identity(n: int) -> LaurentMatrix:
-    return [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
-
-
-def lm_mul(A: LaurentMatrix, B: LaurentMatrix) -> LaurentMatrix:
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    out = lm_zero(n, m)
-    for i in range(n):
-        for j in range(m):
-            acc: Laurent = {}
-            for s in range(k):
-                if A[i][s] and B[s][j]:
-                    acc = l_add(acc, l_mul(A[i][s], B[s][j]))
-            out[i][j] = acc
-    return out
-
-
-def lm_is_zero(A: LaurentMatrix) -> bool:
-    return all(l_is_zero(x) for row in A for x in row)
-
-
-def lm_power(A: LaurentMatrix, n: int) -> LaurentMatrix:
-    out = lm_identity(len(A))
-    for _ in range(n):
-        out = lm_mul(out, A)
-    return out
-
-
-def lm_rank(A: LaurentMatrix) -> int:
-    """Rank over the fraction field of Z[t, t^-1], computed fraction-free."""
-    M = [[dict(x) for x in row] for row in A]
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
-    prev: Laurent = {0: 1}
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if not l_is_zero(M[i][c])), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                num = l_add(l_mul(M[r][c], M[i][j]), l_neg(l_mul(M[i][c], M[r][j])))
-                M[i][j] = l_div_exact(num, prev)
-            M[i][c] = {}
-        prev = M[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def lm_det(A: LaurentMatrix) -> Laurent:
-    """Determinant by cofactor expansion; matrices here are tiny."""
-    n = len(A)
-    if n == 0:
-        return {0: 1}
-    if any(len(row) != n for row in A):
-        raise ValueError("determinant of non-square matrix")
-    if n == 1:
-        return dict(A[0][0])
-    det: Laurent = {}
-    for j in range(n):
-        if l_is_zero(A[0][j]):
-            continue
-        minor = [[A[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = l_mul(A[0][j], lm_det(minor))
-        det = l_add(det, term if j % 2 == 0 else l_neg(term))
-    return det

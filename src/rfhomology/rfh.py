@@ -24,19 +24,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Optional, Sequence
 
-from .basemodel import (BaseModel, build_fc, cap_lambda_matrix, cap_map,
+from .basemodel import (BaseModel, build_fc, cap_map, cap_matrix,
                         primitivity_report)
 from .chaincplx import (ChainMap, GradedComplex, HomologyBasis,
                         LongExactSequence, cone_les, homology_basis,
                         homology_table, induced_matrix)
 from .errors import (ConsecutiveIndexModel, EmptyWindow, TruncationTooNarrow,
                      UnstabilizedTruncation, WindowMismatch)
-from .exactlin import (IntMatrix, ZModulePresentation, kernel_basis,
-                       presentation_from_relations, rank_mod_p, solve_matrix)
-from .novikov import (CompletionRegime, l_is_unit, lm_det, lm_is_zero,
-                      lm_power, regime_for)
+from .exactlin import (IntMatrix, ZModulePresentation, is_surjective_over_z,
+                       kernel_basis, presentation_from_relations, rank_mod_p,
+                       solve_matrix)
+from .novikov import CompletionRegime, regime_for
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +574,24 @@ def _truncated_coker(sect: _SectorData, star: int,
     return presentation_from_relations(delta.rows, delta.hstack(rel))
 
 
+def _cap_shortcuts(model: BaseModel, m: int, field: Optional[int]) -> tuple[bool, bool]:
+    """Whether the cap with -m[omega] over the Novikov ring is nilpotent
+    (over F_p when `field` is p) and whether it is invertible over Z.  Both
+    are read off its integer matrix C at t = 1 (see `cap_matrix`): the cap
+    is nilpotent exactly when C^n vanishes (mod p), n the number of critical
+    points, and invertible exactly when C is unimodular."""
+    C = cap_matrix(model, m)
+    C_n = IntMatrix.identity(C.rows)
+    for _ in range(C.rows):
+        C_n = C_n @ C
+    if field:
+        # over F_p a cap divisible by p dies: nilpotency can only improve
+        nilpotent = all(c % field == 0 for c in C_n.entries)
+    else:
+        nilpotent = C_n.is_zero()
+    return nilpotent, is_surjective_over_z(C)
+
+
 def full_rfh(model: BaseModel, m: int, tau: Fraction,
              degrees: tuple[int, int], coeff: str = "z") -> FullRFHResult:
     """Per-degree full Rabinowitz Floer homology through the short exact
@@ -588,16 +607,7 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
 
     regime = (CompletionRegime.FINITE if model.aspherical
               else regime_for(tau, model.lam, m))
-    L = cap_lambda_matrix(model, m)
-    n_crit = len(model.crit)
-    L_n = lm_power(L, n_crit)
-    nilpotent = lm_is_zero(L_n)
-    iso_over_z = l_is_unit(lm_det(L)) if n_crit else True
-    if field is not None:
-        # over F_p a cap divisible by p dies: nilpotency can only improve
-        nilpotent = nilpotent or lm_is_zero(
-            [[{e: c % field for e, c in x.items() if c % field} for x in row]
-             for row in L_n])
+    nilpotent, iso_over_z = _cap_shortcuts(model, m, field)
 
     dlo, dhi = degrees
     period = model.c_min if not model.aspherical else 0
@@ -613,6 +623,15 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
                     ks.append(k)
             return ks
         return list(range(period))
+
+    @cache
+    def field_betti() -> int:
+        return _field_total_betti(model, field)
+
+    def field_value(star: int) -> GroupValue:
+        """dim FH_star / ker(psi^b) over F_p, b the total F_p Betti number."""
+        return GroupValue.of(ZModulePresentation(
+            _field_quotient_dim(sect, star, field_betti(), field), ()))
 
     def value_for(d: int) -> GroupValue:
         star = d + 1
@@ -630,9 +649,7 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
             if not ks:
                 return GroupValue.zero()
             if field is not None:
-                b = _field_total_betti(model, field)
-                return GroupValue.of(ZModulePresentation(
-                    _field_quotient_dim(sect, star, b, field), ()))
+                return field_value(star)
             ks_full = list(range(min(ks), max(ks) + 1))
             return GroupValue.of(_truncated_coker(sect, star, ks_full))
         # monotone
@@ -644,9 +661,7 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
             return GroupValue.zero()
         if field is not None:
             if regime == CompletionRegime.FINITE:
-                b = _field_total_betti(model, field)
-                return GroupValue.of(ZModulePresentation(
-                    _field_quotient_dim(sect, star, b, field), ()))
+                return field_value(star)
             return GroupValue.zero()  # ALL_UPPER handled above; defensive
         # pattern detection: rank-one torsion-free sectors, cap = +-m
         pattern = True

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from rfhomology.basemodel import (BaseModel, build_fc, cap_lambda_matrix,
-                                  cap_map, cap_stabilization, cp_model,
-                                  gen_label, load_model, model_from_spec,
-                                  point_model, primitivity_report,
-                                  surface_model, unit_cap_lambda_matrix)
+from rfhomology.basemodel import (BaseModel, build_fc, cap_map, cap_matrix,
+                                  cap_stabilization, cp_model, gen_label,
+                                  load_model, model_from_spec, point_model,
+                                  primitivity_report, surface_model)
 from rfhomology.chaincplx import homology_table
 from rfhomology.errors import EmptyWindow, NotAChainMap, UnsupportedModel
 from rfhomology.exactlin import is_surjective_over_z
@@ -113,6 +112,20 @@ def test_cap_injective_not_surjective_cpn():
                     assert not is_surjective_over_z(M)
 
 
+def test_cap_terms_and_matrix_of_builtin_caps():
+    """cp:n's cap q_i -> q_{i-1} closes the cycle q_0 -> t q_n; the surface
+    cap sends top to bot; the cap matrix is m times the pattern at t = 1."""
+    assert cp_model(2).cap_terms == {"q0": (("q2", 4, 1, 1),),
+                                     "q1": (("q0", 0, 0, 1),),
+                                     "q2": (("q1", 2, 0, 1),)}
+    assert cap_matrix(cp_model(2), 3).to_lists() == [[0, 3, 0], [0, 0, 3], [3, 0, 0]]
+    surface = surface_model(1)
+    assert {src: ts for src, ts in surface.cap_terms.items() if ts} == \
+        {"top": (("bot", 0, 0, 1),)}
+    assert cap_matrix(surface, 2).to_lists() == [[0, 0, 0, 2]] + [[0] * 4] * 3
+    assert cap_matrix(point_model(), 5).to_lists() == [[0]]
+
+
 def test_cap_stabilization():
     assert cap_stabilization(cp_model(2), 1) == (1, 3)
     assert cap_stabilization(cp_model(2), 4) == (1, 3)
@@ -148,7 +161,7 @@ def test_model_file_roundtrip(tmp_path):
     model = load_model(str(path))
     ref = cp_model(2)
     assert build_fc(model, degrees=(-6, 6)).basis == build_fc(ref, degrees=(-6, 6)).basis
-    assert unit_cap_lambda_matrix(model) == unit_cap_lambda_matrix(ref)
+    assert model.cap_terms == ref.cap_terms
     assert model_from_spec(f"file:{path}").crit == ref.crit
 
 
@@ -182,3 +195,21 @@ def test_custom_cap_validation():
     model = load_model(spec)
     with pytest.raises(NotAChainMap):
         cap_map(model, 1, build_fc(model, degrees=(-4, 4)))
+
+
+@pytest.mark.parametrize("cap,message", [
+    ({"0": [[1]]}, "custom cap misses degree 1"),
+    ({"1": [[1, 2]]}, "custom cap at degree 1 has the wrong shape"),
+])
+def test_custom_cap_input_checks(cap, message):
+    """Every degree whose generators have cap targets needs a custom cap
+    matrix with one row per target and one column per source generator."""
+    spec = {"dim": 2, "nu": 0, "lambda": "0", "cM": None,
+            "crit": [{"label": "bot", "index": 0}, {"label": "e", "index": 1},
+                     {"label": "top", "index": 2}],
+            "cap": cap, "primitiveOmega": False}
+    model = load_model(spec)
+    with pytest.raises(NotAChainMap, match=message):
+        model.cap_terms
+    with pytest.raises(NotAChainMap, match=message):
+        cap_matrix(model, 1)

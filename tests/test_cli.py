@@ -297,3 +297,20 @@ def test_small_model_file_is_valid(tmp_path):
     path.write_text(json.dumps(SMALL_MODEL))
     code, err = run_quietly(["rfh-w0", "--model", f"file:{path}", "--degrees", "-1..1"])
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("cap,message", [
+    ({"0": [[1]]}, "custom cap misses degree 1"),
+    ({"1": [[1, 2]]}, "custom cap at degree 1 has the wrong shape"),
+])
+@pytest.mark.parametrize("command", ["rfh-w0", "rfh-full", "gysin"])
+def test_bad_custom_cap_is_a_usage_error(tmp_path, cap, message, command):
+    """A custom cap without a matrix for a degree whose generators have cap
+    targets, or with a matrix of the wrong shape, exits 2 with one `error:`
+    line naming the degree."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**SMALL_MODEL, "cap": cap}))
+    argv = [command, "--model", f"file:{path}", "--degrees", "-1..1"]
+    code, err = run_quietly(argv)
+    assert_usage_error(argv, code, err)
+    assert message in err

@@ -22,6 +22,11 @@ def rand_matrix(rng, rows, cols, lim=9):
                                 for _ in range(rows)], cols=cols)
 
 
+def column(v):
+    """The vector v as a one-column matrix."""
+    return IntMatrix(len(v), 1, tuple(int(x) for x in v))
+
+
 matrices = st.integers(0, 5).flatmap(
     lambda m: st.integers(0, 5).flatmap(
         lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
@@ -95,7 +100,7 @@ def test_kernel_and_solve_on_kinded_matrices(A, data):
     small = st.integers(-9, 9)
     x = data.draw(st.lists(small, min_size=A.cols, max_size=A.cols))
     b = data.draw(st.lists(small, min_size=A.rows, max_size=A.rows))
-    B = IntMatrix.from_rows([[y, z] for y, z in zip(A.apply(x), b)], cols=2)
+    B = IntMatrix.from_rows([[y, z] for y, z in zip((A @ column(x)).entries, b)], cols=2)
     X = solve_matrix(A, B)
     assert (X is None) == (invariant_factors(A.hstack(B)) != invariant_factors(A))
     if X is not None:
@@ -153,9 +158,9 @@ def test_kernel_and_solve():
         assert (A @ K).is_zero()
         assert K.cols == A.cols - rank(A)
         x = [rng.randint(-3, 3) for _ in range(A.cols)]
-        b = A.apply(x)
+        b = (A @ column(x)).entries
         y = solve(A, b)
-        assert y is not None and A.apply(y) == b
+        assert y is not None and (A @ column(y)).entries == b
 
 
 # -- homology ---------------------------------------------------------------
@@ -226,8 +231,8 @@ def test_solve_matrix_none_exactly_when_unsolvable(A, data):
     cols = []
     for _ in range(data.draw(st.integers(2, 3))):
         if data.draw(st.booleans()):
-            cols.append(A.apply(data.draw(st.lists(entries, min_size=A.cols,
-                                                   max_size=A.cols))))
+            cols.append((A @ column(data.draw(st.lists(entries, min_size=A.cols,
+                                                         max_size=A.cols)))).entries)
         else:
             cols.append(data.draw(st.lists(entries, min_size=A.rows, max_size=A.rows)))
     B = IntMatrix.from_rows([list(r) for r in zip(*cols)], cols=len(cols))
@@ -367,7 +372,7 @@ def test_mod_p_helpers():
     ker = fp_matrix(A, 3).nullspace().to_list()
     assert len(ker) == A.cols - rank_mod_p(A, 3) == 1
     for v in ker:
-        assert all(x % 3 == 0 for x in A.apply([int(c) for c in v]))
+        assert all(x % 3 == 0 for x in (A @ column(v)).entries)
 
 
 @settings(max_examples=400, deadline=None)

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from rfhomology.errors import (BaseMismatch, BaseTooSmall, NonPositiveTau,
                                OverflowIntoInfinite)
-from rfhomology.novikov import (CompletionRegime, QmNumber,
-                                l_is_unit, l_mul, lm_det,
-                                lm_is_zero, lm_power, lm_rank, qm_add,
-                                qm_neg, qm_reduce, qm_scale, qm_tilde_add,
-                                qm_zero, regime_for)
+from rfhomology.novikov import (CompletionRegime, QmNumber, qm_add, qm_neg,
+                                qm_reduce, qm_scale, qm_tilde_add, qm_zero,
+                                regime_for)
 
 
 # -- regimes -----------------------------------------------------------------
@@ -145,17 +143,3 @@ def test_canonicality_guards():
     with pytest.raises(ValueError):
         QmNumber(2, 3, (), 0)           # zero must have start 0
 
-
-# -- Laurent helpers -----------------------------------------------------------
-
-def test_laurent_units_and_rank():
-    assert l_is_unit({3: -1})
-    assert not l_is_unit({0: 2})
-    assert not l_is_unit({0: 1, 1: 1})
-    assert l_mul({0: 2, 1: -1}, {2: 3}) == {2: 6, 3: -3}
-    A = [[{0: 2}, {}], [{1: 1}, {0: 2}]]
-    assert lm_rank(A) == 2
-    assert lm_det(A) == {0: 4}
-    N = [[{}, {0: 1}], [{}, {}]]
-    assert lm_is_zero(lm_power(N, 2))
-    assert lm_rank(N) == 1

@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,14 +11,16 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from rfhomology.basemodel import (build_fc, cap_map, cp_model, load_model,
+from rfhomology import rfh
+from rfhomology.basemodel import (BaseModel, build_fc, cap_map,
+                                  cap_stabilization, cp_model, load_model,
                                   point_model, surface_model)
 from rfhomology.chaincplx import (homology_basis, homology_table, mapping_cone,
                                   verify_boundary, verify_exactness)
 from rfhomology.errors import (ConsecutiveIndexModel, TruncationTooNarrow)
 from rfhomology.exactlin import IntMatrix, ZModulePresentation, rank
 from rfhomology.novikov import CompletionRegime
-from rfhomology.rfh import (RFHGenerator, _field_quotient_dim,
+from rfhomology.rfh import (RFHGenerator, _cap_shortcuts, _field_quotient_dim,
                             _field_total_betti, _SectorData, action,
                             base_action, boundary_full, boundary_full_chain,
                             delta_injectivity, enumerate_generators, eta,
@@ -529,6 +533,30 @@ def test_field_total_betti_sees_torsion():
     assert _field_total_betti(model, 3) == 2
 
 
+def test_full_rfh_computes_field_betti_once(monkeypatch):
+    """The total F_p Betti number depends only on the model and p, so
+    full_rfh computes it at most once, and not at all when no cell needs
+    it."""
+    calls = []
+
+    def counted(model, p):
+        calls.append(p)
+        return _field_total_betti(model, p)
+
+    monkeypatch.setattr(rfh, "_field_total_betti", counted)
+    res = full_rfh(CP2, 2, Fraction(2), (-4, 4), "fp:5")     # FINITE regime
+    assert calls == [5]
+    assert sum(v.kind != "zero" for v in res.table.values()) > 1
+    calls.clear()
+    model = nonperfect_surface(3, random.Random(5))
+    full_rfh(model, 2, Fraction(1), (-8, 8), "fp:3")
+    assert calls == [3]
+    calls.clear()
+    full_rfh(model, 2, Fraction(1), (-8, 8), "z")
+    full_rfh(CP2, 2, Fraction(1), (-4, 4), "fp:3")    # ALL_LOWER: every cell 0
+    assert calls == []
+
+
 def test_full_rfh_cp1_parity():
     """For the projective line the nonzero sectors sit in odd base degrees,
     so the full homology lives in even total degrees."""
@@ -660,3 +688,101 @@ def test_orderability_reports():
     assert rep1["cap_surjective"] is True and rep1["c1_primitive"] is True
     reps = orderability_report(surface_model(1), 1)
     assert reps["rfh_w0_nonzero"] is True and reps["orderable"] is True
+
+
+# -- the cap as one integer matrix ----------------------------------------------
+
+T = sympy.Symbol("t")
+
+
+def random_custom_cap_model(rng, kind):
+    """A seeded model with a custom `degree_matrices` cap.  `kind` is
+    "aspherical" or "monotone" (sparse random coefficients), or
+    "permutation": a monotone model whose degree classes modulo 2*c_min all
+    have the same size, with one signed permutation per class and mostly
+    +-1 coefficients, so that unit determinants occur at m = 1."""
+    h = rng.randint(1, 3)
+    if kind == "aspherical":
+        nu, c = 0, 0
+    elif kind == "monotone":
+        nu, c = rng.choice((1, 2)), rng.choice([*range(2, h + 3), -h, -h - 1])
+    else:
+        nu, c = rng.choice((1, 2)), rng.randint(2, h + 1)
+    if kind == "permutation":
+        period = 2 * c
+        reach = {(i - h) % period for i in range(2 * h + 1)}
+        q = rng.choice([q for q in (0, 1) if all(r in reach for r in range(q, period, 2))])
+        size = rng.randint(1, 2)
+        indices = [rng.choice([i for i in range(2 * h + 1) if (i - h) % period == r])
+                   for r in range(q, period, 2) for _ in range(size)]
+        rng.shuffle(indices)
+    else:
+        indices = [rng.randint(0, 2 * h) for _ in range(rng.randint(1, 6))]
+    crit = tuple((f"p{i}", idx) for i, idx in enumerate(indices))
+    base = BaseModel(kind, 2 * h, nu, Fraction(c, nu) if nu else Fraction(0),
+                     abs(c) if nu else None, crit, "zero", False)
+    mats, perms = {}, {}
+    for _, idx in crit:
+        d = base.fh_degree(idx, 0)
+        src, tgt = base.generators_in_degree(d), base.generators_in_degree(d - 2)
+        if not tgt or d in mats:
+            continue
+        if kind == "permutation":
+            if d % period not in perms:
+                order = rng.sample(range(len(src)), len(src))
+                perms[d % period] = [[rng.choice((1, -1, 1, -1, 2)) if order[j] == i else 0
+                                      for j in range(len(src))] for i in range(len(tgt))]
+            rows = perms[d % period]
+        else:
+            density = rng.random()
+            rows = [[rng.choice((-2, -1, 1, 3)) if rng.random() < density else 0
+                     for _ in src] for _ in tgt]
+        mats[d] = IntMatrix.from_rows(rows, cols=len(src))
+    return replace(base, cap={"degree_matrices": mats})
+
+
+def laurent_cap(model, m):
+    """The cap with -m[omega] over Z[t, t^-1], rebuilt from `cap_terms`."""
+    pos, n = model.position, len(model.crit)
+    L = sympy.zeros(n, n)
+    for src, terms in model.cap_terms.items():
+        for tgt, _, s, c in terms:
+            L[pos[tgt], pos[src]] += m * c * T**s
+    return L
+
+
+def rank_over_qq_t(L):
+    return DomainMatrix.from_Matrix(L).convert_to(sympy.QQ.frac_field(T)).rank()
+
+
+def test_cap_shortcuts_match_laurent_oracle():
+    """Each cap term's sphere shift is fixed by the degrees of its ends, so
+    nilpotency (over Z and mod p), the unit determinant and the image-rank
+    stabilization of the cap over the Novikov ring are those of one integer
+    matrix.  Checked against sympy's L**n, det and rank over QQ(t) on
+    seeded custom-cap models."""
+    rng = random.Random(12)
+    seen = Counter()
+    for kind in ("aspherical", "monotone", "permutation") * 20:
+        model = random_custom_cap_model(rng, kind)
+        n = len(model.crit)
+        for m in (1, 2, 3):
+            L = laurent_cap(model, m)
+            coeffs = [c for e in (L**n).applyfunc(sympy.expand)
+                      for c in e.as_coefficients_dict().values()]
+            det = list(sympy.expand(L.det()).as_coefficients_dict().values())
+            nilpotent, iso_over_z = _cap_shortcuts(model, m, None)
+            assert nilpotent == all(c == 0 for c in coeffs)
+            assert iso_over_z == (det in ([1], [-1]))
+            for p in (2, 3, 5):
+                nil_p = all(c % p == 0 for c in coeffs)
+                assert _cap_shortcuts(model, m, p)[0] == nil_p
+                seen["nilpotent mod p only"] += nil_p and not nilpotent
+            ranks = [rank_over_qq_t(L**k) for k in range(1, n + 2)]
+            stable = next(k for k in range(1, n + 1) if ranks[k] == ranks[k - 1])
+            assert cap_stabilization(model, m) == (stable, ranks[stable])
+            seen["nilpotent"] += nilpotent
+            seen["unit"] += iso_over_z
+            seen["neither"] += not nilpotent and not iso_over_z
+    assert min(seen[key] for key in ("nilpotent mod p only", "nilpotent",
+                                     "unit", "neither")) > 0, seen
