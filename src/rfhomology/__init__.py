@@ -10,7 +10,7 @@ from .chaincplx import (ChainMap, GradedComplex, LongExactSequence, cone_les,
                         verify_exactness)
 from .exactlin import (IntMatrix, SmithDecomposition, ZModulePresentation,
                        homology, is_surjective_over_z, smith_normal_form)
-from .novikov import CompletionRegime, QmNumber, qm_add, qm_reduce, regime_for
+from .novikov import CompletionRegime, regime_for
 from .rfh import (FullRFHResult, GroupValue, RFHGenerator, boundary_full,
                   delta_injectivity, enumerate_generators, full_rfh, gysin,
                   orderability_report, rfc_w0, rfh_w0_table,

@@ -72,6 +72,12 @@ class BaseModel:
                 raise UnsupportedModel(
                     f"lambda*nu = {ln} must be an integer (it is a Chern number)")
             ln = int(ln)
+            if ln == 0:
+                # the degree of a sphere class is 2*lambda*nu*k: every degree
+                # would hold infinitely many generators
+                raise UnsupportedModel(
+                    f"lambda*nu = 0 with nu = {self.nu}: the grading needs "
+                    "lambda*nu != 0 (an aspherical base has nu = 0)")
             if self.c_min != abs(ln):
                 raise UnsupportedModel(
                     f"minimal Chern number {self.c_min} != |lambda*nu| = {abs(ln)}")

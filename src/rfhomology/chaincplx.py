@@ -53,15 +53,6 @@ class GradedComplex:
             return self.boundary[d]
         return IntMatrix.zero(self.rank(d - 1), self.rank(d))
 
-    def to_json(self) -> dict:
-        lo, hi = self.degrees
-        return {
-            "degrees": [lo, hi],
-            "basis": {str(d): list(self.basis[d]) for d in range(lo, hi + 1)},
-            "boundary": {str(d): self.boundary_at(d).to_lists()
-                         for d in range(lo + 1, hi + 1)},
-        }
-
 
 @dataclass(frozen=True)
 class BoundaryReport:
@@ -86,13 +77,13 @@ def verify_boundary(C: GradedComplex) -> BoundaryReport:
 @dataclass(frozen=True)
 class ChainMap:
     """Per-degree matrices phi_d : source_d -> target_{d+shift} satisfying
-    d . phi = sign * phi . d on the interior."""
+    d . phi = phi . d wherever both sides lie inside both windows; `check`
+    tests this on the nonzeros only."""
 
     source: GradedComplex
     target: GradedComplex
     shift: int
     maps: dict[int, IntMatrix]
-    sign: int = 1
 
     def at(self, d: int) -> IntMatrix:
         m = self.maps.get(d)
@@ -103,24 +94,24 @@ class ChainMap:
     def check(self) -> None:
         lo, hi = self.source.degrees
         tlo, thi = self.target.degrees
+        phi: dict[int, list[dict[int, int]]] = {}
         for d in range(lo, hi + 1):
             m = self.at(d)
             if (m.rows, m.cols) != (self.target.rank(d + self.shift), self.source.rank(d)):
                 raise NotAChainMap(f"map at degree {d} has the wrong shape")
+            phi[d] = _nonzero_columns(m)
         # commutation where all four maps are inside both windows
         for d in range(lo + 1, hi + 1):
             if not (tlo < d + self.shift <= thi):
                 continue
-            lhs = self.target.boundary_at(d + self.shift) @ self.at(d)
-            rhs = (self.at(d - 1) @ self.source.boundary_at(d)).scale(self.sign)
-            if lhs.entries != rhs.entries:
-                raise NotAChainMap(f"does not commute with boundaries at degree {d}")
-
-
-def identity_chain_map(C: GradedComplex) -> ChainMap:
-    lo, hi = C.degrees
-    maps = {d: IntMatrix.identity(C.rank(d)) for d in range(lo, hi + 1)}
-    return ChainMap(C, C, 0, maps)
+            d_target = _nonzero_columns(self.target.boundary_at(d + self.shift))
+            d_source = _nonzero_columns(self.source.boundary_at(d))
+            for lhs, rhs in zip(_product_columns(d_target, phi[d]),
+                                _product_columns(phi[d - 1], d_source)):
+                for r, v in rhs.items():
+                    lhs[r] = lhs.get(r, 0) - v
+                if any(lhs.values()):
+                    raise NotAChainMap(f"does not commute with boundaries at degree {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +213,21 @@ def _nonzero_columns(M: IntMatrix) -> list[dict[int, int]]:
     return cols
 
 
-def _composes_to_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) -> bool:
-    """outer . inner = 0, for matrices given by `_nonzero_columns`."""
+def _product_columns(outer: list[dict[int, int]], inner: list[dict[int, int]]):
+    """The columns of outer . inner, one at a time, as row -> entry dicts
+    (an entry may have cancelled to 0), for matrices given by
+    `_nonzero_columns`."""
     for col in inner:
         acc: dict[int, int] = {}
         for i, x in col.items():
             for r, y in outer[i].items():
                 acc[r] = acc.get(r, 0) + x * y
-        if any(acc.values()):
-            return False
-    return True
+        yield acc
+
+
+def _composes_to_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) -> bool:
+    """outer . inner = 0, for matrices given by `_nonzero_columns`."""
+    return not any(any(col.values()) for col in _product_columns(outer, inner))
 
 
 def induced_matrix(phi: IntMatrix, src: HomologyBasis, tgt: HomologyBasis) -> IntMatrix:
@@ -252,10 +248,15 @@ def exact_at(incoming: IntMatrix, node: HomologyBasis,
     # image of the composite must die in the next group
     if solve_matrix(rel_next, outgoing @ incoming) is None:
         return False
-    # kernel subgroup: x with outgoing(x) in im(rel_next)
-    kb = kernel_basis(outgoing.hstack(rel_next))
-    proj = kb.submatrix(range(outgoing.cols), range(kb.cols))
-    return solve_matrix(incoming.hstack(node.relations), proj) is not None
+    return _preimage_in_span(outgoing, rel_next, incoming.hstack(node.relations))
+
+
+def _preimage_in_span(f: IntMatrix, R: IntMatrix, S: IntMatrix) -> bool:
+    """Every integer x with f x in colspan(R) lies in colspan(S): the x part
+    of a kernel basis of [f | R] is solved against S."""
+    kb = kernel_basis(f.hstack(R))
+    proj = kb.submatrix(range(f.cols), range(kb.cols))
+    return solve_matrix(S, proj) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -19,22 +19,10 @@ class NotSquare(EngineError):
     """Operation requires a square matrix."""
 
 
-# -- Novikov / digit arithmetic ----------------------------------------------
+# -- Novikov ring ---------------------------------------------------------------
 
 class NonPositiveTau(EngineError):
     """The radius parameter tau must be a positive rational."""
-
-
-class BaseTooSmall(EngineError):
-    """Digit arithmetic needs base m >= 2."""
-
-
-class BaseMismatch(EngineError):
-    """Both operands of a digit operation must share the same base."""
-
-
-class OverflowIntoInfinite(EngineError):
-    """A finite-sum (tilde) element would acquire an infinite tail."""
 
 
 # -- chain complexes ----------------------------------------------------------

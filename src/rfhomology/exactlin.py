@@ -13,7 +13,9 @@ an all-zero input.  Its callers:
   public decomposition and the oracle the tests compare against.
 * `kernel_basis` slices the kernel columns off V.
 * `solve_matrix` applies U and then V to row lists, skipping zero
-  coefficients; `solve` and `homology_with_cycles` go through it.
+  coefficients; it is the only integer solve, behind
+  `homology_with_cycles` and the induced maps and exactness checks of
+  `chaincplx`.
 * `invariant_factors` reads only the diagonal, for the unit-free
   remainder below.
 
@@ -103,18 +105,6 @@ class IntMatrix:
         return tuple(self.get(i, i) for i in range(min(self.rows, self.cols)))
 
     # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("addition shape mismatch")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(c * a for a in self.entries))
@@ -432,12 +422,6 @@ def _combine(terms, k: int) -> list[int]:
         if c:
             acc = [a + c * x for a, x in zip(acc, row)]
     return acc
-
-
-def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """One integer solution x of A x = b, or None if none exists."""
-    X = solve_matrix(A, IntMatrix(len(b), 1, tuple(int(x) for x in b)))
-    return None if X is None else X.entries
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,12 @@ from typing import Mapping, Optional, Sequence
 from .basemodel import (BaseModel, build_fc, cap_map, cap_matrix,
                         primitivity_report)
 from .chaincplx import (ChainMap, GradedComplex, HomologyBasis,
-                        LongExactSequence, cone_les, homology_basis,
-                        homology_table, induced_matrix)
+                        LongExactSequence, _preimage_in_span, cone_les,
+                        homology_basis, homology_table, induced_matrix)
 from .errors import (ConsecutiveIndexModel, EmptyWindow, TruncationTooNarrow,
                      UnstabilizedTruncation, WindowMismatch)
 from .exactlin import (IntMatrix, ZModulePresentation, is_surjective_over_z,
-                       kernel_basis, presentation_from_relations, rank_mod_p,
-                       solve_matrix)
+                       presentation_from_relations, rank_mod_p)
 from .novikov import CompletionRegime, regime_for
 
 
@@ -660,9 +659,8 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
             # a zero sector in the period chops every relation chain
             return GroupValue.zero()
         if field is not None:
-            if regime == CompletionRegime.FINITE:
-                return field_value(star)
-            return GroupValue.zero()  # ALL_UPPER handled above; defensive
+            # ALL_LOWER and ALL_UPPER have returned, so the regime is FINITE
+            return field_value(star)
         # pattern detection: rank-one torsion-free sectors, cap = +-m
         pattern = True
         for k in range(period):
@@ -722,9 +720,7 @@ def delta_injectivity(model: BaseModel, m: int, tau: Fraction,
         delta, R_out = _sector_blocks(sect, star, in_sectors, out_sectors)
         _, R_in = _sector_blocks(sect, star, (), in_sectors)
         # group-level kernel: delta(x) in output relations => x in input relations
-        kb = kernel_basis(delta.hstack(R_out))
-        proj = kb.submatrix(range(delta.cols), range(kb.cols))
-        results[star] = solve_matrix(R_in, proj) is not None
+        results[star] = _preimage_in_span(delta, R_out, R_in)
     return {"regime": regime.value, "k_range": k_range,
             "degrees": results, "all": all(results.values())}
 

@@ -152,6 +152,16 @@ def test_monotonicity_validation():
     assert any("relaxed bound" in str(w.message) for w in caught)
 
 
+def test_zero_lambda_nu_is_rejected():
+    """lambda*nu = 0 with nu >= 1 leaves the sphere classes ungraded.  In
+    dimension 0 it meets the bound lambda*nu <= -dim/2 = 0, so it needs its
+    own check."""
+    spec = {"dim": 0, "nu": 1, "lambda": "0", "cM": 0,
+            "crit": [{"label": "pt", "index": 0}], "cap": "builtin:zero"}
+    with pytest.raises(UnsupportedModel, match=r"lambda\*nu = 0 with nu = 1"):
+        load_model(spec)
+
+
 def test_model_file_roundtrip(tmp_path):
     spec = {"dim": 4, "nu": 1, "lambda": "3", "cM": 3,
             "crit": [{"label": f"q{i}", "index": 2 * i} for i in range(3)],
@@ -193,7 +203,7 @@ def test_custom_cap_validation():
             "primitiveOmega": False,
             "morseBoundary": {"1": [[2]], "4": [[5]]}}
     model = load_model(spec)
-    with pytest.raises(NotAChainMap):
+    with pytest.raises(NotAChainMap, match="does not commute with boundaries at degree 1$"):
         cap_map(model, 1, build_fc(model, degrees=(-4, 4)))
 
 

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from rfhomology.chaincplx import (ChainMap, GradedComplex, LongExactSequence,
-                                  cone_les, homology_basis, homology_table,
-                                  identity_chain_map, mapping_cone,
-                                  verify_boundary, verify_exactness)
+from rfhomology.chaincplx import (ChainMap, GradedComplex, HomologyBasis,
+                                  LongExactSequence, cone_les, exact_at,
+                                  homology_basis, homology_table,
+                                  mapping_cone, verify_boundary,
+                                  verify_exactness)
 from rfhomology.errors import DegreeOutOfRange, NotAChainMap, NotAComplex
-from rfhomology.exactlin import IntMatrix, ZModulePresentation
+from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
+                                 presentation_from_relations)
 from rfhomology.selftest import random_complex_and_map
 
 
@@ -56,14 +58,57 @@ def test_mapping_cone_hand_example():
 
 def test_cone_requires_chain_map_and_shift():
     C = two_step(2, 0)
-    with pytest.raises(NotAChainMap):
-        mapping_cone(identity_chain_map(C))
+    identity = ChainMap(C, C, 0, {d: IntMatrix.identity(1) for d in range(3)})
+    with pytest.raises(NotAChainMap, match="degree -2 map, got 0"):
+        mapping_cone(identity)
     # d(b) = 3a but psi(c) = b with d(c) = 0: commutation fails in the interior
     D = GradedComplex((0, 3), {0: ("a",), 1: ("b",), 3: ("c",)},
                       {1: IntMatrix.from_rows([[3]])})
     bad = ChainMap(D, D, -2, {3: IntMatrix.from_rows([[1]])})
     with pytest.raises(NotAChainMap):
         mapping_cone(bad)
+
+
+def first_dense_failure(phi):
+    """The first degree d where d . phi_d != phi_{d-1} . d by dense
+    products, among the degrees whose four maps lie inside the window."""
+    C = phi.source
+    lo, hi = C.degrees
+    for d in range(lo + 1, hi + 1):
+        if lo < d + phi.shift <= hi:
+            lhs = C.boundary_at(d + phi.shift) @ phi.at(d)
+            rhs = phi.at(d - 1) @ C.boundary_at(d)
+            if lhs.entries != rhs.entries:
+                return d
+    return None
+
+
+def test_chain_map_check_matches_dense_products():
+    """The sparse commutation check of `ChainMap.check` against dense
+    products: seeded random chain maps pass, and with one entry changed
+    they fail exactly when a dense product differs, naming that degree."""
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(300):
+        C, phi = random_complex_and_map(rng)
+        assert first_dense_failure(phi) is None
+        phi.check()
+        spots = [d for d, M in phi.maps.items() if M.rows and M.cols]
+        if not spots:
+            continue
+        d = rng.choice(spots)
+        rows = phi.maps[d].to_lists()
+        rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += rng.choice([-2, -1, 1, 3])
+        bad = ChainMap(C, C, -2, {**phi.maps, d: IntMatrix.from_rows(rows)})
+        failure = first_dense_failure(bad)
+        outcomes.add(failure is None)
+        if failure is None:
+            bad.check()
+        else:
+            with pytest.raises(NotAChainMap,
+                               match=f"does not commute with boundaries at degree {failure}$"):
+                bad.check()
+    assert outcomes == {True, False}
 
 
 def test_cone_of_isomorphism_acyclic():
@@ -128,6 +173,28 @@ def test_randomized_cone_les_exactness():
         assert verify_exactness(cone_les(phi)).ok
 
 
+def cyclic(relation):
+    """Z modulo the relations in the 1 x r list `relation`, on one cycle."""
+    rel = IntMatrix.from_rows([relation], cols=len(relation))
+    return HomologyBasis(0, IntMatrix.identity(1), rel, presentation_from_relations(1, rel))
+
+
+@pytest.mark.parametrize("incoming,node,outgoing,next_node,exact", [
+    ([[0]], [], [[0]], [], False),    # Z -0-> Z -0-> Z: kernel Z, image 0
+    ([[0]], [2], [[0]], [], False),   # Z -0-> Z_2 -0-> Z: kernel Z_2, image 0
+    ([[1]], [2], [[0]], [], True),    # Z ->> Z_2 -0-> Z
+    ([[0]], [], [[1]], [1], False),   # Z -0-> Z -> 0: kernel Z, image 0
+    ([[2]], [], [[1]], [2], True),    # Z -2-> Z ->> Z_2
+])
+def test_exact_at_compares_kernel_and_image_on_groups(incoming, node, outgoing,
+                                                      next_node, exact):
+    """The kernel inclusion of `exact_at` works on the presented groups:
+    the kernel of the outgoing map is taken modulo the next group's
+    relations and must lie in the image plus the node's relations."""
+    assert exact_at(IntMatrix.from_rows(incoming), cyclic(node),
+                    IntMatrix.from_rows(outgoing), cyclic(next_node)) is exact
+
+
 def test_corrupted_map_fails_exactness():
     """Perturbing the degree -2 map by one entry breaks exactness at an
     adjacent node of the sequence (mutation test on a fixture where the
@@ -148,11 +215,3 @@ def test_corrupted_map_fails_exactness():
             break
     bad = LongExactSequence(les.nodes, tuple(mm))
     assert not verify_exactness(bad).ok
-
-
-def test_json_shape():
-    C = two_step(3, 0)
-    blob = C.to_json()
-    assert blob["degrees"] == [0, 2]
-    assert blob["basis"]["1"] == ["b"]
-    assert blob["boundary"]["1"] == [[3]]

@@ -314,3 +314,39 @@ def test_bad_custom_cap_is_a_usage_error(tmp_path, cap, message, command):
     code, err = run_quietly(argv)
     assert_usage_error(argv, code, err)
     assert message in err
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if "--model" in COMMAND_FLAGS[c]])
+def test_zero_lambda_nu_model_is_a_usage_error(tmp_path, command):
+    """A monotone model with lambda*nu = 0 in dimension 0 used to crash
+    every subcommand with a ZeroDivisionError and exit 1."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dim": 0, "nu": 1, "lambda": "0", "cM": 0,
+                                "crit": [{"label": "pt", "index": 0}],
+                                "cap": "builtin:zero"}))
+    argv = [command, "--model", f"file:{path}"]
+    code, err = run_quietly(argv)
+    assert_usage_error(argv, code, err)
+    assert "lambda*nu = 0" in err
+
+
+@pytest.mark.parametrize("command,message", [
+    ("rfh-w0", "d_0 . d_1 != 0"),
+    ("rfh-full", "does not commute with boundaries at degree 1"),
+    ("gysin", "does not commute with boundaries at degree 1"),
+])
+def test_non_commuting_cap_is_a_usage_error(tmp_path, command, message):
+    """The custom cap of `test_basemodel.test_custom_cap_validation` sends x
+    to b although d(b) = 2a and d(x) = 0: the cap chain map, or for rfh-w0
+    the cone's boundary, fails at a named degree, and the CLI exits 2."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "dim": 4, "nu": 0, "lambda": "0", "cM": None,
+        "crit": [{"label": "a", "index": 0}, {"label": "b", "index": 1},
+                 {"label": "x", "index": 3}, {"label": "c", "index": 4}],
+        "cap": {"1": [[1]]}, "primitiveOmega": False,
+        "morseBoundary": {"1": [[2]], "4": [[5]]}}))
+    argv = [command, "--model", f"file:{path}"]
+    code, err = run_quietly(argv)
+    assert_usage_error(argv, code, err)
+    assert message in err
