@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Union
 
-from .chaincplx import ChainMap, GradedComplex, verify_boundary
+from .chaincplx import ChainMap, GradedComplex, matrix_from_terms, verify_boundary
 from .errors import EmptyWindow, NotAChainMap, UnsupportedModel
 from .exactlin import IntMatrix, rank
 
@@ -138,7 +138,9 @@ class BaseModel:
         """The unit cap pattern by source: label -> its terms (target label,
         target Morse index, sphere-class shift, coefficient), targets in
         `crit` order.  A term lowers the degree by 2, so its shift is
-        (idx_tgt - idx_src + 2) / (2*lambda*nu), and 0 when aspherical."""
+        (idx_tgt - idx_src + 2) / (2*lambda*nu), and 0 when aspherical.
+        A cap that does not commute with the Morse differential is rejected
+        here, so every command that uses the model reports it the same way."""
         terms: dict[str, list[tuple[str, int, int, int]]] = {src: [] for src, _ in self.crit}
         if self.cap == "cpn":
             # q_i -> q_{i-1}, and q_0 -> t q_n closes the cycle
@@ -165,6 +167,19 @@ class BaseModel:
                                     for i, (tl, tk) in enumerate(tgt) if M.get(i, col))
         elif self.cap != "zero":
             raise UnsupportedModel(f"unknown cap spec {self.cap!r}")
+        # d . cap = cap . d on each critical point, keyed by (target, shift)
+        morse = self.morse_terms
+        for src, idx in self.crit:
+            diff = Counter()
+            for tgt, _, s, c in terms[src]:
+                for u, e in morse[tgt]:
+                    diff[u, s] += c * e
+            for tgt, e in morse[src]:
+                for u, _, s, c in terms[tgt]:
+                    diff[u, s] -= e * c
+            if any(diff.values()):
+                raise NotAChainMap("cap does not commute with boundaries at degree "
+                                   f"{self.fh_degree(idx, 0)}")
         return {src: tuple(ts) for src, ts in terms.items()}
 
     def fh_degree(self, morse_index: int, k: int) -> int:
@@ -276,10 +291,6 @@ def load_model(source) -> BaseModel:
 # The windowed Floer complex
 # ---------------------------------------------------------------------------
 
-def gen_label(label: str, k: int) -> str:
-    return f"({label},{k})"
-
-
 Window = Optional[tuple[Optional[Fraction], Optional[Fraction]]]
 
 
@@ -320,25 +331,18 @@ def build_fc(model: BaseModel, window: Window = None,
         action = -Fraction(k * model.nu)
         return (a is None or a < action) and (b is None or action < b)
 
-    basis: dict[int, tuple[str, ...]] = {}
-    gens: dict[int, list[tuple[str, int]]] = {}
-    for d in range(lo, hi + 1):
-        pairs = [(label, k) for label, k in model.generators_in_degree(d) if admitted(k)]
-        gens[d] = pairs
-        basis[d] = tuple(gen_label(label, k) for label, k in pairs)
-
+    basis = {d: tuple(g for g in model.generators_in_degree(d) if admitted(g[1]))
+             for d in range(lo, hi + 1)}
     boundary: dict[int, IntMatrix] = {}
     if model.morse_boundary:
         morse = model.morse_terms
-        for d in range(lo + 1, hi + 1):
-            tgt_pos = {g: i for i, g in enumerate(gens[d - 1])}
-            rows = [[0] * len(gens[d]) for _ in gens[d - 1]]
-            for j, (sl, k) in enumerate(gens[d]):
-                for tl, c in morse[sl]:
-                    i = tgt_pos.get((tl, k))
-                    if i is not None:
-                        rows[i][j] = c
-            boundary[d] = IntMatrix.from_rows(rows, cols=len(gens[d]))
+
+        def terms(g):
+            label, k = g
+            return [((t, k), c) for t, c in morse[label]]
+
+        boundary = {d: matrix_from_terms(basis[d], basis[d - 1], terms)
+                    for d in range(lo + 1, hi + 1)}
     C = GradedComplex(degrees, basis, boundary)
     rep = verify_boundary(C)
     if not rep:
@@ -359,33 +363,22 @@ def cap_matrix(model: BaseModel, m: int) -> IntMatrix:
     its n-th power vanishes (also mod p) exactly when C^n does, its
     determinant is a unit exactly when C is unimodular, and its powers have
     the ranks of C's powers."""
-    n, pos = len(model.crit), model.position
-    rows = [[0] * n for _ in range(n)]
-    for src, terms in model.cap_terms.items():
-        for tgt, _, _, c in terms:
-            rows[pos[tgt]][pos[src]] += m * c
-    return IntMatrix.from_rows(rows, cols=n)
+    labels = [label for label, _ in model.crit]
+    return matrix_from_terms(labels, labels, lambda src: [
+        (tgt, m * c) for tgt, _, _, c in model.cap_terms[src]])
 
 
 def cap_map(model: BaseModel, m: int, fc: GradedComplex) -> ChainMap:
     """The degree -2 cap chain map on the windowed Floer complex `fc` of the
-    model.  Image terms falling outside the window are truncated."""
+    model: (label, k) goes to m*c (target, k + shift) for each cap term.
+    Image terms falling outside the window are truncated."""
+    def terms(g):
+        label, k = g
+        return [((t, k + s), m * c) for t, _, s, c in model.cap_terms[label]]
+
     lo, hi = fc.degrees
-    maps: dict[int, IntMatrix] = {}
-    for d in range(lo, hi + 1):
-        src = fc.basis[d]
-        tgt = fc.basis.get(d - 2, ()) if lo <= d - 2 <= hi else ()
-        tgt_pos = {lab: i for i, lab in enumerate(tgt)}
-        rows = [[0] * len(src) for _ in tgt]
-        for j, lab in enumerate(src):
-            # parse "(label,k)"
-            name, k = lab[1:-1].rsplit(",", 1)
-            k = int(k)
-            for t, _, s, c in model.cap_terms[name]:
-                i = tgt_pos.get(gen_label(t, k + s))
-                if i is not None:
-                    rows[i][j] += m * c
-        maps[d] = IntMatrix.from_rows(rows, cols=len(src))
+    maps = {d: matrix_from_terms(fc.basis[d], fc.basis.get(d - 2, ()), terms)
+            for d in range(lo, hi + 1)}
     psi = ChainMap(fc, fc, -2, maps)
     psi.check()
     return psi

@@ -10,7 +10,7 @@ what they want to read off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import DegreeOutOfRange, NotAChainMap, NotAComplex
 from .exactlin import (IntMatrix, ZModulePresentation, homology_with_cycles,
@@ -19,12 +19,13 @@ from .exactlin import (IntMatrix, ZModulePresentation, homology_with_cycles,
 
 @dataclass(frozen=True)
 class GradedComplex:
-    """degrees = (lo, hi) inclusive; basis[d] is the ordered generator label
-    tuple in degree d; boundary[d] maps C_d -> C_{d-1} (rows indexed by the
-    basis of degree d-1)."""
+    """degrees = (lo, hi) inclusive; basis[d] holds distinct hashable
+    generators in degree d, in the order of matrix rows and columns, and
+    `matrix_from_terms` writes maps on them; boundary[d] maps C_d -> C_{d-1}
+    (rows indexed by the basis of degree d-1)."""
 
     degrees: tuple[int, int]
-    basis: dict[int, tuple[str, ...]]
+    basis: dict[int, tuple[Hashable, ...]]
     boundary: dict[int, IntMatrix]
 
     def __post_init__(self):
@@ -32,7 +33,9 @@ class GradedComplex:
         if lo > hi:
             raise DegreeOutOfRange(f"empty degree range {self.degrees}")
         for d in range(lo, hi + 1):
-            self.basis.setdefault(d, ())
+            gens = self.basis.setdefault(d, ())
+            if len(set(gens)) != len(gens):
+                raise DegreeOutOfRange(f"degree {d} repeats a generator")
         for d in range(lo + 1, hi + 1):
             m = self.boundary.get(d)
             if m is None:
@@ -52,6 +55,25 @@ class GradedComplex:
         if lo < d <= hi:
             return self.boundary[d]
         return IntMatrix.zero(self.rank(d - 1), self.rank(d))
+
+
+def matrix_from_terms(source: Sequence[Hashable], target: Sequence[Hashable],
+                      terms: Callable[[Hashable], Iterable[tuple[Hashable, int]]]
+                      ) -> IntMatrix:
+    """The matrix of the map sending each generator g of `source` to the sum
+    of c*t over the (t, c) in terms(g): entry (i, j) is the sum of the c
+    with t == target[i] in terms(source[j]).  A term whose t is not in
+    `target` is dropped, which is how a window truncates a map.  Every
+    boundary and chain map built from generators comes from here."""
+    cols = len(source)
+    offset = {t: i * cols for i, t in enumerate(target)}
+    flat = [0] * (len(target) * cols)
+    for j, g in enumerate(source):
+        for t, c in terms(g):
+            i = offset.get(t)
+            if i is not None:
+                flat[i + j] += c
+    return IntMatrix(len(target), cols, tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -118,14 +140,14 @@ class ChainMap:
 # Mapping cone
 # ---------------------------------------------------------------------------
 
-HAT = "hat:"
-CHECK = "chk:"
+HAT = "hat"
+CHECK = "check"
 
 
 def mapping_cone(psi: ChainMap) -> GradedComplex:
     """Cone of a degree -2 self chain map: degree-d generators are the hat
-    copy of C_{d-1} followed by the check copy of C_d, with boundary blocks
-    [[-d, psi], [0, d]]."""
+    copies (HAT, g) of C_{d-1} followed by the check copies (CHECK, g) of
+    C_d, with boundary blocks [[-d, psi], [0, d]]."""
     if psi.source is not psi.target and psi.source != psi.target:
         raise NotAChainMap("cone needs an endomorphism")
     if psi.shift != -2:
@@ -134,11 +156,9 @@ def mapping_cone(psi: ChainMap) -> GradedComplex:
     C = psi.source
     lo, hi = C.degrees
     degrees = (lo, hi + 1)
-    basis: dict[int, tuple[str, ...]] = {}
-    for d in range(lo, hi + 2):
-        hats = tuple(HAT + b for b in C.basis.get(d - 1, ()))
-        checks = tuple(CHECK + b for b in C.basis.get(d, ()))
-        basis[d] = hats + checks
+    basis = {d: tuple((HAT, g) for g in C.basis.get(d - 1, ()))
+             + tuple((CHECK, g) for g in C.basis.get(d, ()))
+             for d in range(lo, hi + 2)}
     boundary: dict[int, IntMatrix] = {}
     for d in range(lo + 1, hi + 2):
         nh_s, nc_s = C.rank(d - 1), C.rank(d)
@@ -290,9 +310,8 @@ def cone_les(psi: ChainMap,
              label_cone: str = "Cone",
              label_base: str = "C") -> LongExactSequence:
     """The helix ... -> H_d(Cone) -> H_d(C) -> H_{d-2}(C) -> H_{d-1}(Cone) -> ...
-    At the chain level the first map kills hat generators and projects check
-    generators, the second is induced by psi, the third includes into the
-    hat block."""
+    At the chain level the first map sends (CHECK, g) to g and kills the
+    hats, the second is induced by psi, the third sends g to (HAT, g)."""
     cone = mapping_cone(psi)
     C = psi.source
     lo, hi = C.degrees
@@ -310,18 +329,13 @@ def cone_les(psi: ChainMap,
 
     def proj_matrix(d: int) -> IntMatrix:
         # Cone_d -> C_d : kill hats, project checks
-        nh = C.rank(d - 1)
-        nc = C.rank(d)
-        rows = [[0] * nh + [1 if j == i else 0 for j in range(nc)] for i in range(nc)]
-        return IntMatrix.from_rows(rows, cols=nh + nc)
+        return matrix_from_terms(cone.basis[d], C.basis[d],
+                                 lambda g: [(g[1], 1)] if g[0] == CHECK else [])
 
     def incl_matrix(d: int) -> IntMatrix:
         # C_{d-2} -> Cone_{d-1} : include into the hat block
-        nh = C.rank(d - 2)
-        nc = C.rank(d - 1)
-        rows = [[1 if j == i else 0 for j in range(nh)] for i in range(nh)]
-        rows += [[0] * nh for _ in range(nc)]
-        return IntMatrix.from_rows(rows, cols=nh)
+        return matrix_from_terms(C.basis[d - 2], cone.basis[d - 1],
+                                 lambda g: [((HAT, g), 1)])
 
     nodes: list[LESNode] = []
     maps: list[IntMatrix] = []

@@ -21,10 +21,9 @@ from . import selftest as selftest_mod
 from .basemodel import BaseModel, cp_model, model_from_spec
 from .chaincplx import verify_exactness
 from .errors import EngineError
-from .exactlin import IntMatrix
-from .rfh import (GroupValue, action, boundary_full, enumerate_generators,
-                  full_rfh, gysin, orderability_report, rfh_index,
-                  rfh_w0_table, transfer_maps, winding)
+from .rfh import (GroupValue, _transfer_failures, action, boundary_full,
+                  enumerate_generators, full_rfh, gysin, orderability_report,
+                  rfh_index, rfh_w0_table, transfer_maps, winding)
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +229,8 @@ def cmd_gysin(args: argparse.Namespace) -> int:
 def cmd_transfer(args: argparse.Namespace) -> int:
     model = args.model
     lo, hi = args.degrees
-    T, P = transfer_maps(model, args.tau, args.degrees, args.m)
-    ok = True
-    for d in range(lo, hi + 1):
-        n = T.source.rank(d)
-        want = IntMatrix.identity(n).scale(args.m)
-        if (P.at(d) @ T.at(d)).entries != want.entries:
-            ok = False
-        if (T.at(d) @ P.at(d)).entries != want.entries:
-            ok = False
+    ok = not _transfer_failures(*transfer_maps(model, args.tau, args.degrees, args.m),
+                                args.m)
     payload = {"command": "transfer", "model": model.name, "m": args.m,
                "degrees": [lo, hi], "identity": f"P.T = T.P = {args.m}.id",
                "pass": ok}

@@ -45,10 +45,6 @@ class UnstabilizedDegree(EngineError):
     """Auto-widening did not stabilize the requested degree range."""
 
 
-class WindowMismatch(EngineError):
-    """Two complexes that must be compared were built on different windows."""
-
-
 class UnsupportedModel(EngineError):
     """The model data violates the monotonicity constraints."""
 

@@ -22,7 +22,7 @@ infinite complex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Optional, Sequence
@@ -31,9 +31,10 @@ from .basemodel import (BaseModel, build_fc, cap_map, cap_matrix,
                         primitivity_report)
 from .chaincplx import (ChainMap, GradedComplex, HomologyBasis,
                         LongExactSequence, _preimage_in_span, cone_les,
-                        homology_basis, homology_table, induced_matrix)
-from .errors import (ConsecutiveIndexModel, EmptyWindow, TruncationTooNarrow,
-                     UnstabilizedTruncation, WindowMismatch)
+                        homology_basis, homology_table, induced_matrix,
+                        matrix_from_terms, verify_boundary)
+from .errors import (ConsecutiveIndexModel, EmptyWindow, NotAComplex,
+                     TruncationTooNarrow, UnstabilizedTruncation)
 from .exactlin import (IntMatrix, ZModulePresentation, is_surjective_over_z,
                        presentation_from_relations, rank_mod_p)
 from .novikov import CompletionRegime, regime_for
@@ -209,10 +210,6 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
 # Zero-winding complex and Gysin sequence
 # ---------------------------------------------------------------------------
 
-def _rfc_label(g: RFHGenerator) -> str:
-    return ("hat" if g.hat else "chk") + f"({g.label},l={g.cov},k={g.k})"
-
-
 def rfc_w0(model: BaseModel, m: int, tau: Fraction,
            degrees: tuple[int, int],
            window: Optional[tuple[Fraction, Fraction]] = None) -> GradedComplex:
@@ -237,35 +234,22 @@ def rfc_w0(model: BaseModel, m: int, tau: Fraction,
         act = -(1 + tau) * Fraction(k * nu)
         return (a is None or a < act) and (b is None or act < b)
 
-    # (label, l, k) with check index d
-    fams = {d: [(label, m * k * nu, k) for label, k in model.generators_in_degree(d)
-                if admitted(k)]
-            for d in range(lo - 1, hi + 1)}
+    checks = {d: [RFHGenerator(label, idx_of[label], m * k * nu, k, False)
+                  for label, k in model.generators_in_degree(d) if admitted(k)]
+              for d in range(lo - 1, hi + 1)}
+    basis = {d: tuple(replace(g, hat=True) for g in checks[d - 1]) + tuple(checks[d])
+             for d in range(lo, hi + 1)}
 
-    basis: dict[int, tuple[str, ...]] = {}
-    layout: dict[int, list[RFHGenerator]] = {}
-    for d in range(lo, hi + 1):
-        hats = [RFHGenerator(lb, idx_of[lb], l, k, True) for lb, l, k in fams[d - 1]]
-        checks = [RFHGenerator(lb, idx_of[lb], l, k, False) for lb, l, k in fams[d]]
-        layout[d] = hats + checks
-        basis[d] = tuple(_rfc_label(g) for g in layout[d])
+    def terms(g: RFHGenerator):
+        sign = -1 if g.hat else 1
+        for tl, c in morse[g.label]:
+            yield RFHGenerator(tl, idx_of[tl], g.cov, g.k, g.hat), sign * c
+        if not g.hat:
+            for tlab, tidx, s, c in model.cap_terms[g.label]:
+                yield RFHGenerator(tlab, tidx, g.cov + m * nu * s, g.k + s, True), m * c
 
-    boundary: dict[int, IntMatrix] = {}
-    for d in range(lo + 1, hi + 1):
-        tgt_pos = {g: i for i, g in enumerate(layout[d - 1])}
-        rows = [[0] * len(layout[d]) for _ in layout[d - 1]]
-        for j, g in enumerate(layout[d]):
-            sign = -1 if g.hat else 1
-            for tl, c in morse[g.label]:
-                t = RFHGenerator(tl, idx_of[tl], m * g.k * nu, g.k, g.hat)
-                if t in tgt_pos:
-                    rows[tgt_pos[t]][j] += sign * c
-            if not g.hat:
-                for tlab, tidx, s, c in model.cap_terms[g.label]:
-                    t = RFHGenerator(tlab, tidx, g.cov + m * nu * s, g.k + s, True)
-                    if t in tgt_pos:
-                        rows[tgt_pos[t]][j] += m * c
-        boundary[d] = IntMatrix.from_rows(rows, cols=len(layout[d]))
+    boundary = {d: matrix_from_terms(basis[d], basis[d - 1], terms)
+                for d in range(lo + 1, hi + 1)}
     return GradedComplex(degrees, basis, boundary)
 
 
@@ -322,31 +306,6 @@ def boundary_full_chain(chain: Mapping[RFHGenerator, int], model: BaseModel,
         for t, ct in boundary_full(g, model, m).items():
             out[t] = out.get(t, 0) + c * ct
     return {g: c for g, c in out.items() if c != 0}
-
-
-def full_complex(model: BaseModel, m: int, tau: Fraction,
-                 degrees: tuple[int, int], k_bound: int) -> GradedComplex:
-    """The literal full complex assembled on a truncation: every generator
-    in the degree range with |k| <= k_bound, boundary from the d0 + d2
-    rules with targets outside the truncation dropped.  The composite
-    vanishes on any truncation because boundary images consist of fiberwise
-    maxima, which are cycles."""
-    lo, hi = degrees
-    gens = enumerate_generators(model, m, tau, degrees=degrees, k_bound=k_bound)
-    layout: dict[int, list[RFHGenerator]] = {d: [] for d in range(lo, hi + 1)}
-    for g in gens:
-        layout[rfh_index(g, model, m)].append(g)
-    basis = {d: tuple(_rfc_label(g) for g in layout[d]) for d in layout}
-    boundary: dict[int, IntMatrix] = {}
-    for d in range(lo + 1, hi + 1):
-        tgt_pos = {g: i for i, g in enumerate(layout[d - 1])}
-        rows = [[0] * len(layout[d]) for _ in layout[d - 1]]
-        for j, g in enumerate(layout[d]):
-            for t, c in boundary_full(g, model, m).items():
-                if t in tgt_pos:
-                    rows[tgt_pos[t]][j] += c
-        boundary[d] = IntMatrix.from_rows(rows, cols=len(layout[d]))
-    return GradedComplex(degrees, basis, boundary)
 
 
 def _cap_monomial(model: BaseModel, m: int):
@@ -731,30 +690,42 @@ def delta_injectivity(model: BaseModel, m: int, tau: Fraction,
 
 def transfer_maps(model: BaseModel, tau: Fraction, degrees: tuple[int, int],
                   m: int) -> tuple[ChainMap, ChainMap]:
-    """T from the degree-m complex to the degree-1 complex (hat, check) ->
-    (hat, m*check) and P back with (hat, check) -> (m*hat, check); both are
-    chain maps because the degree-m cap is m times the unit cap."""
+    """T from the degree-m complex to the degree-1 complex sends a generator
+    to the one with covering number l/m, with coefficient 1 on hats and m on
+    checks; P goes back with covering number l*m, with coefficient m on hats
+    and 1 on checks.  Both are chain maps because the degree-m cap is m
+    times the unit cap."""
     C_m = rfc_w0(model, m, tau, degrees)
     C_1 = rfc_w0(model, 1, tau, degrees)
+    for C, k in ((C_m, m), (C_1, 1)):
+        rep = verify_boundary(C)
+        if not rep:
+            raise NotAComplex(f"zero-winding complex for m={k}: "
+                              f"d_{rep.first_failure - 1} . d_{rep.first_failure} != 0")
     lo, hi = degrees
-    t_maps: dict[int, IntMatrix] = {}
-    p_maps: dict[int, IntMatrix] = {}
-    for d in range(lo, hi + 1):
-        if C_m.rank(d) != C_1.rank(d):
-            raise WindowMismatch(f"generator counts differ at degree {d}")
-        n_hat = len([b for b in C_m.basis[d] if b.startswith("hat")])
-        n = C_m.rank(d)
-        t_rows = [[(1 if i < n_hat else m) if i == j else 0 for j in range(n)]
-                  for i in range(n)]
-        p_rows = [[(m if i < n_hat else 1) if i == j else 0 for j in range(n)]
-                  for i in range(n)]
-        t_maps[d] = IntMatrix.from_rows(t_rows, cols=n)
-        p_maps[d] = IntMatrix.from_rows(p_rows, cols=n)
-    T = ChainMap(C_m, C_1, 0, t_maps)
-    P = ChainMap(C_1, C_m, 0, p_maps)
+    T = ChainMap(C_m, C_1, 0, {d: matrix_from_terms(
+        C_m.basis[d], C_1.basis[d],
+        lambda g: [(replace(g, cov=g.cov // m), 1 if g.hat else m)])
+        for d in range(lo, hi + 1)})
+    P = ChainMap(C_1, C_m, 0, {d: matrix_from_terms(
+        C_1.basis[d], C_m.basis[d],
+        lambda g: [(replace(g, cov=g.cov * m), m if g.hat else 1)])
+        for d in range(lo, hi + 1)})
     T.check()
     P.check()
     return T, P
+
+
+def _transfer_failures(T: ChainMap, P: ChainMap, m: int) -> list[int]:
+    """The degrees at which P.T = T.P = m.id fails, for the maps of
+    `transfer_maps`."""
+    lo, hi = T.source.degrees
+    failures = []
+    for d in range(lo, hi + 1):
+        want = IntMatrix.identity(T.source.rank(d)).scale(m).entries
+        if (P.at(d) @ T.at(d)).entries != want or (T.at(d) @ P.at(d)).entries != want:
+            failures.append(d)
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,11 @@ from .chaincplx import (ChainMap, GradedComplex, cone_les, homology_table,
                         mapping_cone, verify_boundary, verify_exactness)
 from .exactlin import (IntMatrix, ZModulePresentation, det_bareiss, homology,
                        smith_normal_form, solve_matrix)
-from .rfh import (RFHGenerator, action, base_action, boundary_full,
-                  boundary_full_chain, delta_injectivity, enumerate_generators,
-                  fh_index, full_rfh, gysin, primitive_partial_sum,
-                  rfh_index, rfh_w0_table, transfer_maps, winding)
+from .rfh import (RFHGenerator, _transfer_failures, action, base_action,
+                  boundary_full, boundary_full_chain, delta_injectivity,
+                  enumerate_generators, fh_index, full_rfh, gysin,
+                  primitive_partial_sum, rfh_index, rfh_w0_table,
+                  transfer_maps, winding)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +275,7 @@ def criterion_6() -> tuple[bool, str]:
     model = cp_model(2)
     for m in range(1, 7):
         T, P = transfer_maps(model, Fraction(1), (-6, 6), m)
-        for d in range(-6, 7):
-            want = IntMatrix.identity(T.source.rank(d)).scale(m)
-            if (P.at(d) @ T.at(d)).entries != want.entries or \
-               (T.at(d) @ P.at(d)).entries != want.entries:
-                failures.append(f"m={m} deg {d}")
+        failures += [f"m={m} deg {d}" for d in _transfer_failures(T, P, m)]
     for n in (1, 2, 3):
         base = rfh_w0_table(cp_model(n), 1, Fraction(1), (-6, 6))
         if any(not p.is_zero() for p in base.values()):

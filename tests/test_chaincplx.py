@@ -5,8 +5,8 @@ import pytest
 from rfhomology.chaincplx import (ChainMap, GradedComplex, HomologyBasis,
                                   LongExactSequence, cone_les, exact_at,
                                   homology_basis, homology_table,
-                                  mapping_cone, verify_boundary,
-                                  verify_exactness)
+                                  mapping_cone, matrix_from_terms,
+                                  verify_boundary, verify_exactness)
 from rfhomology.errors import DegreeOutOfRange, NotAChainMap, NotAComplex
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
                                  presentation_from_relations)
@@ -139,6 +139,22 @@ def test_homology_table_degree_guard():
     with pytest.raises(DegreeOutOfRange):
         homology_table(C, [4])
     assert set(homology_table(C, [1, 2, 3])) == {1, 2, 3}
+
+
+def test_repeated_generator_is_rejected():
+    """Maps are written on generators by key, so a degree may not list the
+    same generator twice."""
+    with pytest.raises(DegreeOutOfRange, match="degree 1 repeats a generator"):
+        GradedComplex((0, 2), {1: ("x", "y", "x")}, {})
+
+
+def test_matrix_from_terms_sums_and_truncates():
+    """Terms on the same target add up; a term off the target is dropped."""
+    terms = {"a": [("x", 1), ("z", 5), ("y", 2), ("x", 3)], "b": [("y", -1)], "c": []}
+    M = matrix_from_terms(("a", "b", "c"), ("x", "y"), terms.__getitem__)
+    assert M.to_lists() == [[4, 0, 0], [2, -1, 0]]
+    assert matrix_from_terms((), ("x",), terms.__getitem__) == IntMatrix.zero(1, 0)
+    assert matrix_from_terms(("a",), (), terms.__getitem__) == IntMatrix.zero(0, 1)
 
 
 def test_homology_table_rejects_non_complex():

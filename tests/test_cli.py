@@ -331,14 +331,17 @@ def test_zero_lambda_nu_model_is_a_usage_error(tmp_path, command):
 
 
 @pytest.mark.parametrize("command,message", [
-    ("rfh-w0", "d_0 . d_1 != 0"),
+    ("rfh-w0", "does not commute with boundaries at degree 1"),
     ("rfh-full", "does not commute with boundaries at degree 1"),
     ("gysin", "does not commute with boundaries at degree 1"),
+    ("transfer", "does not commute with boundaries at degree 1"),
+    ("orderability", "does not commute with boundaries at degree 1"),
 ])
 def test_non_commuting_cap_is_a_usage_error(tmp_path, command, message):
     """The custom cap of `test_basemodel.test_custom_cap_validation` sends x
-    to b although d(b) = 2a and d(x) = 0: the cap chain map, or for rfh-w0
-    the cone's boundary, fails at a named degree, and the CLI exits 2."""
+    to b although d(b) = 2a and d(x) = 0: the model rejects the cap at the
+    degree of x, and every command that reads the model exits 2 with that
+    one line."""
     path = tmp_path / "model.json"
     path.write_text(json.dumps({
         "dim": 4, "nu": 0, "lambda": "0", "cM": None,
@@ -349,4 +352,19 @@ def test_non_commuting_cap_is_a_usage_error(tmp_path, command, message):
     argv = [command, "--model", f"file:{path}"]
     code, err = run_quietly(argv)
     assert_usage_error(argv, code, err)
-    assert message in err
+    assert err == f"error: cap {message}\n"
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if "--model" in COMMAND_FLAGS[c]])
+def test_morse_boundary_not_squaring_to_zero_is_a_usage_error(tmp_path, command):
+    """d_1 = d_2 = [[1]] on points of index 0, 1 and 2 gives d_1 . d_2 != 0.
+    `transfer` used to print PASS on it, as its maps commute with any
+    boundary; every command exits 2."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "dim": 2, "nu": 0, "lambda": "0", "cM": None,
+        "crit": [{"label": "a", "index": 0}, {"label": "b", "index": 1},
+                 {"label": "c", "index": 2}],
+        "cap": "builtin:zero", "morseBoundary": {"1": [[1]], "2": [[1]]}}))
+    argv = [command, "--model", f"file:{path}"]
+    assert_usage_error(argv, *run_quietly(argv))

@@ -264,8 +264,8 @@ def test_rfc_w0_action_window():
     C = rfc_w0(CP2, 2, tau, (-20, 20), window=(Fraction(-3), Fraction(3)))
     ks = set()
     for d in range(-20, 21):
-        for lab in C.basis[d]:
-            ks.add(int(lab.rsplit(",k=", 1)[1][:-1]))
+        for g in C.basis[d]:
+            ks.add(g.k)
     assert ks == {-1, 0, 1}
 
 
@@ -352,25 +352,19 @@ def test_boundary_full_matches_rfc_w0():
     the zero-winding differential."""
     m = 2
     C = rfc_w0(CP2, m, Fraction(1), (-5, 5))
-    idx_of = dict(CP2.crit)
     for d in range(-4, 6):
-        labels = C.basis[d]
-        tgt_pos = {lab: i for i, lab in enumerate(C.basis[d - 1])}
+        tgt_pos = {t: i for i, t in enumerate(C.basis[d - 1])}
         M = C.boundary_at(d)
-        for j, lab in enumerate(labels):
-            if not lab.startswith("chk"):
+        for j, g in enumerate(C.basis[d]):
+            if g.hat:
                 continue
-            name, rest = lab[4:-1].split(",l=")
-            l, k = (int(x) for x in rest.split(",k="))
-            g = RFHGenerator(name, idx_of[name], l, k, False)
             full = boundary_full(g, CP2, m)
             kept = {t: c for t, c in full.items()
                     if winding(t, CP2, m) == winding(g, CP2, m)}
             col = {}
             for t, c in kept.items():
-                tl = ("hat" if t.hat else "chk") + f"({t.label},l={t.cov},k={t.k})"
-                if tl in tgt_pos:
-                    col[tgt_pos[tl]] = c
+                if t in tgt_pos:
+                    col[tgt_pos[t]] = c
             for i in range(M.rows):
                 assert M.get(i, j) == col.get(i, 0)
 
@@ -378,17 +372,6 @@ def test_boundary_full_matches_rfc_w0():
 def test_boundary_full_rejects_consecutive_indices():
     with pytest.raises(ConsecutiveIndexModel):
         boundary_full(RFHGenerator("bot", 0, 0, 0, False), surface_model(1), 2)
-
-
-def test_full_complex_assembled_on_truncation():
-    """The assembled full complex on degrees -8..8 with |k| <= 6 passes the
-    boundary check for every bundle degree: boundary images are fiberwise
-    maxima, hence cycles."""
-    from rfhomology.rfh import full_complex
-    for m in (1, 2, 3):
-        C = full_complex(CP2, m, Fraction(1), (-8, 8), 6)
-        assert any(C.rank(d) for d in range(-8, 9))
-        assert verify_boundary(C).ok
 
 
 def test_primitive_fixture_terms():
