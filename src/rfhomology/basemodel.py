@@ -127,10 +127,9 @@ class BaseModel:
             by_index.setdefault(idx, []).append(label)
         terms: dict[str, list[tuple[str, int]]] = {label: [] for label, _ in self.crit}
         for idx, mat in (self.morse_boundary or {}).items():
-            for i, t in enumerate(by_index.get(idx - 1, [])):
-                for j, s in enumerate(by_index.get(idx, [])):
-                    if mat.get(i, j):
-                        terms[s].append((t, mat.get(i, j)))
+            tgts = by_index.get(idx - 1, [])
+            for s, col in zip(by_index.get(idx, []), mat.columns):
+                terms[s].extend((tgts[i], c) for i, c in col.items())
         return {s: tuple(ts) for s, ts in terms.items()}
 
     @cached_property
@@ -181,6 +180,13 @@ class BaseModel:
                 raise NotAChainMap("cap does not commute with boundaries at degree "
                                    f"{self.fh_degree(idx, 0)}")
         return {src: tuple(ts) for src, ts in terms.items()}
+
+    @cached_property
+    def index_gaps(self) -> bool:
+        """No two critical points have consecutive Morse index, so the Morse
+        part of the full boundary vanishes (see `rfh.boundary_full`)."""
+        idxs = sorted(idx for _, idx in self.crit)
+        return all(b - a != 1 for a, b in zip(idxs, idxs[1:]))
 
     def fh_degree(self, morse_index: int, k: int) -> int:
         return morse_index - self.half_dim - 2 * self.lambda_nu * k
@@ -294,6 +300,12 @@ def load_model(source) -> BaseModel:
 Window = Optional[tuple[Optional[Fraction], Optional[Fraction]]]
 
 
+def _in_window(action: Fraction, window: tuple) -> bool:
+    """a < action < b for window = (a, b), an end of None being open."""
+    a, b = window
+    return (a is None or a < action) and (b is None or action < b)
+
+
 def _degree_range_for_window(model: BaseModel, window) -> tuple[int, int]:
     a, b = window
     if a is None or b is None:
@@ -324,14 +336,8 @@ def build_fc(model: BaseModel, window: Window = None,
     if lo > hi:
         raise EmptyWindow(f"degree range {degrees} is empty")
 
-    def admitted(k: int) -> bool:
-        if window is None:
-            return True
-        a, b = window
-        action = -Fraction(k * model.nu)
-        return (a is None or a < action) and (b is None or action < b)
-
-    basis = {d: tuple(g for g in model.generators_in_degree(d) if admitted(g[1]))
+    basis = {d: tuple(g for g in model.generators_in_degree(d)
+                      if window is None or _in_window(-Fraction(g[1] * model.nu), window))
              for d in range(lo, hi + 1)}
     boundary: dict[int, IntMatrix] = {}
     if model.morse_boundary:

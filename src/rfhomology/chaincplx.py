@@ -65,15 +65,16 @@ def matrix_from_terms(source: Sequence[Hashable], target: Sequence[Hashable],
     with t == target[i] in terms(source[j]).  A term whose t is not in
     `target` is dropped, which is how a window truncates a map.  Every
     boundary and chain map built from generators comes from here."""
-    cols = len(source)
-    offset = {t: i * cols for i, t in enumerate(target)}
-    flat = [0] * (len(target) * cols)
-    for j, g in enumerate(source):
+    row_of = {t: i for i, t in enumerate(target)}
+    columns = []
+    for g in source:
+        col: dict[int, int] = {}
         for t, c in terms(g):
-            i = offset.get(t)
+            i = row_of.get(t)
             if i is not None:
-                flat[i + j] += c
-    return IntMatrix(len(target), cols, tuple(flat))
+                col[i] = col.get(i, 0) + c
+        columns.append({i: c for i, c in col.items() if c})
+    return IntMatrix(len(target), len(source), tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,8 @@ def verify_boundary(C: GradedComplex) -> BoundaryReport:
     """Check d_{*-1} . d_* = 0 wherever both maps exist; reports the first
     offending degree."""
     lo, hi = C.degrees
-    columns = {d: _nonzero_columns(C.boundary_at(d)) for d in range(lo + 1, hi + 1)}
     for d in range(lo + 2, hi + 1):
-        if not _composes_to_zero(columns[d - 1], columns[d]):
+        if not (C.boundary_at(d - 1) @ C.boundary_at(d)).is_zero():
             return BoundaryReport(False, d)
     return BoundaryReport(True)
 
@@ -99,8 +99,8 @@ def verify_boundary(C: GradedComplex) -> BoundaryReport:
 @dataclass(frozen=True)
 class ChainMap:
     """Per-degree matrices phi_d : source_d -> target_{d+shift} satisfying
-    d . phi = phi . d wherever both sides lie inside both windows; `check`
-    tests this on the nonzeros only."""
+    d . phi = phi . d wherever both sides lie inside both windows, which
+    `check` tests."""
 
     source: GradedComplex
     target: GradedComplex
@@ -116,24 +116,17 @@ class ChainMap:
     def check(self) -> None:
         lo, hi = self.source.degrees
         tlo, thi = self.target.degrees
-        phi: dict[int, list[dict[int, int]]] = {}
         for d in range(lo, hi + 1):
             m = self.at(d)
             if (m.rows, m.cols) != (self.target.rank(d + self.shift), self.source.rank(d)):
                 raise NotAChainMap(f"map at degree {d} has the wrong shape")
-            phi[d] = _nonzero_columns(m)
         # commutation where all four maps are inside both windows
         for d in range(lo + 1, hi + 1):
             if not (tlo < d + self.shift <= thi):
                 continue
-            d_target = _nonzero_columns(self.target.boundary_at(d + self.shift))
-            d_source = _nonzero_columns(self.source.boundary_at(d))
-            for lhs, rhs in zip(_product_columns(d_target, phi[d]),
-                                _product_columns(phi[d - 1], d_source)):
-                for r, v in rhs.items():
-                    lhs[r] = lhs.get(r, 0) - v
-                if any(lhs.values()):
-                    raise NotAChainMap(f"does not commute with boundaries at degree {d}")
+            if (self.target.boundary_at(d + self.shift) @ self.at(d)
+                    != self.at(d - 1) @ self.source.boundary_at(d)):
+                raise NotAChainMap(f"does not commute with boundaries at degree {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +154,9 @@ def mapping_cone(psi: ChainMap) -> GradedComplex:
              for d in range(lo, hi + 2)}
     boundary: dict[int, IntMatrix] = {}
     for d in range(lo + 1, hi + 2):
-        nh_s, nc_s = C.rank(d - 1), C.rank(d)
-        nh_t, nc_t = C.rank(d - 2), C.rank(d - 1)
-        dd = C.boundary_at(d - 1)      # hat block source
-        dc = C.boundary_at(d)          # check block source
-        ps = psi.at(d)                 # C_d -> C_{d-2}
-        rows = []
-        for i in range(nh_t):
-            rows.append([-dd.get(i, j) for j in range(nh_s)] +
-                        [ps.get(i, j) for j in range(nc_s)])
-        for i in range(nc_t):
-            rows.append([0] * nh_s + [dc.get(i, j) for j in range(nc_s)])
-        boundary[d] = IntMatrix.from_rows(rows, cols=nh_s + nc_s)
+        zero = IntMatrix.zero(C.rank(d - 1), C.rank(d - 1))
+        hats = C.boundary_at(d - 1).scale(-1).vstack(zero)
+        boundary[d] = hats.hstack(psi.at(d).vstack(C.boundary_at(d)))
     return GradedComplex(degrees, basis, boundary)
 
 
@@ -206,7 +190,6 @@ def homology_table(C: GradedComplex, degrees: Iterable[int]) -> dict[int, ZModul
     built (see `homology_basis` for that)."""
     lo, hi = C.degrees
     factors: dict[int, tuple[int, ...]] = {}
-    columns: dict[int, list[dict[int, int]]] = {}
     table = {}
     for d in degrees:
         if not (lo < d < hi):
@@ -214,40 +197,12 @@ def homology_table(C: GradedComplex, degrees: Iterable[int]) -> dict[int, ZModul
         for k in (d, d + 1):
             if k not in factors:
                 factors[k] = invariant_factors(C.boundary_at(k))
-                columns[k] = _nonzero_columns(C.boundary_at(k))
-        if not _composes_to_zero(columns[d], columns[d + 1]):
+        if not (C.boundary_at(d) @ C.boundary_at(d + 1)).is_zero():
             raise NotAComplex(f"d_{d} . d_{d + 1} != 0")
         out, inc = factors[d], factors[d + 1]
         table[d] = ZModulePresentation(C.rank(d) - len(out) - len(inc),
                                        tuple(t for t in inc if t >= 2))
     return table
-
-
-def _nonzero_columns(M: IntMatrix) -> list[dict[int, int]]:
-    """The nonzeros of each column of M, as row -> entry."""
-    cols: list[dict[int, int]] = [{} for _ in range(M.cols)]
-    for pos, x in enumerate(M.entries):
-        if x:
-            i, j = divmod(pos, M.cols)
-            cols[j][i] = x
-    return cols
-
-
-def _product_columns(outer: list[dict[int, int]], inner: list[dict[int, int]]):
-    """The columns of outer . inner, one at a time, as row -> entry dicts
-    (an entry may have cancelled to 0), for matrices given by
-    `_nonzero_columns`."""
-    for col in inner:
-        acc: dict[int, int] = {}
-        for i, x in col.items():
-            for r, y in outer[i].items():
-                acc[r] = acc.get(r, 0) + x * y
-        yield acc
-
-
-def _composes_to_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]) -> bool:
-    """outer . inner = 0, for matrices given by `_nonzero_columns`."""
-    return not any(any(col.values()) for col in _product_columns(outer, inner))
 
 
 def induced_matrix(phi: IntMatrix, src: HomologyBasis, tgt: HomologyBasis) -> IntMatrix:

@@ -41,10 +41,6 @@ class EmptyWindow(EngineError):
     """An action window (a, b) with a >= b selects no generators."""
 
 
-class UnstabilizedDegree(EngineError):
-    """Auto-widening did not stabilize the requested degree range."""
-
-
 class UnsupportedModel(EngineError):
     """The model data violates the monotonicity constraints."""
 

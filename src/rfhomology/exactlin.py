@@ -4,30 +4,33 @@ homology of pairs of integer matrices.
 Everything here runs on Python's arbitrary-precision integers; there is no
 floating point anywhere in this module.
 
-One transform core, `_smith`, does every Smith form.  It works on plain
-row lists, reduces rows and columns with minimal-absolute-value pivoting,
-carries the unimodular transforms U and V, and returns I, 0, I at once on
-an all-zero input.  Its callers:
+`IntMatrix` stores its nonzeros by column (row -> entry) and never a zero.
+Boundary matrices of the complexes here are large and nearly empty, with
+mostly +-1 entries, so products, stacking and equality cost O(nnz);
+`entries` is a dense row-major view for tests and display.
 
-* `smith_normal_form` flattens U, D and V into `IntMatrix` once; it is the
+One transform core, `_smith`, does every Smith form.  It works on dense
+row lists (`IntMatrix.to_lists`), reduces rows and columns with
+minimal-absolute-value pivoting, carries the unimodular transforms U and
+V, and returns I, 0, I at once on an all-zero input.  Its callers:
+
+* `smith_normal_form` turns U, D and V into `IntMatrix` once; it is the
   public decomposition and the oracle the tests compare against.
-* `kernel_basis` slices the kernel columns off V.
-* `solve_matrix` applies U and then V to row lists, skipping zero
-  coefficients; it is the only integer solve, behind
-  `homology_with_cycles` and the induced maps and exactness checks of
-  `chaincplx`.
+* `kernel_basis` reads the kernel columns off V.
+* `solve_matrix` applies U and then V per column of B, reading only the
+  nonzeros of that column and of its solution; it is the only integer
+  solve, behind `homology_with_cycles` and the induced maps and exactness
+  checks of `chaincplx`.
 * `invariant_factors` reads only the diagonal, for the unit-free
   remainder below.
 
 `invariant_factors` (and through it `rank`, `rank_mod_p`,
 `is_surjective_over_z` and `presentation_from_relations`) is the
-transform-free path.  It eliminates unit pivots on a sparse row-dict copy,
-least Markowitz cost first, and hands only the unit-free remainder to
-`_smith`.  Boundary matrices of the complexes here are large and nearly
-empty, with mostly +-1 entries, so the remainder is usually empty or tiny.
-The transform users see small matrices (at most 18 rows in the Gysin
-exactness checks, about 0.44 nonzero), where dense row lists are the right
-fit.
+transform-free path.  It eliminates unit pivots on row dicts transposed
+from the columns, least Markowitz cost first, and hands only the unit-free
+remainder, usually empty or tiny, to `_smith`.  The transform users see
+small matrices (at most 18 rows in the Gysin exactness checks, about 0.44
+nonzero), where dense row lists are the right fit.
 
 Field coefficients use the same elimination: the rank of A over F_p is the
 number of invariant factors of A that p does not divide (`rank_mod_p`).
@@ -46,57 +49,62 @@ from .errors import NotAComplex, NotSquare, ShapeMismatch
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, entries in row-major order."""
+    """Immutable integer matrix stored by columns: columns[j] maps a row
+    index to the nonzero entry there, and no zero is ever stored, so `==`
+    is entry-wise equality.  `entries` is a dense row-major view."""
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    columns: tuple[dict[int, int], ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ShapeMismatch(f"negative shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+        if len(self.columns) != self.cols:
             raise ShapeMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+                f"{self.rows}x{self.cols} matrix needs {self.cols} columns, "
+                f"got {len(self.columns)}")
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        nrows = len(rows)
-        if nrows == 0:
-            return cls(0, 0 if cols is None else cols, ())
-        ncols = len(rows[0]) if cols is None else cols
-        flat = []
-        for r in rows:
+        ncols = (len(rows[0]) if rows else 0) if cols is None else cols
+        columns = tuple({} for _ in range(ncols))
+        for i, r in enumerate(rows):
             if len(r) != ncols:
                 raise ShapeMismatch("ragged rows")
-            flat.extend(map(int, r))
-        return cls(nrows, ncols, tuple(flat))
+            for col, x in zip(columns, map(int, r)):
+                if x:
+                    col[i] = x
+        return cls(len(rows), ncols, columns)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls(rows, cols, tuple({} for _ in range(cols)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, n, tuple({j: 1} for j in range(n)))
 
     # -- access ------------------------------------------------------------
 
     def get(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self.columns[j].get(i, 0)
 
     def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return out
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        return tuple(x for row in self.to_lists() for x in row)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.columns)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -107,40 +115,49 @@ class IntMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        if c == 0:
+            return IntMatrix.zero(self.rows, self.cols)
+        return IntMatrix(self.rows, self.cols,
+                         tuple({i: c * x for i, x in col.items()} for col in self.columns))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = [0] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a == 0:
-                    continue
-                obase = k * other.cols
-                rbase = i * other.cols
-                for j in range(other.cols):
-                    out[rbase + j] += a * other.entries[obase + j]
+        out = []
+        for col in other.columns:
+            acc: dict[int, int] = {}
+            for k, x in col.items():
+                for i, y in self.columns[k].items():
+                    acc[i] = acc.get(i, 0) + x * y
+            out.append({i: v for i, v in acc.items() if v})
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntMatrix.from_rows(rows, cols=self.cols + other.cols)
+        return IntMatrix(self.rows, self.cols + other.cols, self.columns + other.columns)
+
+    def vstack(self, other: "IntMatrix") -> "IntMatrix":
+        if self.cols != other.cols:
+            raise ShapeMismatch("vstack column mismatch")
+        off = self.rows
+        return IntMatrix(self.rows + other.rows, self.cols, tuple(
+            {**top, **{off + i: x for i, x in bottom.items()}}
+            for top, bottom in zip(self.columns, other.columns)))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        rows = [[self.get(i, j) for j in col_idx] for i in row_idx]
-        return IntMatrix.from_rows(rows, cols=len(col_idx))
+        """The rows `row_idx` (distinct) and the columns `col_idx`, in that
+        order."""
+        pos = {i: r for r, i in enumerate(row_idx)}
+        return IntMatrix(len(row_idx), len(col_idx), tuple(
+            {pos[i]: x for i, x in self.columns[j].items() if i in pos} for j in col_idx))
 
     def __repr__(self) -> str:  # compact, test-failure friendly
         if self.rows == 0 or self.cols == 0:
             return f"IntMatrix({self.rows}x{self.cols})"
-        return "IntMatrix(" + "; ".join(" ".join(str(x) for x in self.row(i))
-                                        for i in range(self.rows)) + ")"
+        return "IntMatrix(" + "; ".join(" ".join(map(str, row))
+                                        for row in self.to_lists()) + ")"
 
 
 @dataclass(frozen=True)
@@ -324,12 +341,11 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     """
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
-    for i in range(A.rows):
-        row = {j: x for j, x in enumerate(A.row(i)) if x}
-        if row:
-            rows[i] = row
-            for j in row:
-                col_rows.setdefault(j, set()).add(i)
+    for j, col in enumerate(A.columns):
+        if col:
+            col_rows[j] = set(col)
+            for i, x in col.items():
+                rows.setdefault(i, {})[j] = x
     units = 0
     while True:
         pivot, best = None, 0
@@ -389,39 +405,35 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     last cols - rank(A) columns of V in U A V = D."""
     _, D, V = _smith(A.to_lists(), A.cols)
     r = len(_nonzero_diagonal(D, A.cols))
-    return IntMatrix(A.cols, A.cols - r, tuple(x for row in V for x in row[r:]))
+    return IntMatrix(A.cols, A.cols - r, tuple(
+        {i: row[j] for i, row in enumerate(V) if row[j]} for j in range(r, A.cols)))
 
 
 def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     """Integer X with A X = B, or None if some column of B has no integer
-    solution.  With U A V = D in Smith form, D Y = U B is solved row by row
-    and X = V Y."""
+    solution.  With U A V = D in Smith form, each column b of B gives
+    D y = U b, solved entry by entry, and x = V y; only the nonzeros of b
+    and y are read, and an empty column of B is skipped."""
     if A.rows != B.rows:
         raise ShapeMismatch("solve_matrix row mismatch")
     U, D, V = _smith(A.to_lists(), A.cols)
-    k = B.cols
-    b_rows = [(j, B.row(j)) for j in range(B.rows) if any(B.row(j))]
-    Y: list[tuple[int, list[int]]] = []     # the nonzero rows of Y, by index
-    for i, u in enumerate(U):
-        ub = _combine(((u[j], row) for j, row in b_rows), k)
-        if not any(ub):
-            continue
-        d = D[i][i] if i < A.cols else 0
-        if d == 0 or any(x % d for x in ub):
-            return None
-        Y.append((i, [x // d for x in ub]))
-    X = [_combine(((v[i], y) for i, y in Y), k) for v in V]
-    return IntMatrix(A.cols, k, tuple(x for row in X for x in row))
-
-
-def _combine(terms, k: int) -> list[int]:
-    """sum c * row over the (c, row) terms, rows of length k, skipping
-    zero coefficients."""
-    acc = [0] * k
-    for c, row in terms:
-        if c:
-            acc = [a + c * x for a, x in zip(acc, row)]
-    return acc
+    X = []
+    for b in B.columns:
+        x: dict[int, int] = {}
+        if b:
+            for i, u in enumerate(U):
+                ub = sum(u[j] * c for j, c in b.items())
+                if not ub:
+                    continue
+                d = D[i][i] if i < A.cols else 0
+                if d == 0 or ub % d:
+                    return None
+                y = ub // d
+                for r, v in enumerate(V):
+                    if v[i]:
+                        x[r] = x.get(r, 0) + v[i] * y
+        X.append({r: c for r, c in x.items() if c})
+    return IntMatrix(A.cols, B.cols, tuple(X))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, Optional, Sequence
 
-from .basemodel import (BaseModel, build_fc, cap_map, cap_matrix,
+from .basemodel import (BaseModel, _in_window, build_fc, cap_map, cap_matrix,
                         primitivity_report)
 from .chaincplx import (ChainMap, GradedComplex, HomologyBasis,
                         LongExactSequence, _preimage_in_span, cone_les,
@@ -148,10 +148,11 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
 
     Each constraint is a strip lo <= a*k + b*l <= hi in the (k, l) plane:
     the winding filter, the action window, the degree range, |k| <= k_bound,
-    |l| <= l_bound and, over an aspherical base, k = 0.  The strips must cut
-    out a bounded region for every critical point and flag, or
-    TruncationTooNarrow is raised; at the regime boundary, for example, a
-    degree range and an action window are parallel strips."""
+    |l| <= l_bound and, over an aspherical base, k = 0.  Each strip is
+    exact on integer points, so no generator is filtered afterwards.  The
+    strips must cut out a bounded region for every critical point and flag,
+    or TruncationTooNarrow is raised; at the regime boundary, for example,
+    a degree range and an action window are parallel strips."""
     tau = Fraction(tau)
     if tau <= 0:
         raise EmptyWindow(f"tau = {tau} must be positive")
@@ -177,18 +178,6 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
     if model.aspherical:
         strips.append((1, 0, 0, 0))
 
-    def admitted(g: RFHGenerator) -> bool:
-        if winding_filter is not None and winding(g, model, m) != winding_filter:
-            return False
-        if window is not None:
-            act = action(g, model, m, tau)
-            if (a is not None and not a < act) or (b is not None and not act < b):
-                return False
-        if degrees is not None and not degrees[0] <= rfh_index(g, model, m) <= degrees[1]:
-            return False
-        return ((k_bound is None or abs(g.k) <= k_bound)
-                and (l_bound is None or abs(g.cov) <= l_bound))
-
     keyed = []
     for pos, (label, idx) in enumerate(model.crit):
         for hat in (False, True):
@@ -200,8 +189,7 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
                                  degrees[0] - c, degrees[1] - c)]
             for k, l in _lattice_points(fam):
                 g = RFHGenerator(label, idx, l, k, hat)
-                if admitted(g):
-                    keyed.append(((rfh_index(g, model, m), k, l, hat, pos), g))
+                keyed.append(((rfh_index(g, model, m), k, l, hat, pos), g))
     keyed.sort(key=lambda kg: kg[0])
     return [g for _, g in keyed]
 
@@ -227,15 +215,9 @@ def rfc_w0(model: BaseModel, m: int, tau: Fraction,
     idx_of = model.index_of
     morse = model.morse_terms
 
-    def admitted(k: int) -> bool:
-        if window is None:
-            return True
-        a, b = window
-        act = -(1 + tau) * Fraction(k * nu)
-        return (a is None or a < act) and (b is None or act < b)
-
     checks = {d: [RFHGenerator(label, idx_of[label], m * k * nu, k, False)
-                  for label, k in model.generators_in_degree(d) if admitted(k)]
+                  for label, k in model.generators_in_degree(d)
+                  if window is None or _in_window(-(1 + tau) * Fraction(k * nu), window)]
               for d in range(lo - 1, hi + 1)}
     basis = {d: tuple(replace(g, hat=True) for g in checks[d - 1]) + tuple(checks[d])
              for d in range(lo, hi + 1)}
@@ -276,11 +258,9 @@ def gysin(model: BaseModel, m: int, degrees: tuple[int, int],
 # ---------------------------------------------------------------------------
 
 def _require_index_gaps(model: BaseModel) -> None:
-    idxs = sorted(idx for _, idx in model.crit)
-    for a, b in zip(idxs, idxs[1:]):
-        if b - a == 1:
-            raise ConsecutiveIndexModel(
-                f"model {model.name} has critical points of consecutive Morse index")
+    if not model.index_gaps:
+        raise ConsecutiveIndexModel(
+            f"model {model.name} has critical points of consecutive Morse index")
 
 
 def boundary_full(gen: RFHGenerator, model: BaseModel, m: int) -> dict[RFHGenerator, int]:
@@ -486,10 +466,8 @@ def _field_quotient_dim(sect: _SectorData, e: int, b: int, p: int) -> int:
     for i in range(b):
         f = sect.psi.at(e - 2 * i) @ f
     d_in, d_out = fc.boundary_at(e - 2 * b + 1), fc.boundary_at(e)
-    block = [d_in.row(i) + f.row(i) for i in range(f.rows)]
-    block += [(0,) * d_in.cols + d_out.row(i) for i in range(d_out.rows)]
-    return (rank_mod_p(IntMatrix.from_rows(block, cols=d_in.cols + f.cols), p)
-            - rank_mod_p(d_in, p) - rank_mod_p(d_out, p))
+    block = d_in.vstack(IntMatrix.zero(d_out.rows, d_in.cols)).hstack(f.vstack(d_out))
+    return rank_mod_p(block, p) - rank_mod_p(d_in, p) - rank_mod_p(d_out, p)
 
 
 def _sector_blocks(sect: _SectorData, star: int, src: Sequence[int],
@@ -503,25 +481,17 @@ def _sector_blocks(sect: _SectorData, star: int, src: Sequence[int],
     for k in tgt:
         row_off[k] = total
         total += dims[k]
-    n_src = sum(dims[k] for k in src)
-    delta = [[0] * n_src for _ in range(total)]
-    col = 0
+    delta = []
     for k in src:
         M = sect.psi_induced(star + 2 * k) if k - 1 in row_off else None
         for j in range(dims[k]):
-            delta[row_off[k] + j][col + j] = 1
+            col = {row_off[k] + j: 1}
             if M is not None:
-                for i in range(M.rows):
-                    delta[row_off[k - 1] + i][col + j] += M.get(i, j)
-        col += dims[k]
-    rels = [sect.basis(star + 2 * k).relations for k in tgt]
-    rel = [[0] * sum(R.cols for R in rels) for _ in range(total)]
-    col = 0
-    for k, R in zip(tgt, rels):
-        for i in range(R.rows):
-            rel[row_off[k] + i][col:col + R.cols] = R.row(i)
-        col += R.cols
-    return IntMatrix.from_rows(delta, cols=n_src), IntMatrix.from_rows(rel, cols=col)
+                col.update((row_off[k - 1] + i, x) for i, x in M.columns[j].items())
+            delta.append(col)
+    rel = [{row_off[k] + i: x for i, x in col.items()}
+           for k in tgt for col in sect.basis(star + 2 * k).relations.columns]
+    return IntMatrix(total, len(delta), tuple(delta)), IntMatrix(total, len(rel), tuple(rel))
 
 
 def _truncated_coker(sect: _SectorData, star: int,
@@ -544,7 +514,7 @@ def _cap_shortcuts(model: BaseModel, m: int, field: Optional[int]) -> tuple[bool
         C_n = C_n @ C
     if field:
         # over F_p a cap divisible by p dies: nilpotency can only improve
-        nilpotent = all(c % field == 0 for c in C_n.entries)
+        nilpotent = all(c % field == 0 for col in C_n.columns for c in col.values())
     else:
         nilpotent = C_n.is_zero()
     return nilpotent, is_surjective_over_z(C)
@@ -722,8 +692,8 @@ def _transfer_failures(T: ChainMap, P: ChainMap, m: int) -> list[int]:
     lo, hi = T.source.degrees
     failures = []
     for d in range(lo, hi + 1):
-        want = IntMatrix.identity(T.source.rank(d)).scale(m).entries
-        if (P.at(d) @ T.at(d)).entries != want or (T.at(d) @ P.at(d)).entries != want:
+        want = IntMatrix.identity(T.source.rank(d)).scale(m)
+        if P.at(d) @ T.at(d) != want or T.at(d) @ P.at(d) != want:
             failures.append(d)
     return failures
 

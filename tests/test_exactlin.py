@@ -3,18 +3,21 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
+from rfhomology.chaincplx import mapping_cone, matrix_from_terms
 from rfhomology.errors import NotAComplex, ShapeMismatch
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation, det_bareiss,
                                  homology, invariant_factors,
                                  is_surjective_over_z, kernel_basis, rank,
                                  rank_bareiss, rank_mod_p, smith_normal_form,
                                  solve_matrix)
+from rfhomology.selftest import random_complex_and_map
 
 
 def rand_matrix(rng, rows, cols, lim=9):
@@ -24,7 +27,7 @@ def rand_matrix(rng, rows, cols, lim=9):
 
 def column(v):
     """The vector v as a one-column matrix."""
-    return IntMatrix(len(v), 1, tuple(int(x) for x in v))
+    return IntMatrix.from_rows([[int(x)] for x in v], cols=1)
 
 
 matrices = st.integers(0, 5).flatmap(
@@ -63,10 +66,67 @@ ENTRY_KINDS = {
 
 
 @st.composite
-def kinded_matrices(draw):
+def kinded_matrices(draw, rows=None):
     entries = ENTRY_KINDS[draw(st.sampled_from(sorted(ENTRY_KINDS)))]
-    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    return IntMatrix(m, n, tuple(draw(st.lists(entries, min_size=m * n, max_size=m * n))))
+    m = draw(st.integers(0, 7)) if rows is None else rows
+    n = draw(st.integers(0, 7))
+    flat = draw(st.lists(entries, min_size=m * n, max_size=m * n))
+    return IntMatrix.from_rows([flat[i * n:(i + 1) * n] for i in range(m)], cols=n)
+
+
+def stores_no_zero(M):
+    """The sparse normal form: one row -> entry dict per column, every key
+    a row of M and every stored entry nonzero."""
+    return len(M.columns) == M.cols and all(
+        x != 0 and 0 <= i < M.rows for col in M.columns for i, x in col.items())
+
+
+def dense(M):
+    """M as a numpy array of Python integers."""
+    return np.array(M.to_lists(), dtype=object).reshape(M.rows, M.cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kinded_matrices(), st.data())
+def test_sparse_storage_is_a_normal_form(A, data):
+    """Equality is entry-wise, products match a dense product, and no
+    producer stores a zero."""
+    lists = A.to_lists()
+    assert IntMatrix.from_rows(lists, cols=A.cols) == A
+    B = data.draw(st.one_of(st.just(IntMatrix.from_rows(lists, cols=A.cols)),
+                            st.just(A.scale(-1).scale(-1)), kinded_matrices()))
+    assert (A == B) == ((A.rows, A.cols, lists) == (B.rows, B.cols, B.to_lists()))
+    C = data.draw(kinded_matrices(rows=A.cols))
+    assert (A @ C).to_lists() == (dense(A) @ dense(C)).tolist()
+    K = kernel_basis(A)
+    assert (A @ K).is_zero()            # every entry cancels
+    rows = data.draw(st.lists(st.integers(0, A.rows - 1), unique=True)) if A.rows else []
+    cols = data.draw(st.lists(st.integers(0, A.cols - 1))) if A.cols else []
+    produced = [A, A.scale(0), A.scale(-3), A @ C, A @ K, K, A.hstack(A), A.vstack(A),
+                A.submatrix(rows, cols), solve_matrix(A, A @ C)]
+    assert all(stores_no_zero(M) for M in produced)
+
+
+def test_named_producers_store_no_zero():
+    assert stores_no_zero(IntMatrix.zero(3, 4)) and IntMatrix.zero(3, 4).is_zero()
+    assert stores_no_zero(IntMatrix.identity(4))
+    assert stores_no_zero(IntMatrix.from_rows([[0, 2], [0, 0]]))
+    cancel = IntMatrix.from_rows([[1, 1]]) @ IntMatrix.from_rows([[1], [-1]])
+    assert stores_no_zero(cancel) and cancel == IntMatrix.zero(1, 1)
+    summed = matrix_from_terms("ab", "xy", lambda g: [("x", 2), ("y", 1), ("x", -2)])
+    assert stores_no_zero(summed) and summed.to_lists() == [[0, 0], [1, 1]]
+    rng = random.Random(3)
+    for _ in range(20):
+        _, psi = random_complex_and_map(rng)
+        cone = mapping_cone(psi)
+        assert all(stores_no_zero(M) for M in cone.boundary.values())
+
+
+def test_wrong_column_count_is_a_shape_mismatch():
+    with pytest.raises(ShapeMismatch):
+        IntMatrix(2, 3, ({}, {}))
+    with pytest.raises(ShapeMismatch):
+        IntMatrix.from_rows([[1, 2], [3]])
 
 
 def sympy_invariant_factors(A):
@@ -361,7 +421,7 @@ def test_presentation_canonical():
 
 def fp_matrix(A, p):
     """A over GF(p) as a sympy DomainMatrix: the field-side oracle."""
-    rows = [[sympy.ZZ(x) for x in A.row(i)] for i in range(A.rows)]
+    rows = [[sympy.ZZ(x) for x in row] for row in A.to_lists()]
     return DomainMatrix(rows, (A.rows, A.cols), sympy.ZZ).convert_to(sympy.GF(p))
 
 

@@ -466,7 +466,7 @@ def test_full_rfh_field_modes():
 
 def fp_matrix(A, p):
     """A over GF(p) as a sympy DomainMatrix: the field-side oracle."""
-    rows = [[sympy.ZZ(x) for x in A.row(i)] for i in range(A.rows)]
+    rows = [[sympy.ZZ(x) for x in row] for row in A.to_lists()]
     return DomainMatrix(rows, (A.rows, A.cols), sympy.ZZ).convert_to(sympy.GF(p))
 
 
