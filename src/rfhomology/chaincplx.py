@@ -167,10 +167,14 @@ def mapping_cone(psi: ChainMap) -> GradedComplex:
 @dataclass(frozen=True)
 class HomologyBasis:
     """H_degree presented on the columns of `cycles` (a basis of the cycle
-    lattice) modulo the relation coordinates `relations`."""
+    lattice, a direct summand of the chains) modulo the relation
+    coordinates `relations`.  `coords` writes a cycle in that basis:
+    coords @ cycles = I, so coords @ z are the coordinates of any cycle z,
+    and relations = coords @ (incoming boundary)."""
 
     degree: int
     cycles: IntMatrix       # chain coordinates of the chosen cycle basis
+    coords: IntMatrix       # left inverse of `cycles`
     relations: IntMatrix    # boundary images written in that basis
     presentation: ZModulePresentation
 
@@ -206,11 +210,13 @@ def homology_table(C: GradedComplex, degrees: Iterable[int]) -> dict[int, ZModul
 
 
 def induced_matrix(phi: IntMatrix, src: HomologyBasis, tgt: HomologyBasis) -> IntMatrix:
-    """Coordinates of phi(cycle basis of src) in the cycle basis of tgt.
-    phi must send cycles to cycles (true for chain maps)."""
+    """Coordinates of phi(cycle basis of src) in the cycle basis of tgt,
+    read off by `tgt.coords`.  phi must send cycles to cycles (true for
+    chain maps), which holds exactly when the images are rebuilt from
+    those coordinates."""
     images = phi @ src.cycles
-    Y = solve_matrix(tgt.cycles, images)
-    if Y is None:
+    Y = tgt.coords @ images
+    if tgt.cycles @ Y != images:
         raise NotAChainMap("image of a cycle is not a cycle")
     return Y
 

@@ -9,28 +9,30 @@ Boundary matrices of the complexes here are large and nearly empty, with
 mostly +-1 entries, so products, stacking and equality cost O(nnz);
 `entries` is a dense row-major view for tests and display.
 
-One transform core, `_smith`, does every Smith form.  It works on dense
-row lists (`IntMatrix.to_lists`), reduces rows and columns with
-minimal-absolute-value pivoting, carries the unimodular transforms U and
-V, and returns I, 0, I at once on an all-zero input.  Its callers:
+One sparse elimination, `_Elimination`, serves every engine caller.  It
+works on the columns of `IntMatrix`: while a +-1 entry is left, the one of
+least Markowitz cost clears its row by column operations, recorded on a
+sparse V, and only the unit-free remainder, usually empty or a few cells,
+goes to the dense Smith form `_smith`.  The Gysin sequences of large
+surfaces hand it boundary and relation matrices with hundreds of rows and
+a few nonzeros per column, which a dense pivot scan over the whole lower
+right block could not afford.  Its callers:
 
-* `smith_normal_form` turns U, D and V into `IntMatrix` once; it is the
-  public decomposition and the oracle the tests compare against.
-* `kernel_basis` reads the kernel columns off V.
-* `solve_matrix` applies U and then V per column of B, reading only the
-  nonzeros of that column and of its solution; it is the only integer
-  solve, behind `homology_with_cycles` and the induced maps and exactness
-  checks of `chaincplx`.
-* `invariant_factors` reads only the diagonal, for the unit-free
-  remainder below.
+* `invariant_factors` (and through it `rank`, `rank_mod_p`,
+  `is_surjective_over_z` and `presentation_from_relations`) counts the
+  unit pivots and reads the remainder's diagonal; it builds no V.
+* `kernel_basis` reads V on the columns that became zero, plus V times the
+  remainder's kernel.  `homology_with_cycles` also takes the matching rows
+  of V^-1, a left inverse of that basis, so the relations of a homology
+  group and the induced maps of `chaincplx` are products, not solves.
+* `solve_matrix` substitutes forward in pivot order, solves the remainder
+  by its Smith form and maps back by V; it is the one integer solve,
+  behind the exactness checks of `chaincplx`.
 
-`invariant_factors` (and through it `rank`, `rank_mod_p`,
-`is_surjective_over_z` and `presentation_from_relations`) is the
-transform-free path.  It eliminates unit pivots on row dicts transposed
-from the columns, least Markowitz cost first, and hands only the unit-free
-remainder, usually empty or tiny, to `_smith`.  The transform users see
-small matrices (at most 18 rows in the Gysin exactness checks, about 0.44
-nonzero), where dense row lists are the right fit.
+`_smith` itself is dense, reduces rows and columns with
+minimal-absolute-value pivoting and carries U, V and V^-1.  Apart from the
+remainder it is reached only through `smith_normal_form`, the public
+decomposition and the oracle the tests compare against.
 
 Field coefficients use the same elimination: the rank of A over F_p is the
 number of invariant factors of A that p does not divide (`rank_mod_p`).
@@ -42,6 +44,8 @@ Ranks are double-checked by fraction-free (Bareiss) elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 from .errors import NotAComplex, NotSquare, ShapeMismatch
@@ -236,20 +240,22 @@ def _identity_rows(n: int) -> list[list[int]]:
 
 
 def _smith(D: list[list[int]], n: int
-           ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """The transform-carrying elimination behind every Smith form here:
-    diagonalizes the m x n matrix whose rows are D (reduced in place) and
-    returns the rows of (U, D, V) with U A V = D.
+           ) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[list[int]]]:
+    """The dense Smith form: diagonalizes the m x n matrix whose rows are D
+    (reduced in place) and returns the rows of (U, D, V, V^-1) with
+    U A V = D.
 
     Pivots are chosen with minimal absolute value; after diagonalization the
-    divisibility chain is repaired by the usual column-addition trick.  An
-    all-zero input returns I, 0, I at once.
+    divisibility chain is repaired by the usual column-addition trick.  Each
+    column operation on V is mirrored by its inverse, a row operation on
+    V^-1.  An all-zero input returns I, 0, I, I at once.
     """
     m = len(D)
     U = _identity_rows(m)
     V = _identity_rows(n)
+    Vinv = _identity_rows(n)
     if not any(map(any, D)):
-        return U, D, V
+        return U, D, V, Vinv
 
     def reduce_at(t: int) -> None:
         """Clear row and column t, assuming some nonzero entry exists in
@@ -276,6 +282,7 @@ def _smith(D: list[list[int]], n: int
             if pj != t:
                 _swap_cols(D, t, pj)
                 _swap_cols(V, t, pj)
+                _swap_rows(Vinv, t, pj)
             if D[t][t] < 0:
                 D[t] = [-x for x in D[t]]
                 U[t] = [-x for x in U[t]]
@@ -292,6 +299,7 @@ def _smith(D: list[list[int]], n: int
                     q = D[t][j] // p
                     _add_col(D, j, t, -q)
                     _add_col(V, j, t, -q)
+                    _add_row(Vinv, t, j, q)
                     dirty = dirty or D[t][j] != 0
             if not dirty:
                 return
@@ -309,8 +317,9 @@ def _smith(D: list[list[int]], n: int
             break
         _add_col(D, viol, viol + 1, 1)
         _add_col(V, viol, viol + 1, 1)
+        _add_row(Vinv, viol + 1, viol, -1)
         start = viol
-    return U, D, V
+    return U, D, V, Vinv
 
 
 def _nonzero_diagonal(D: list[list[int]], n: int) -> list[int]:
@@ -321,69 +330,244 @@ def _nonzero_diagonal(D: list[list[int]], n: int) -> list[int]:
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Diagonalize A over Z by unimodular row/column operations (see
     `_smith`).  Zero-size matrices are allowed."""
-    U, D, V = _smith(A.to_lists(), A.cols)
+    U, D, V, _ = _smith(A.to_lists(), A.cols)
     return SmithDecomposition(IntMatrix.from_rows(U, cols=A.rows),
                               IntMatrix.from_rows(D, cols=A.cols),
                               IntMatrix.from_rows(V, cols=A.cols))
 
 
+# ---------------------------------------------------------------------------
+# Sparse unit-pivot elimination: invariant factors, kernels and solving
+# ---------------------------------------------------------------------------
+
+def _axpy(x: dict[int, int], c: int, y: dict[int, int]) -> None:
+    """x += c * y on sparse vectors, dropping the entries that cancel."""
+    for i, v in y.items():
+        w = x.get(i, 0) + c * v
+        if w:
+            x[i] = w
+        else:
+            del x[i]
+
+
+def _cheapest_unit(cols: dict[int, dict[int, int]], row_cols: dict[int, set[int]],
+                   unit_free: set[int]) -> Optional[tuple[int, int]]:
+    """The +-1 entry (row, column) of least Markowitz cost, the first in
+    column order among equals, or None.  Columns found without a unit are
+    added to `unit_free` and skipped until they change."""
+    pivot, best = None, 0
+    for j, col in cols.items():
+        if j in unit_free:
+            continue
+        nj = len(col) - 1
+        found = False
+        for i, x in col.items():
+            if x == 1 or x == -1:
+                found = True
+                cost = (len(row_cols[i]) - 1) * nj
+                if pivot is None or cost < best:
+                    pivot, best = (i, j), cost
+                    if cost == 0:
+                        return pivot
+        if not found:
+            unit_free.add(j)
+    return pivot
+
+
+class _Elimination:
+    """Column elimination of A on its +-1 entries, carrying V with A V in
+    the reduced form below, and the dense Smith form of what is left.
+
+    While an active column holds a +-1 entry, the one of least Markowitz
+    cost (row nnz - 1) * (column nnz - 1) clears its row from the other
+    active columns by column operations (recorded on V), and its row and
+    column retire.  An entry that the elimination leaves alone in its row
+    or column costs nothing; such entries are queued and taken first, so
+    a chain of them is not scanned for again.
+
+    An active column is zero on every retired row, so the pivot columns,
+    read on the pivot rows in pivot order, are unit lower triangular, and
+    every other column of A V is zero there.  Those other columns are
+    either zero (kernel vectors, read off V) or make up the unit-free
+    remainder R, usually empty or tiny, which goes to the dense `_smith`.
+    So A ~ I_p + R, and A x = b is solved by forward substitution in pivot
+    order, R's Smith solve and x = V y.
+
+    Each column operation col_k -= f col_j is undone by the row operation
+    row_j += f row_k on V^-1, which only ever writes the row of the pivot j.
+    The rows of V^-1 on the non-pivot columns therefore stay unit rows, and
+    the only V^-1 that is kept is R's, from `_smith`.
+
+    Without `transform` nothing but the invariant factors is wanted: V is
+    not built, and neither are R's transforms used.
+    """
+
+    rest: Sequence[int] = ()                # the columns of R ...
+    rest_rows: Sequence[int] = ()           # ... and its rows
+    smith = None                            # R's (U, D, V, V^-1)
+    rest_factors: Sequence[int] = ()        # R's nonzero invariant factors
+
+    def __init__(self, A: IntMatrix, transform: bool = True):
+        self.n = A.cols
+        # (row, column, unit, column of A V) per pivot, in pivot order
+        self.pivots: list[tuple[int, int, int, dict[int, int]]] = []
+        self.V: dict[int, dict[int, int]] = {}    # columns of V other than e_j
+        cols = {j: dict(col) for j, col in enumerate(A.columns) if col}
+        if not cols:
+            return
+        row_cols: dict[int, set[int]] = {}
+        for j, col in cols.items():
+            for i in col:
+                row_cols.setdefault(i, set()).add(j)
+        V = self.V
+        # entries that the elimination left alone in their column or row:
+        # if still a unit, such an entry costs nothing
+        lone: list[tuple[int, int]] = []
+        unit_free: set[int] = set()          # active columns scanned without a unit
+        while True:
+            pivot = None
+            while lone and pivot is None:
+                i, j = lone.pop()
+                col = cols.get(j)
+                if (col is not None and col.get(i) in (1, -1)
+                        and (len(col) == 1 or len(row_cols[i]) == 1)):
+                    pivot = i, j
+            pivot = pivot or _cheapest_unit(cols, row_cols, unit_free)
+            if pivot is None:
+                break
+            p, q = pivot
+            pcol = cols.pop(q)
+            u = pcol[p]                      # u = 1/u for a unit
+            for i in pcol:
+                row_cols[i].discard(q)
+            others = row_cols.pop(p)
+            vq = V.get(q, {q: 1}) if transform else None
+            for k in others:
+                col = cols[k]
+                f = col.pop(p) * u
+                for i, x in pcol.items():
+                    if i == p:
+                        continue
+                    v = col.get(i, 0) - f * x
+                    if v:
+                        if i not in col:
+                            row_cols[i].add(k)
+                        col[i] = v
+                    elif i in col:
+                        del col[i]
+                        row_cols[i].discard(k)
+                unit_free.discard(k)
+                if transform:
+                    _axpy(V.setdefault(k, {k: 1}), -f, vq)
+                if not col:
+                    del cols[k]
+                elif len(col) == 1:
+                    lone.extend((i, k) for i in col)
+            for i in pcol:
+                if i != p and len(row_cols[i]) == 1:
+                    lone.append((i, next(iter(row_cols[i]))))
+            self.pivots.append((p, q, u, pcol))
+        if cols:
+            # the unit-free remainder R: the nonzero non-pivot columns on
+            # the rows they meet, all of which are non-pivot rows
+            self.rest = rest = sorted(cols)
+            self.rest_rows = sorted({i for col in cols.values() for i in col})
+            self.smith = _smith([[cols[j].get(i, 0) for j in rest] for i in self.rest_rows],
+                                len(rest))
+            self.rest_factors = _nonzero_diagonal(self.smith[1], len(rest))
+
+    def invariant_factors(self) -> tuple[int, ...]:
+        return (1,) * len(self.pivots) + tuple(self.rest_factors)
+
+    @cached_property
+    def pivot_order(self) -> dict[int, int]:
+        return {p: t for t, (p, _, _, _) in enumerate(self.pivots)}
+
+    def _v(self, j: int) -> dict[int, int]:
+        return self.V.get(j, {j: 1})
+
+    def kernel(self) -> tuple[IntMatrix, IntMatrix]:
+        """A basis K of ker(A) as a direct summand, and coordinates C with
+        C K = I: the zero non-pivot columns of A V, then V times the
+        kernel columns of R's Smith form; C holds the matching rows of the
+        inverse, unit rows on the zero columns and R's V^-1 on its
+        columns."""
+        n = self.n
+        done = {q for _, q, _, _ in self.pivots}
+        rest = set(self.rest)
+        zero = [j for j in range(n) if j not in done and j not in rest]
+        K = [dict(self._v(j)) for j in zero]
+        coords: list[dict[int, int]] = [{} for _ in range(n)]
+        for t, j in enumerate(zero):
+            coords[j][t] = 1
+        if len(self.rest_factors) < len(self.rest):
+            _, _, VR, VRinv = self.smith
+            for s in range(len(self.rest_factors), len(self.rest)):
+                t = len(K)
+                x: dict[int, int] = {}
+                for c, j in enumerate(self.rest):
+                    if VR[c][s]:
+                        _axpy(x, VR[c][s], self._v(j))
+                    if VRinv[s][c]:
+                        coords[j][t] = VRinv[s][c]
+                K.append(x)
+        return (IntMatrix(n, len(K), tuple(K)),
+                IntMatrix(len(K), n, tuple(coords)))
+
+    def solve(self, b: dict[int, int]) -> Optional[dict[int, int]]:
+        """Some x with A x = b, or None if there is none."""
+        r = dict(b)
+        x: dict[int, int] = {}
+        # forward substitution, visiting only the pivots whose rows r meets:
+        # pivot t's column only reaches rows of later pivots
+        order = self.pivot_order
+        todo = [order[i] for i in r if i in order]
+        heapify(todo)
+        while todo:
+            t = heappop(todo)
+            p, q, u, pcol = self.pivots[t]
+            y = r.pop(p, 0) * u
+            if y:
+                for i, c in pcol.items():
+                    if i != p:
+                        w = r.get(i, 0) - y * c
+                        if w:
+                            if i not in r and i in order:
+                                heappush(todo, order[i])
+                            r[i] = w
+                        else:
+                            del r[i]
+                _axpy(x, y, self._v(q))
+        if not r:
+            return x
+        if not self.rest:
+            return None
+        pos = {i: t for t, i in enumerate(self.rest_rows)}
+        if any(i not in pos for i in r):
+            return None
+        U, D, VR, _ = self.smith
+        n = len(self.rest)
+        for s, urow in enumerate(U):
+            ub = sum(urow[pos[i]] * c for i, c in r.items())
+            if not ub:
+                continue
+            d = D[s][s] if s < n else 0
+            if d == 0 or ub % d:
+                return None
+            y = ub // d
+            for c, j in enumerate(self.rest):
+                if VR[c][s]:
+                    _axpy(x, VR[c][s] * y, self._v(j))
+        return x
+
+
 def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors of A, equal to
-    ``smith_normal_form(A).invariant_factors()`` but with no transforms.
-
-    The nonzeros are kept as row dicts with a column -> rows index.  While a
-    +-1 entry exists, the one of least Markowitz cost (row nnz - 1) *
-    (column nnz - 1) clears its column from the other rows; its row and
-    column are then dropped (column operations against the now lone unit
-    would clear the row without touching anything else), which is one
-    invariant factor 1.  Only the unit-free remainder goes to the dense
-    `_smith`, whose diagonal is read.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for j, col in enumerate(A.columns):
-        if col:
-            col_rows[j] = set(col)
-            for i, x in col.items():
-                rows.setdefault(i, {})[j] = x
-    units = 0
-    while True:
-        pivot, best = None, 0
-        for i, row in rows.items():
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    cost = (len(row) - 1) * (len(col_rows[j]) - 1)
-                    if pivot is None or cost < best:
-                        pivot, best = (i, j), cost
-            if pivot is not None and best == 0:
-                break
-        if pivot is None:
-            break
-        p, q = pivot
-        prow = rows.pop(p)
-        u = prow.pop(q)
-        for j in prow:
-            col_rows[j].discard(p)
-        for i in col_rows.pop(q) - {p}:
-            row = rows[i]
-            f = row.pop(q) * u          # u = 1/u for a unit
-            for j, x in prow.items():
-                v = row.get(j, 0) - f * x
-                if v:
-                    if j not in row:
-                        col_rows[j].add(i)
-                    row[j] = v
-                elif j in row:
-                    del row[j]
-                    col_rows[j].discard(i)
-            if not row:
-                del rows[i]
-        units += 1
-    if not rows:
-        return (1,) * units
-    cols = sorted({j for row in rows.values() for j in row})
-    _, D, _ = _smith([[row.get(j, 0) for j in cols] for row in rows.values()], len(cols))
-    return (1,) * units + tuple(_nonzero_diagonal(D, len(cols)))
+    ``smith_normal_form(A).invariant_factors()``: one 1 per unit pivot of
+    `_Elimination`, then the unit-free remainder's."""
+    if not any(A.columns):
+        return ()
+    return _Elimination(A, transform=False).invariant_factors()
 
 
 def rank(A: IntMatrix) -> int:
@@ -396,43 +580,28 @@ def rank_mod_p(A: IntMatrix, p: int) -> int:
     return sum(1 for d in invariant_factors(A) if d % p)
 
 
-# ---------------------------------------------------------------------------
-# Kernels and solving
-# ---------------------------------------------------------------------------
-
 def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Columns form a basis of ker(A) as a direct summand of Z^cols: the
-    last cols - rank(A) columns of V in U A V = D."""
-    _, D, V = _smith(A.to_lists(), A.cols)
-    r = len(_nonzero_diagonal(D, A.cols))
-    return IntMatrix(A.cols, A.cols - r, tuple(
-        {i: row[j] for i, row in enumerate(V) if row[j]} for j in range(r, A.cols)))
+    """Columns form a basis of ker(A) as a direct summand of Z^cols (see
+    `_Elimination.kernel`)."""
+    return _Elimination(A).kernel()[0]
 
 
 def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     """Integer X with A X = B, or None if some column of B has no integer
-    solution.  With U A V = D in Smith form, each column b of B gives
-    D y = U b, solved entry by entry, and x = V y; only the nonzeros of b
-    and y are read, and an empty column of B is skipped."""
+    solution.  A B without a nonzero entry gives the zero X at once;
+    otherwise A is eliminated once and every nonzero column of B is solved
+    by `_Elimination.solve`."""
     if A.rows != B.rows:
         raise ShapeMismatch("solve_matrix row mismatch")
-    U, D, V = _smith(A.to_lists(), A.cols)
+    if B.is_zero():
+        return IntMatrix.zero(A.cols, B.cols)
+    elim = _Elimination(A)
     X = []
     for b in B.columns:
-        x: dict[int, int] = {}
-        if b:
-            for i, u in enumerate(U):
-                ub = sum(u[j] * c for j, c in b.items())
-                if not ub:
-                    continue
-                d = D[i][i] if i < A.cols else 0
-                if d == 0 or ub % d:
-                    return None
-                y = ub // d
-                for r, v in enumerate(V):
-                    if v[i]:
-                        x[r] = x.get(r, 0) + v[i] * y
-        X.append({r: c for r, c in x.items() if c})
+        x = elim.solve(b) if b else {}
+        if x is None:
+            return None
+        X.append(x)
     return IntMatrix(A.cols, B.cols, tuple(X))
 
 
@@ -450,10 +619,11 @@ def presentation_from_relations(n_generators: int, relations: IntMatrix) -> ZMod
 
 
 def homology_with_cycles(d_out: IntMatrix, d_in: IntMatrix
-                         ) -> tuple[IntMatrix, IntMatrix, ZModulePresentation]:
+                         ) -> tuple[IntMatrix, IntMatrix, IntMatrix, ZModulePresentation]:
     """ker(d_out) / im(d_in) for consecutive boundary maps, together with
-    the basis K of ker(d_out) it is presented on and the coordinates X of
-    im(d_in) in that basis: the group is Z^{K.cols} / colspan(X).
+    the basis K of ker(d_out) it is presented on, coordinates C with
+    C K = I, and the coordinates X = C d_in of im(d_in) in that basis: the
+    group is Z^{K.cols} / colspan(X).
 
     d_out : C_k -> C_{k-1} and d_in : C_{k+1} -> C_k, so d_out has one
     column per generator of C_k and d_in one row per generator of C_k.
@@ -462,16 +632,16 @@ def homology_with_cycles(d_out: IntMatrix, d_in: IntMatrix
         raise ShapeMismatch(
             f"chain group mismatch: d_out has {d_out.cols} columns, "
             f"d_in has {d_in.rows} rows")
-    K = kernel_basis(d_out)
-    X = solve_matrix(K, d_in)
-    if X is None:  # K spans the whole kernel, so this means d_out . d_in != 0
+    if not (d_out @ d_in).is_zero():
         raise NotAComplex("d_out . d_in != 0")
-    return K, X, presentation_from_relations(K.cols, X)
+    K, C = _Elimination(d_out).kernel()
+    X = C @ d_in                # K X = d_in, as im(d_in) lies in ker(d_out)
+    return K, C, X, presentation_from_relations(K.cols, X)
 
 
 def homology(d_out: IntMatrix, d_in: IntMatrix) -> ZModulePresentation:
     """ker(d_out) / im(d_in); see `homology_with_cycles`."""
-    return homology_with_cycles(d_out, d_in)[2]
+    return homology_with_cycles(d_out, d_in)[3]
 
 
 def is_surjective_over_z(A: IntMatrix) -> bool:

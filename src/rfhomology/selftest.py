@@ -20,7 +20,7 @@ from .basemodel import (build_fc, cap_map, cp_model, point_model,
 from .chaincplx import (ChainMap, GradedComplex, cone_les, homology_table,
                         mapping_cone, verify_boundary, verify_exactness)
 from .exactlin import (IntMatrix, ZModulePresentation, det_bareiss, homology,
-                       smith_normal_form, solve_matrix)
+                       smith_normal_form)
 from .rfh import (RFHGenerator, _transfer_failures, action, base_action,
                   boundary_full, boundary_full_chain, delta_injectivity,
                   enumerate_generators, fh_index, full_rfh, gysin,
@@ -113,8 +113,12 @@ def random_complex_and_map(rng: random.Random, lo: int = -4, hi: int = 5
     phi0 = ChainMap(C0, C0, -2, phimaps)
     phi0.check()
 
-    def unimodular(n: int) -> IntMatrix:
+    def unimodular(n: int) -> tuple[IntMatrix, IntMatrix]:
+        """M = E_t ... E_1 from elementary row operations E, and its inverse
+        E_1^-1 ... E_t^-1, built alongside as the inverse column
+        operations."""
         M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        Minv = [row[:] for row in M]
         for _ in range(6):
             if n < 2:
                 break
@@ -124,10 +128,12 @@ def random_complex_and_map(rng: random.Random, lo: int = -4, hi: int = 5
             c = rng.choice([-2, -1, 1, 2])
             for k in range(n):
                 M[i][k] += c * M[j][k]
-        return IntMatrix.from_rows(M, cols=n) if n else IntMatrix.zero(0, 0)
+                Minv[k][j] -= c * Minv[k][i]
+        return IntMatrix.from_rows(M, cols=n), IntMatrix.from_rows(Minv, cols=n)
 
-    U = {d: unimodular(len(gens[d])) for d in range(lo, hi + 1)}
-    Uinv = {d: solve_matrix(U[d], IntMatrix.identity(U[d].rows)) for d in U}
+    U, Uinv = {}, {}
+    for d in range(lo, hi + 1):
+        U[d], Uinv[d] = unimodular(len(gens[d]))
     newb = {d: Uinv[d - 1] @ boundary[d] @ U[d] for d in range(lo + 1, hi + 1)}
     C1 = GradedComplex((lo, hi), dict(basis), newb)
     newphi = {d: Uinv[d - 2] @ phi0.at(d) @ U[d] for d in range(lo + 2, hi + 1)}

@@ -5,8 +5,9 @@ import pytest
 from rfhomology.chaincplx import (ChainMap, GradedComplex, HomologyBasis,
                                   LongExactSequence, cone_les, exact_at,
                                   homology_basis, homology_table,
-                                  mapping_cone, matrix_from_terms,
-                                  verify_boundary, verify_exactness)
+                                  induced_matrix, mapping_cone,
+                                  matrix_from_terms, verify_boundary,
+                                  verify_exactness)
 from rfhomology.errors import DegreeOutOfRange, NotAChainMap, NotAComplex
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
                                  presentation_from_relations)
@@ -171,15 +172,33 @@ def test_homology_table_rejects_non_complex():
 
 def test_homology_table_matches_cycle_bases_on_random_complexes():
     """The rank-only table equals the presentation built on cycle bases, on
-    200 seeded random complexes and the cones of their degree -2 maps."""
+    200 seeded random complexes and the cones of their degree -2 maps; each
+    basis has coords @ cycles = I, and its relations are the incoming
+    boundary written in it."""
     rng = random.Random(4)
     for _ in range(200):
         C, phi = random_complex_and_map(rng)
         for K in (C, mapping_cone(phi)):
             lo, hi = K.degrees
-            degrees = range(lo + 1, hi)
-            assert homology_table(K, degrees) == {
-                d: homology_basis(K, d).presentation for d in degrees}
+            bases = {d: homology_basis(K, d) for d in range(lo + 1, hi)}
+            assert homology_table(K, bases) == {d: h.presentation for d, h in bases.items()}
+            for d, h in bases.items():
+                assert h.coords @ h.cycles == IntMatrix.identity(h.cycles.cols)
+                assert h.cycles @ h.relations == K.boundary_at(d + 1)
+
+
+def test_induced_matrix_rejects_image_outside_the_cycles():
+    """phi sends the cycle x to a, whose boundary is b: not a chain map."""
+    src = GradedComplex((-1, 1), {0: ("x",)}, {})
+    tgt = GradedComplex((-1, 1), {-1: ("b",), 0: ("a",)},
+                        {0: IntMatrix.from_rows([[1]])})
+    phi = IntMatrix.from_rows([[1]])
+    with pytest.raises(NotAChainMap, match="image of a cycle is not a cycle"):
+        induced_matrix(phi, homology_basis(src, 0), homology_basis(tgt, 0))
+    # the same map into a target where a is a cycle is induced as 1
+    ok = GradedComplex((-1, 1), {-1: ("b",), 0: ("a",)}, {})
+    assert induced_matrix(phi, homology_basis(src, 0),
+                          homology_basis(ok, 0)) == IntMatrix.identity(1)
 
 
 def test_randomized_cone_les_exactness():
@@ -192,7 +211,8 @@ def test_randomized_cone_les_exactness():
 def cyclic(relation):
     """Z modulo the relations in the 1 x r list `relation`, on one cycle."""
     rel = IntMatrix.from_rows([relation], cols=len(relation))
-    return HomologyBasis(0, IntMatrix.identity(1), rel, presentation_from_relations(1, rel))
+    return HomologyBasis(0, IntMatrix.identity(1), IntMatrix.identity(1), rel,
+                         presentation_from_relations(1, rel))
 
 
 @pytest.mark.parametrize("incoming,node,outgoing,next_node,exact", [

@@ -13,10 +13,10 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_f
 from rfhomology.chaincplx import mapping_cone, matrix_from_terms
 from rfhomology.errors import NotAComplex, ShapeMismatch
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation, det_bareiss,
-                                 homology, invariant_factors,
-                                 is_surjective_over_z, kernel_basis, rank,
-                                 rank_bareiss, rank_mod_p, smith_normal_form,
-                                 solve_matrix)
+                                 homology, homology_with_cycles,
+                                 invariant_factors, is_surjective_over_z,
+                                 kernel_basis, rank, rank_bareiss, rank_mod_p,
+                                 smith_normal_form, solve_matrix)
 from rfhomology.selftest import random_complex_and_map
 
 
@@ -147,24 +147,44 @@ def test_invariant_factors_match_two_oracles(A):
     assert got == sympy_invariant_factors(A)
 
 
+vectors = st.lists(st.integers(-9, 9), min_size=14, max_size=14)
+
+
 @settings(max_examples=300, deadline=None)
-@given(kinded_matrices(), st.data())
-def test_kernel_and_solve_on_kinded_matrices(A, data):
-    """The kernel is a direct summand of the right rank, and solve_matrix
-    fails exactly when B leaves the column lattice of A: judged by the
-    invariant factors of A and [A | B], which share no transforms."""
+@given(kinded_matrices(), vectors, vectors, vectors)
+@example(IntMatrix.from_rows([[2, 3]]), [1] * 14, [1, -2] * 7, [1] * 14)
+@example(IntMatrix.from_rows([[2, 0], [0, 4]]), [1] * 14, [1, -2] * 7, [1, 2] * 7)
+@example(IntMatrix.from_rows([[1, 2, 3], [2, 0, 4]]), [1] * 14, [3, 1] * 7, [0, 1] * 7)
+def test_kernel_and_solve_on_kinded_matrices(A, x, y, b):
+    """The sparse elimination against the dense Smith form.  The kernel
+    spans the lattice of the V-kernel of `smith_normal_form` (each basis
+    solves into the other; both are saturated), coords is a left inverse
+    of it, and the relations of a homology group solve K X = d_in.
+    solve_matrix fails exactly when B leaves the column lattice of A:
+    judged by the invariant factors of A and [A | B], which share no
+    transforms.  The examples leave a unit-free remainder: alone, and
+    after a unit pivot."""
     K = kernel_basis(A)
     assert (A @ K).is_zero()
     assert K.cols == A.cols - rank(A)
     assert invariant_factors(K) == (1,) * K.cols
-    small = st.integers(-9, 9)
-    x = data.draw(st.lists(small, min_size=A.cols, max_size=A.cols))
-    b = data.draw(st.lists(small, min_size=A.rows, max_size=A.rows))
-    B = IntMatrix.from_rows([[y, z] for y, z in zip((A @ column(x)).entries, b)], cols=2)
+    s = smith_normal_form(A)
+    dense = s.V.submatrix(range(A.cols), range(len(s.invariant_factors()), A.cols))
+    assert solve_matrix(K, dense) is not None and solve_matrix(dense, K) is not None
+    # d_in with its columns in the kernel: K Y = d_in
+    Y = IntMatrix.from_rows([y[2 * t:2 * t + 2] for t in range(K.cols)], cols=2)
+    d_in = K @ Y
+    K2, coords, X, _ = homology_with_cycles(A, d_in)
+    assert K2 == K
+    assert coords @ K == IntMatrix.identity(K.cols)
+    assert X == solve_matrix(K, d_in) == Y
+    # one column in the image of A, one arbitrary
+    B = IntMatrix.from_rows([[v, w] for v, w in zip((A @ column(x[:A.cols])).entries, b)],
+                            cols=2)
     X = solve_matrix(A, B)
     assert (X is None) == (invariant_factors(A.hstack(B)) != invariant_factors(A))
     if X is not None:
-        assert (A @ X).entries == B.entries
+        assert A @ X == B
 
 
 @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 4), (4, 2)])
@@ -244,6 +264,8 @@ def test_homology_rejects_bad_input():
         homology(IntMatrix.zero(1, 2), IntMatrix.zero(3, 1))
     with pytest.raises(NotAComplex):
         homology(IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]]))
+    with pytest.raises(NotAComplex):      # d_in leaves the kernel [[0], [1]]
+        homology(IntMatrix.from_rows([[2, 0]]), IntMatrix.from_rows([[1], [0]]))
 
 
 def _rational_solve_unique(A: IntMatrix, b):

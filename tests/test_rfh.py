@@ -11,7 +11,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from rfhomology import rfh
+from rfhomology import exactlin, rfh
 from rfhomology.basemodel import (BaseModel, build_fc, cap_map,
                                   cap_stabilization, cp_model, load_model,
                                   point_model, surface_model)
@@ -314,6 +314,26 @@ def test_gysin_surface_recovers_classical():
     assert strs["RFH^w0_0"] == "Z^2 + Z_2"
     assert strs["RFH^w0_2"] == "Z"
 
+
+
+def test_gysin_dense_remainder_does_not_grow_with_the_surface(monkeypatch):
+    """The Gysin sequence of surface:g is eliminated sparsely: what reaches
+    the dense Smith form is the unit-free remainder only, whose count and
+    largest shape stay put as g doubles (five 1 x 1 inputs, the cap's 2s).
+    A deterministic guard on the complexity, unlike a timing."""
+    stats = {}
+    for g in (8, 16, 32):
+        shapes = []
+
+        def record(D, n, smith=exactlin._smith):
+            shapes.append((len(D), n))
+            return smith(D, n)
+        monkeypatch.setattr(exactlin, "_smith", record)
+        assert verify_exactness(gysin(surface_model(g), 2, (-2, 3))).ok
+        monkeypatch.undo()
+        stats[g] = (len(shapes), max(shapes, default=(0, 0)))
+    assert stats[8] == stats[16] == stats[32], stats
+    assert stats[8][1] <= (1, 1), stats
 
 # -- full boundary and primitives -------------------------------------------------
 
