@@ -1,5 +1,6 @@
-"""Base manifold models: Morse data, monotonicity constants, and the
-windowed Floer complex with its degree -2 cap-product chain map.
+"""Base manifold models: Morse data, monotonicity constants, and the Floer
+complex of the base with its degree -2 cap-product chain map, built one
+degree at a time.
 
 A model describes (M, omega) through combinatorial data only: the even
 dimension, nu with omega(pi_2) = nu*Z, the monotonicity constant lambda
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Union
 
-from .chaincplx import ChainMap, GradedComplex, matrix_from_terms, verify_boundary
+from .chaincplx import ChainMap, GradedComplex, matrix_from_terms
 from .errors import EmptyWindow, NotAChainMap, UnsupportedModel
 from .exactlin import IntMatrix, rank
 
@@ -61,11 +62,16 @@ class BaseModel:
         if self.cap == "surface" and not {"bot", "top"} <= self.position.keys():
             raise UnsupportedModel("the surface cap needs critical points bot and top")
         count = Counter(idx for _, idx in self.crit)
-        for idx, mat in (self.morse_boundary or {}).items():
+        mats = self.morse_boundary or {}
+        for idx, mat in sorted(mats.items()):
             if (mat.rows, mat.cols) != (count[idx - 1], count[idx]):
                 raise UnsupportedModel(
                     f"Morse boundary at index {idx} is {mat.rows}x{mat.cols}, "
                     f"expected {count[idx - 1]}x{count[idx]}")
+            # d_{idx-1} passed the shape check one step before
+            if idx - 1 in mats and not (mats[idx - 1] @ mat).is_zero():
+                raise UnsupportedModel("Morse differential does not square to zero: "
+                                       f"d_{idx - 1} . d_{idx} != 0")
         if self.nu > 0:
             ln = self.lam * self.nu
             if ln.denominator != 1:
@@ -212,8 +218,21 @@ class BaseModel:
         return [(label, (shifted - degree) // den)
                 for label, shifted in self.degree_classes.get(degree % den, ())]
 
-    def betti_total(self) -> int:
-        return len(self.crit)
+    def boundary_at(self, degree: int) -> IntMatrix:
+        """The Floer boundary C_degree -> C_{degree-1}: the Morse
+        differential on each sphere class."""
+        morse = self.morse_terms
+        return matrix_from_terms(
+            self.generators_in_degree(degree), self.generators_in_degree(degree - 1),
+            lambda g: [((t, g[1]), c) for t, c in morse[g[0]]])
+
+    def cap_at(self, degree: int, m: int) -> IntMatrix:
+        """The cap with -m[omega], C_degree -> C_{degree-2}: (label, k) goes
+        to m*c (target, k + shift) for each cap term."""
+        caps = self.cap_terms
+        return matrix_from_terms(
+            self.generators_in_degree(degree), self.generators_in_degree(degree - 2),
+            lambda g: [((t, g[1] + s), m * c) for t, _, s, c in caps[g[0]]])
 
 
 # ---------------------------------------------------------------------------
@@ -294,67 +313,19 @@ def load_model(source) -> BaseModel:
 
 
 # ---------------------------------------------------------------------------
-# The windowed Floer complex
+# The Floer complex on a degree range
 # ---------------------------------------------------------------------------
 
-Window = Optional[tuple[Optional[Fraction], Optional[Fraction]]]
-
-
-def _in_window(action: Fraction, window: tuple) -> bool:
-    """a < action < b for window = (a, b), an end of None being open."""
-    a, b = window
-    return (a is None or a < action) and (b is None or action < b)
-
-
-def _degree_range_for_window(model: BaseModel, window) -> tuple[int, int]:
-    a, b = window
-    if a is None or b is None:
-        raise EmptyWindow("infinite windows need an explicit degree range")
-    if not a < b:
-        raise EmptyWindow(f"window ({a}, {b}) is empty")
-    if model.aspherical:
-        return (-model.half_dim, model.half_dim)
-    nu = model.nu
-    ks = [k for k in range(int(-b / nu) - 1, int(-a / nu) + 2) if a < -k * nu < b]
-    if not ks:
-        raise EmptyWindow(f"window ({a}, {b}) contains no action value")
-    degs = [model.fh_degree(idx, k) for _, idx in model.crit for k in ks]
-    return (min(degs), max(degs))
-
-
-def build_fc(model: BaseModel, window: Window = None,
-             degrees: Optional[tuple[int, int]] = None) -> GradedComplex:
-    """Floer chain complex of the model: basis = pairs (critical point,
-    sphere class k) filtered by the action window -k*nu in (a, b) and/or a
-    degree range; boundary = the Morse differential tensored over the sphere
-    classes (zero for the built-in perfect models)."""
-    if window is None and degrees is None:
-        raise EmptyWindow("need a window or a degree range")
-    if degrees is None:
-        degrees = _degree_range_for_window(model, window)
+def build_fc(model: BaseModel, degrees: tuple[int, int]) -> GradedComplex:
+    """Floer chain complex of the model on a degree range: basis = pairs
+    (critical point, sphere class k) in each degree, boundary =
+    `BaseModel.boundary_at` (zero for the built-in perfect models)."""
     lo, hi = degrees
     if lo > hi:
         raise EmptyWindow(f"degree range {degrees} is empty")
-
-    basis = {d: tuple(g for g in model.generators_in_degree(d)
-                      if window is None or _in_window(-Fraction(g[1] * model.nu), window))
-             for d in range(lo, hi + 1)}
-    boundary: dict[int, IntMatrix] = {}
-    if model.morse_boundary:
-        morse = model.morse_terms
-
-        def terms(g):
-            label, k = g
-            return [((t, k), c) for t, c in morse[label]]
-
-        boundary = {d: matrix_from_terms(basis[d], basis[d - 1], terms)
-                    for d in range(lo + 1, hi + 1)}
-    C = GradedComplex(degrees, basis, boundary)
-    rep = verify_boundary(C)
-    if not rep:
-        raise UnsupportedModel(f"Morse differential does not square to zero "
-                               f"(first failure at degree {rep.first_failure})")
-    return C
+    basis = {d: tuple(model.generators_in_degree(d)) for d in range(lo, hi + 1)}
+    return GradedComplex(degrees, basis,
+                         {d: model.boundary_at(d) for d in range(lo + 1, hi + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +346,11 @@ def cap_matrix(model: BaseModel, m: int) -> IntMatrix:
 
 
 def cap_map(model: BaseModel, m: int, fc: GradedComplex) -> ChainMap:
-    """The degree -2 cap chain map on the windowed Floer complex `fc` of the
-    model: (label, k) goes to m*c (target, k + shift) for each cap term.
-    Image terms falling outside the window are truncated."""
-    def terms(g):
-        label, k = g
-        return [((t, k + s), m * c) for t, _, s, c in model.cap_terms[label]]
-
+    """The degree -2 cap chain map on `fc = build_fc(model, ...)`, from
+    `BaseModel.cap_at`; the two lowest degrees map to zero, their targets
+    lying below the range."""
     lo, hi = fc.degrees
-    maps = {d: matrix_from_terms(fc.basis[d], fc.basis.get(d - 2, ()), terms)
-            for d in range(lo, hi + 1)}
-    psi = ChainMap(fc, fc, -2, maps)
+    psi = ChainMap(fc, fc, -2, {d: model.cap_at(d, m) for d in range(lo + 2, hi + 1)})
     psi.check()
     return psi
 
@@ -396,7 +361,7 @@ def cap_stabilization(model: BaseModel, m: int) -> tuple[int, int]:
     are those of the powers of `cap_matrix`.  The answer is certified to
     appear within the total Betti number."""
     C = cap_matrix(model, m)
-    bound = model.betti_total()
+    bound = len(model.crit)
     power = IntMatrix.identity(C.rows)
     prev_rank = None
     for n in range(1, bound + 2):

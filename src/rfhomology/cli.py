@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import isqrt
 from typing import Optional
 
 from . import selftest as selftest_mod
@@ -23,7 +22,7 @@ from .chaincplx import verify_exactness
 from .errors import EngineError
 from .rfh import (GroupValue, _transfer_failures, action, boundary_full,
                   enumerate_generators, full_rfh, gysin, orderability_report,
-                  rfh_index, rfh_w0_table, transfer_maps, winding)
+                  parse_coeff, rfh_index, rfh_w0_table, transfer_maps, winding)
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +75,11 @@ def _window(text: str) -> tuple[Fraction, Fraction]:
 
 
 def _coeff(text: str) -> str:
-    coeff = text.lower()
-    p = coeff[3:]
-    if coeff == "z" or (coeff.startswith("fp:") and p.isdigit() and int(p) >= 2
-                        and all(int(p) % q for q in range(2, isqrt(int(p)) + 1))):
-        return coeff
-    raise argparse.ArgumentTypeError(f"coefficients must be z or fp:<prime>, got {text!r}")
+    try:
+        parse_coeff(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text.lower()
 
 
 FLAGS = {
@@ -92,8 +90,6 @@ FLAGS = {
     "--degrees": dict(type=_range, default="-8..8", help="lo..hi"),
     "--window": dict(type=_window, default=None, help="action window a..b"),
     "--coeff": dict(type=_coeff, default="z", help="z | fp:<prime>"),
-    "--truncation": dict(type=int, default=8,
-                         help="sphere-class truncation |k| (at most 2 is used)"),
     "--format": dict(dest="fmt", default="md", choices=("md", "json")),
 }
 
@@ -104,7 +100,7 @@ COMMAND_FLAGS = {
     "gysin": _BASE,
     "transfer": _BASE,
     "orderability": ("--model", "--m", "--tau", "--format"),
-    "cp2-demo": ("--m", "--tau", "--window", "--truncation", "--format"),
+    "cp2-demo": ("--m", "--tau", "--window", "--format"),
     "selftest": ("--format",),
 }
 
@@ -119,7 +115,7 @@ def _preprocess(argv: list[str]) -> list[str]:
     onto their flag so argparse does not mistake them for options."""
     out: list[str] = []
     it = iter(argv)
-    value_flags = {"--degrees", "--window", "--tau", "--m", "--truncation"}
+    value_flags = {"--degrees", "--window", "--tau", "--m"}
     for tok in it:
         if tok in value_flags:
             try:
@@ -255,7 +251,7 @@ def cmd_orderability(args: argparse.Namespace) -> int:
 def cmd_cp2_demo(args: argparse.Namespace) -> int:
     model = cp_model(2)
     m = args.m
-    k_bound = min(args.truncation, 2)
+    k_bound = 2
     gens = enumerate_generators(model, m, args.tau, k_bound=k_bound, l_bound=3,
                                 window=args.window)
     gen_rows = []

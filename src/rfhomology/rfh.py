@@ -27,16 +27,15 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, Optional, Sequence
 
-from .basemodel import (BaseModel, _in_window, build_fc, cap_map, cap_matrix,
-                        primitivity_report)
+from .basemodel import BaseModel, build_fc, cap_map, cap_matrix, primitivity_report
 from .chaincplx import (ChainMap, GradedComplex, HomologyBasis,
                         LongExactSequence, _preimage_in_span, cone_les,
-                        homology_basis, homology_table, induced_matrix,
-                        matrix_from_terms, verify_boundary)
-from .errors import (ConsecutiveIndexModel, EmptyWindow, NotAComplex,
+                        homology_table, induced_matrix, matrix_from_terms)
+from .errors import (ConsecutiveIndexModel, EmptyWindow,
                      TruncationTooNarrow, UnstabilizedTruncation)
-from .exactlin import (IntMatrix, ZModulePresentation, is_surjective_over_z,
-                       presentation_from_relations, rank_mod_p)
+from .exactlin import (IntMatrix, ZModulePresentation, homology_with_cycles,
+                       is_surjective_over_z, presentation_from_relations,
+                       rank_mod_p)
 from .novikov import CompletionRegime, regime_for
 
 
@@ -197,6 +196,12 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
 # ---------------------------------------------------------------------------
 # Zero-winding complex and Gysin sequence
 # ---------------------------------------------------------------------------
+
+def _in_window(action: Fraction, window: tuple) -> bool:
+    """a < action < b for window = (a, b), an end of None being open."""
+    a, b = window
+    return (a is None or a < action) and (b is None or action < b)
+
 
 def rfc_w0(model: BaseModel, m: int, tau: Fraction,
            degrees: tuple[int, int],
@@ -421,19 +426,27 @@ class FullRFHResult:
 
 
 class _SectorData:
-    """Homology of the base per degree with the induced cap map, over a
-    window wide enough for the requested sectors."""
+    """Homology of the base in each degree with the induced cap map, each
+    built on first use from the model's boundary and cap at that degree."""
 
-    def __init__(self, model: BaseModel, m: int, lo: int, hi: int):
-        self.model = model
-        self.fc = build_fc(model, degrees=(lo - 3, hi + 3))
-        self.psi = cap_map(model, m, fc=self.fc)
+    def __init__(self, model: BaseModel, m: int):
+        self.model, self.m = model, m
+        self._boundaries: dict[int, IntMatrix] = {}
         self._bases: dict[int, HomologyBasis] = {}
         self._psi_induced: dict[int, IntMatrix] = {}
 
+    def boundary(self, e: int) -> IntMatrix:
+        if e not in self._boundaries:
+            self._boundaries[e] = self.model.boundary_at(e)
+        return self._boundaries[e]
+
+    def cap(self, e: int) -> IntMatrix:
+        return self.model.cap_at(e, self.m)
+
     def basis(self, e: int) -> HomologyBasis:
         if e not in self._bases:
-            self._bases[e] = homology_basis(self.fc, e)
+            self._bases[e] = HomologyBasis(
+                e, *homology_with_cycles(self.boundary(e), self.boundary(e + 1)))
         return self._bases[e]
 
     def group(self, e: int) -> ZModulePresentation:
@@ -441,7 +454,7 @@ class _SectorData:
 
     def psi_induced(self, e: int) -> IntMatrix:
         if e not in self._psi_induced:
-            self._psi_induced[e] = induced_matrix(self.psi.at(e), self.basis(e),
+            self._psi_induced[e] = induced_matrix(self.cap(e), self.basis(e),
                                                   self.basis(e - 2))
         return self._psi_induced[e]
 
@@ -452,53 +465,54 @@ def _field_total_betti(model: BaseModel, p: int) -> int:
     if not model.morse_boundary:
         return len(model.crit)
     h = model.half_dim
-    fc = build_fc(model, degrees=(-h - 1, h + 1))
-    r = {e: rank_mod_p(fc.boundary_at(e), p) for e in range(-h, h + 2)}
-    return sum(fc.rank(e) - r[e] - r[e + 1] for e in range(-h, h + 1))
+    r = {e: rank_mod_p(model.boundary_at(e), p) for e in range(-h, h + 2)}
+    return sum(len(model.generators_in_degree(e)) - r[e] - r[e + 1] for e in range(-h, h + 1))
 
 
 def _field_quotient_dim(sect: _SectorData, e: int, b: int, p: int) -> int:
     """dim over F_p of FH_e / ker(psi^b) = rank of the induced psi^b.  With
     f = psi^b : C_e -> C_t (t = e - 2b) a chain map, that rank is
     rank_p [[d_{t+1}, f], [0, d_e]] - rank_p d_{t+1} - rank_p d_e."""
-    fc = sect.fc
-    f = IntMatrix.identity(fc.rank(e))
+    d_in, d_out = sect.boundary(e - 2 * b + 1), sect.boundary(e)
+    f = IntMatrix.identity(d_out.cols)
     for i in range(b):
-        f = sect.psi.at(e - 2 * i) @ f
-    d_in, d_out = fc.boundary_at(e - 2 * b + 1), fc.boundary_at(e)
+        f = sect.cap(e - 2 * i) @ f
     block = d_in.vstack(IntMatrix.zero(d_out.rows, d_in.cols)).hstack(f.vstack(d_out))
     return rank_mod_p(block, p) - rank_mod_p(d_in, p) - rank_mod_p(d_out, p)
 
 
 def _sector_blocks(sect: _SectorData, star: int, src: Sequence[int],
-                   tgt: Sequence[int]) -> tuple[IntMatrix, IntMatrix]:
+                   tgt: Sequence[int]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """id + cap-shift from the sum of the sectors `src` into the sum of the
     sectors `tgt`, cap terms landing outside `tgt` dropped, and the torsion
-    relations of the `tgt` sectors as columns on the same rows.  Sector k
-    is the base homology in degree star + 2k, on its cycle basis."""
-    dims = {k: sect.basis(star + 2 * k).cycles.cols for k in (*src, *tgt)}
-    row_off, total = {}, 0
-    for k in tgt:
-        row_off[k] = total
-        total += dims[k]
+    relations of `tgt` and of `src`, each as columns on the rows of its sum.
+    Sector k is the base homology in degree star + 2k, on its cycle basis."""
+    bases = {k: sect.basis(star + 2 * k) for k in (*src, *tgt)}
+
+    def layout(sectors):
+        off, rel, total = {}, [], 0
+        for k in sectors:
+            off[k] = total
+            rel += ({total + i: x for i, x in col.items()} for col in bases[k].relations.columns)
+            total += bases[k].cycles.cols
+        return off, IntMatrix(total, len(rel), tuple(rel))
+    row_off, R_tgt = layout(tgt)
     delta = []
     for k in src:
         M = sect.psi_induced(star + 2 * k) if k - 1 in row_off else None
-        for j in range(dims[k]):
+        for j in range(bases[k].cycles.cols):
             col = {row_off[k] + j: 1}
             if M is not None:
                 col.update((row_off[k - 1] + i, x) for i, x in M.columns[j].items())
             delta.append(col)
-    rel = [{row_off[k] + i: x for i, x in col.items()}
-           for k in tgt for col in sect.basis(star + 2 * k).relations.columns]
-    return IntMatrix(total, len(delta), tuple(delta)), IntMatrix(total, len(rel), tuple(rel))
+    return IntMatrix(R_tgt.rows, len(delta), tuple(delta)), R_tgt, layout(src)[1]
 
 
 def _truncated_coker(sect: _SectorData, star: int,
                      sectors: Sequence[int]) -> ZModulePresentation:
     """Smith-normal-form cokernel of id + cap-shift on finitely supported
     sums; exact whenever the listed sectors cover all nonzero groups."""
-    delta, rel = _sector_blocks(sect, star, sectors, sectors)
+    delta, rel, _ = _sector_blocks(sect, star, sectors, sectors)
     return presentation_from_relations(delta.rows, delta.hstack(rel))
 
 
@@ -520,27 +534,33 @@ def _cap_shortcuts(model: BaseModel, m: int, field: Optional[int]) -> tuple[bool
     return nilpotent, is_surjective_over_z(C)
 
 
+def parse_coeff(coeff: str) -> Optional[int]:
+    """The coefficients "z" (None) or "fp:<p>" (the prime p), in any case;
+    any other spec raises ValueError."""
+    spec = coeff.lower()
+    p = spec[3:]
+    if spec == "z":
+        return None
+    if spec.startswith("fp:") and p.isdecimal() and int(p) >= 2 and all(
+            int(p) % q for q in range(2, math.isqrt(int(p)) + 1)):
+        return int(p)
+    raise ValueError(f"coefficients must be z or fp:<prime>, got {coeff!r}")
+
+
 def full_rfh(model: BaseModel, m: int, tau: Fraction,
              degrees: tuple[int, int], coeff: str = "z") -> FullRFHResult:
     """Per-degree full Rabinowitz Floer homology through the short exact
     sequence with middle map id + cap-shift on the regime-completed sum of
     base homologies."""
     tau = Fraction(tau)
-    coeff = coeff.lower()
-    field: Optional[int] = None
-    if coeff.startswith("fp:"):
-        field = int(coeff.split(":", 1)[1])
-    elif coeff not in ("z",):
-        raise ValueError(f"unknown coefficient spec {coeff!r}")
-
+    field = parse_coeff(coeff)
     regime = (CompletionRegime.FINITE if model.aspherical
               else regime_for(tau, model.lam, m))
     nilpotent, iso_over_z = _cap_shortcuts(model, m, field)
 
     dlo, dhi = degrees
     period = model.c_min if not model.aspherical else 0
-    span = 2 * max(period + 2, model.dim + 3, model.betti_total() + 2)
-    sect = _SectorData(model, m, dlo + 1 - span - 2, dhi + 1 + span + 2)
+    sect = _SectorData(model, m)
 
     def sector_list(star: int) -> list[int]:
         if model.aspherical:
@@ -621,7 +641,7 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
 
     table = {d: value_for(d) for d in range(dlo, dhi + 1)}
     return FullRFHResult(model.name, m, tau, regime,
-                         coeff if field is None else f"fp:{field}", table)
+                         "z" if field is None else f"fp:{field}", table)
 
 
 # ---------------------------------------------------------------------------
@@ -640,14 +660,12 @@ def delta_injectivity(model: BaseModel, m: int, tau: Fraction,
     regime = (CompletionRegime.FINITE if model.aspherical
               else regime_for(tau, model.lam, m))
     dlo, dhi = degrees
-    span = 2 * (k_range + 2)
     results: dict[int, bool] = {}
-    sect = _SectorData(model, m, dlo - span - 2, dhi + span + 2)
+    sect = _SectorData(model, m)
     in_sectors = range(-k_range, k_range + 1)
     out_sectors = range(-k_range - 1, k_range + 1)
     for star in range(dlo, dhi + 1):
-        delta, R_out = _sector_blocks(sect, star, in_sectors, out_sectors)
-        _, R_in = _sector_blocks(sect, star, (), in_sectors)
+        delta, R_out, R_in = _sector_blocks(sect, star, in_sectors, out_sectors)
         # group-level kernel: delta(x) in output relations => x in input relations
         results[star] = _preimage_in_span(delta, R_out, R_in)
     return {"regime": regime.value, "k_range": k_range,
@@ -667,11 +685,6 @@ def transfer_maps(model: BaseModel, tau: Fraction, degrees: tuple[int, int],
     times the unit cap."""
     C_m = rfc_w0(model, m, tau, degrees)
     C_1 = rfc_w0(model, 1, tau, degrees)
-    for C, k in ((C_m, m), (C_1, 1)):
-        rep = verify_boundary(C)
-        if not rep:
-            raise NotAComplex(f"zero-winding complex for m={k}: "
-                              f"d_{rep.first_failure - 1} . d_{rep.first_failure} != 0")
     lo, hi = degrees
     T = ChainMap(C_m, C_1, 0, {d: matrix_from_terms(
         C_m.basis[d], C_1.basis[d],
@@ -710,7 +723,7 @@ def orderability_report(model: BaseModel, m: int,
     dlo, dhi = -model.dim - 2, model.dim + 2
     table = rfh_w0_table(model, m, tau, (dlo, dhi))
     nonzero = any(not p.is_zero() for p in table.values())
-    sect = _SectorData(model, m, dlo - 4, dhi + 4)
+    sect = _SectorData(model, m)
     surjective = True
     for e in range(dlo, dhi + 1):
         tgt = sect.basis(e - 2)

@@ -15,8 +15,8 @@ from rfhomology import exactlin, rfh
 from rfhomology.basemodel import (BaseModel, build_fc, cap_map,
                                   cap_stabilization, cp_model, load_model,
                                   point_model, surface_model)
-from rfhomology.chaincplx import (homology_basis, homology_table, mapping_cone,
-                                  verify_boundary, verify_exactness)
+from rfhomology.chaincplx import (homology_basis, homology_table, induced_matrix,
+                                  mapping_cone, verify_boundary, verify_exactness)
 from rfhomology.errors import (ConsecutiveIndexModel, TruncationTooNarrow)
 from rfhomology.exactlin import IntMatrix, ZModulePresentation, rank
 from rfhomology.novikov import CompletionRegime
@@ -482,6 +482,10 @@ def test_full_rfh_field_modes():
     # characteristic dividing m kills the cap: zero even at the boundary
     res2 = full_rfh(CP2, 2, Fraction(2), (-3, 3), "fp:2")
     assert all(v.kind == "zero" for v in res2.table.values())
+    # only a prime characteristic gives a field
+    for spec in ("fp:0", "fp:1", "fp:4", "fp:", "q"):
+        with pytest.raises(ValueError, match="coefficients must be z or fp:<prime>"):
+            full_rfh(CP2, 2, Fraction(2), (-3, 3), spec)
 
 
 def fp_matrix(A, p):
@@ -493,14 +497,14 @@ def fp_matrix(A, p):
 def induced_rank_on_cycles(sect, e, b, p):
     """Rank over F_p of psi^b : H_e -> H_{e-2b}, from an F_p cycle basis of
     C_e pushed forward and reduced modulo the boundaries of the target."""
-    fc = sect.fc
-    cycles = fp_matrix(fc.boundary_at(e), p).nullspace()
+    d_out = sect.boundary(e)
+    cycles = fp_matrix(d_out, p).nullspace()
     if cycles.shape[0] == 0:
         return 0
-    f = IntMatrix.identity(fc.rank(e))
+    f = IntMatrix.identity(d_out.cols)
     for i in range(b):
-        f = sect.psi.at(e - 2 * i) @ f
-    B = fp_matrix(fc.boundary_at(e - 2 * b + 1), p)
+        f = sect.cap(e - 2 * i) @ f
+    B = fp_matrix(sect.boundary(e - 2 * b + 1), p)
     return (fp_matrix(f, p) * cycles.transpose()).hstack(B).rank() - B.rank()
 
 
@@ -516,12 +520,11 @@ def test_field_quotient_dim_matches_cycle_bases():
     cycle bases, on seeded random complexes with a degree -2 chain map and
     on a base with 2-torsion."""
     rng = random.Random(6)
-    sects = [SimpleNamespace(fc=C, psi=f)
+    sects = [(SimpleNamespace(boundary=C.boundary_at, cap=f.at), C.degrees)
              for C, f in (random_complex_and_map(rng) for _ in range(40))]
     model = load_model(TORSION_MODEL)
-    sects += [_SectorData(model, m, -4, 4) for m in (1, 2)]
-    for sect in sects:
-        lo, hi = sect.fc.degrees
+    sects += [(_SectorData(model, m), (-7, 7)) for m in (1, 2)]
+    for sect, (lo, hi) in sects:
         for e in range(lo, hi + 1):
             for b in range(4):
                 for p in (2, 3, 5):
@@ -607,19 +610,20 @@ def test_delta_injectivity_zero_cap():
     assert rep["all"]
 
 
+MONOTONE_TORSION_MODEL = {"dim": 2, "nu": 1, "lambda": "2", "cM": 2,
+                          "crit": [{"label": "a", "index": 0}, {"label": "x", "index": 1},
+                                   {"label": "c", "index": 2}],
+                          "cap": {"-1": [[0]], "1": [[0]]},   # zero cap
+                          "primitiveOmega": True,
+                          "morseBoundary": {"1": [[2]]}}
+
+
 def test_delta_injectivity_with_torsion_sectors():
     """A monotone model whose Morse differential leaves 2-torsion in the
     base homology: the kernel test must work at the group level, not just
     on generator matrices."""
-    spec = {"dim": 2, "nu": 1, "lambda": "2", "cM": 2,
-            "crit": [{"label": "a", "index": 0}, {"label": "x", "index": 1},
-                     {"label": "c", "index": 2}],
-            "cap": {"-1": [[0]], "1": [[0]]},   # zero cap
-            "primitiveOmega": True,
-            "morseBoundary": {"1": [[2]]}}
-    model = load_model(spec)
-    from rfhomology.rfh import _SectorData
-    sect = _SectorData(model, 1, -8, 8)
+    model = load_model(MONOTONE_TORSION_MODEL)
+    sect = _SectorData(model, 1)
     assert str(sect.group(-1)) == "Z_2"   # a modulo 2a
     rep = delta_injectivity(model, 1, Fraction(1), 4, (-3, 3))
     assert rep["all"]
@@ -627,14 +631,65 @@ def test_delta_injectivity_with_torsion_sectors():
     assert all(v.kind == "zero" for v in res.table.values())   # zero cap is nilpotent
 
 
+def test_sectors_match_the_windowed_complex():
+    """Each sector, built from the boundaries and the cap at its own degree,
+    has the homology and the induced cap that `build_fc` and `cap_map`
+    give on a window around that degree."""
+    rng = random.Random(12)
+    models = [cp_model(n) for n in (1, 2, 3)] + [surface_model(g) for g in (1, 2)]
+    models += [point_model(), load_model(TORSION_MODEL), load_model(MONOTONE_TORSION_MODEL)]
+    models += [nonperfect_surface(g, rng) for g in (1, 2, 3)]
+    for model in models:
+        for m in (1, 2, 3):
+            sect = _SectorData(model, m)
+            for e in range(-10, 11):
+                fc = build_fc(model, (e - 2, e + 2))
+                assert sect.group(e) == homology_table(fc, [e])[e], (model.name, m, e)
+                fc = build_fc(model, (e - 3, e + 2))
+                want = induced_matrix(cap_map(model, m, fc).at(e), homology_basis(fc, e),
+                                      homology_basis(fc, e - 2))
+                assert sect.psi_induced(e) == want, (model.name, m, e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_full_rfh_is_periodic_in_the_degree(n):
+    """The base homology of cp:n repeats with period 2*lambda*nu in the
+    degree, and so do full_rfh and delta_injectivity: ranges moved by 25
+    periods either way give the same cells, over Z and F_5, at one radius in
+    each regime that m allows.  Over a surface, degrees 40..45 are far from
+    every base degree and every cell is 0."""
+    model = cp_model(n)
+    shift = 25 * 2 * model.lambda_nu
+    for m in (1, 2, 3):
+        radii = [Fraction(1)]
+        if model.lam > m:      # the finite regime sits at tau*(lam - m) = m
+            boundary = m / (model.lam - m)
+            radii = [boundary / 2, boundary, 2 * boundary]
+        for tau in radii:
+            for coeff in ("z", "fp:5"):
+                base = full_rfh(model, m, tau, (-6, 6), coeff).table
+                for s in (shift, -shift):
+                    moved = full_rfh(model, m, tau, (s - 6, s + 6), coeff).table
+                    assert [moved[d + s] for d in range(-6, 7)] == list(base.values()), \
+                        (n, m, tau, coeff, s)
+            rep = delta_injectivity(model, m, tau, 3, (-3, 3))
+            for s in (shift, -shift):
+                moved = delta_injectivity(model, m, tau, 3, (s - 3, s + 3))
+                assert list(moved["degrees"].values()) == list(rep["degrees"].values())
+    for g in (1, 2):
+        for m in (1, 2, 3):
+            for coeff in ("z", "fp:5"):
+                table = full_rfh(surface_model(g), m, Fraction(1), (40, 45), coeff).table
+                assert all(str(v) == "0" for v in table.values()), (g, m, coeff)
+
+
 def test_delta_minus_id_has_cokernel():
     """Mutation check: dropping the identity from id + cap-shift leaves the
     bare shifted cap, whose truncated block matrix is not surjective for
     m >= 2."""
-    from rfhomology.rfh import _SectorData
     from rfhomology.exactlin import presentation_from_relations
     m, star, K = 2, 0, 4
-    sect = _SectorData(CP2, m, star - 2 * K - 6, star + 2 * K + 6)
+    sect = _SectorData(CP2, m)
     sectors = list(range(-K, K + 1))
     dims = {k: sect.basis(star + 2 * k).cycles.cols for k in sectors}
     offs, total = {}, 0
