@@ -356,28 +356,38 @@ def test_non_commuting_cap_is_a_usage_error(tmp_path, command, message):
     assert err == f"error: cap {message}\n"
 
 
-@pytest.mark.parametrize("command", [c for c in COMMANDS if "--model" in COMMAND_FLAGS[c]])
-@pytest.mark.parametrize("grading,tau", [
-    ({"nu": 0, "lambda": "0", "cM": None}, "1"),
-    # monotone with lambda*nu = 2 at m = 1: lower, finite and upper regime
-    ({"nu": 1, "lambda": "2", "cM": 2}, "1/2"),
-    ({"nu": 1, "lambda": "2", "cM": 2}, "1"),
-    ({"nu": 1, "lambda": "2", "cM": 2}, "2"),
-])
-def test_morse_boundary_not_squaring_to_zero_is_a_usage_error(tmp_path, command, grading, tau):
-    """d_1 = d_2 = [[1]] on points of index 0, 1 and 2 gives d_1 . d_2 != 0.
-    `transfer` used to print PASS on it, as its maps commute with any
-    boundary, and with a zero cap no homology needs the boundaries in
-    every regime; the model rejects it, so every command exits 2 with the
-    same line."""
+def write_bad_boundary_model(tmp_path, grading):
+    """d_1 = d_2 = [[1]] on points of index 0, 1 and 2 gives d_1 . d_2 != 0."""
     path = tmp_path / "model.json"
     path.write_text(json.dumps({
         "dim": 2, **grading,
         "crit": [{"label": "a", "index": 0}, {"label": "b", "index": 1},
                  {"label": "c", "index": 2}],
         "cap": "builtin:zero", "morseBoundary": {"1": [[1]], "2": [[1]]}}))
-    argv = [command, "--model", f"file:{path}", "--tau", tau]
+    return path
+
+
+def assert_bad_boundary_rejected(argv, path):
     code, err = run_quietly(argv)
     assert_usage_error(argv, code, err)
     assert err == (f"error: argument --model: bad model 'file:{path}': Morse "
                    "differential does not square to zero: d_1 . d_2 != 0\n")
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if "--model" in COMMAND_FLAGS[c]])
+def test_morse_boundary_not_squaring_to_zero_is_a_usage_error(tmp_path, command):
+    """`transfer` used to print PASS on such a model, as its maps commute
+    with any boundary; the model rejects it, so every command exits 2 with
+    the same line."""
+    path = write_bad_boundary_model(tmp_path, {"nu": 0, "lambda": "0", "cM": None})
+    assert_bad_boundary_rejected([command, "--model", f"file:{path}"], path)
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if "--model" in COMMAND_FLAGS[c]])
+@pytest.mark.parametrize("tau", ["1/2", "1", "2"])
+def test_morse_boundary_not_squaring_to_zero_is_rejected_in_every_regime(tmp_path, command, tau):
+    """Monotone with lambda*nu = 2 at m = 1: lower, finite and upper regime.
+    With a zero cap no homology needs the boundaries in every regime, so
+    only the check on the model catches the bad differential."""
+    path = write_bad_boundary_model(tmp_path, {"nu": 1, "lambda": "2", "cM": 2})
+    assert_bad_boundary_rejected([command, "--model", f"file:{path}", "--tau", tau], path)
