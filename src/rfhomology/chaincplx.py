@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import DegreeOutOfRange, NotAChainMap, NotAComplex
-from .exactlin import (IntMatrix, ZModulePresentation, homology_with_cycles,
-                       invariant_factors, kernel_basis, solve_matrix)
+from .exactlin import (IntMatrix, ZModulePresentation, _Elimination,
+                       homology_with_cycles, invariant_factors, solve_matrix)
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,8 @@ CHECK = "check"
 def mapping_cone(psi: ChainMap) -> GradedComplex:
     """Cone of a degree -2 self chain map: degree-d generators are the hat
     copies (HAT, g) of C_{d-1} followed by the check copies (CHECK, g) of
-    C_d, with boundary blocks [[-d, psi], [0, d]]."""
+    C_d, with boundary blocks [[-d, psi], [0, d]], written column by
+    column."""
     if psi.source is not psi.target and psi.source != psi.target:
         raise NotAChainMap("cone needs an endomorphism")
     if psi.shift != -2:
@@ -154,9 +155,13 @@ def mapping_cone(psi: ChainMap) -> GradedComplex:
              for d in range(lo, hi + 2)}
     boundary: dict[int, IntMatrix] = {}
     for d in range(lo + 1, hi + 2):
-        zero = IntMatrix.zero(C.rank(d - 1), C.rank(d - 1))
-        hats = C.boundary_at(d - 1).scale(-1).vstack(zero)
-        boundary[d] = hats.hstack(psi.at(d).vstack(C.boundary_at(d)))
+        off = C.rank(d - 2)             # the hat rows come first
+        hats = tuple({i: -x for i, x in col.items()}
+                     for col in C.boundary_at(d - 1).columns)
+        checks = tuple({**top, **{off + i: x for i, x in bottom.items()}}
+                       for top, bottom in zip(psi.at(d).columns, C.boundary_at(d).columns))
+        boundary[d] = IntMatrix(off + C.rank(d - 1), C.rank(d - 1) + C.rank(d),
+                                hats + checks)
     return GradedComplex(degrees, basis, boundary)
 
 
@@ -179,11 +184,25 @@ class HomologyBasis:
     presentation: ZModulePresentation
 
 
-def homology_basis(C: GradedComplex, d: int) -> HomologyBasis:
+def homology_basis(C: GradedComplex, d: int, out: Optional[_Elimination] = None,
+                   in_factors: Optional[Sequence[int]] = None) -> HomologyBasis:
+    """H_d(C) on a cycle basis (see `homology_with_cycles`, which is handed
+    `out` and `in_factors` when the caller has eliminated d_d and d_{d+1})."""
     lo, hi = C.degrees
     if not (lo < d < hi):
         raise DegreeOutOfRange(f"degree {d} not interior to {C.degrees}")
-    return HomologyBasis(d, *homology_with_cycles(C.boundary_at(d), C.boundary_at(d + 1)))
+    return HomologyBasis(d, *homology_with_cycles(C.boundary_at(d), C.boundary_at(d + 1),
+                                                  out, in_factors))
+
+
+def _homology_bases(C: GradedComplex, lo: int, hi: int) -> dict[int, HomologyBasis]:
+    """`homology_basis` of C in degrees lo..hi with each boundary eliminated
+    once: the elimination of d_d gives the cycles of degree d, and its
+    invariant factors the torsion of H_{d-1}."""
+    elims = {d: _Elimination(C.boundary_at(d)) for d in range(lo, hi + 1)}
+    factors = {d: e.invariant_factors() for d, e in elims.items()}
+    factors[hi + 1] = invariant_factors(C.boundary_at(hi + 1))
+    return {d: homology_basis(C, d, elims[d], factors[d + 1]) for d in range(lo, hi + 1)}
 
 
 def homology_table(C: GradedComplex, degrees: Iterable[int]) -> dict[int, ZModulePresentation]:
@@ -224,7 +243,9 @@ def induced_matrix(phi: IntMatrix, src: HomologyBasis, tgt: HomologyBasis) -> In
 def exact_at(incoming: IntMatrix, node: HomologyBasis,
              outgoing: IntMatrix, next_node: HomologyBasis) -> bool:
     """im(incoming) = ker(outgoing) inside the group presented by `node`,
-    both inclusions checked over Z by integer solvability."""
+    both inclusions checked over Z by integer solvability.  Each call
+    eliminates its own matrices; `verify_exactness` makes the same checks
+    with eliminations shared between neighbouring nodes."""
     rel_next = next_node.relations
     # image of the composite must die in the next group
     if solve_matrix(rel_next, outgoing @ incoming) is None:
@@ -233,11 +254,21 @@ def exact_at(incoming: IntMatrix, node: HomologyBasis,
 
 
 def _preimage_in_span(f: IntMatrix, R: IntMatrix, S: IntMatrix) -> bool:
-    """Every integer x with f x in colspan(R) lies in colspan(S): the x part
-    of a kernel basis of [f | R] is solved against S."""
-    kb = kernel_basis(f.hstack(R))
-    proj = kb.submatrix(range(f.cols), range(kb.cols))
-    return solve_matrix(S, proj) is not None
+    """Every integer x with f x in colspan(R) lies in colspan(S)."""
+    return _kernel_part_in_span(_Elimination(f.hstack(R)), f.cols, lambda: _Elimination(S))
+
+
+def _kernel_part_in_span(fR: _Elimination, n: int,
+                         S: Callable[[], _Elimination]) -> bool:
+    """The first n coordinates of each kernel basis vector of the matrix
+    that `fR` eliminated, [f | R] with f of n columns, are solved against
+    the matrix that S() eliminates; S is called only if one is nonzero."""
+    parts = [p for p in ({i: x for i, x in col.items() if i < n}
+                         for col in fR.kernel()[0].columns) if p]
+    if not parts:
+        return True
+    elim = S()
+    return all(elim.solve(p) is not None for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +303,10 @@ def cone_les(psi: ChainMap,
              label_base: str = "C") -> LongExactSequence:
     """The helix ... -> H_d(Cone) -> H_d(C) -> H_{d-2}(C) -> H_{d-1}(Cone) -> ...
     At the chain level the first map sends (CHECK, g) to g and kills the
-    hats, the second is induced by psi, the third sends g to (HAT, g)."""
+    hats, the second is induced by psi, the third sends g to (HAT, g).
+    Each boundary of the cone and of C is eliminated once: the one
+    elimination of d_d gives the cycles and coordinates of H_d and, by its
+    invariant factors, the torsion of H_{d-1} (see `homology_with_cycles`)."""
     cone = mapping_cone(psi)
     C = psi.source
     lo, hi = C.degrees
@@ -285,8 +319,8 @@ def cone_les(psi: ChainMap,
         raise DegreeOutOfRange(
             f"need degrees within [{lo + 3}, {hi - 1}], got {degrees}")
 
-    h_cone = {d: homology_basis(cone, d) for d in range(dlo, dhi + 1)}
-    h_base = {d: homology_basis(C, d) for d in range(dlo - 2, dhi + 1)}
+    h_cone = _homology_bases(cone, dlo, dhi)
+    h_base = _homology_bases(C, dlo - 2, dhi)
 
     def proj_matrix(d: int) -> IntMatrix:
         # Cone_d -> C_d : kill hats, project checks
@@ -325,9 +359,21 @@ class ExactnessReport:
 
 def verify_exactness(les: LongExactSequence) -> ExactnessReport:
     """Check im(incoming) = ker(outgoing) at every node that has both an
-    incoming and an outgoing map."""
-    results = tuple((les.nodes[i].label,
-                     exact_at(les.maps[i - 1], les.nodes[i].data,
-                              les.maps[i], les.nodes[i + 1].data))
-                    for i in range(1, len(les.nodes) - 1))
+    incoming and an outgoing map, with the checks of `exact_at`.  The
+    matrix M_j = [maps[j] | relations of node j+1] is eliminated once and
+    shared by two nodes: node j reads its kernel, node j+1 solves against
+    it."""
+    nodes, maps = les.nodes, les.maps
+    joined: dict[int, _Elimination] = {}
+
+    def M(j: int) -> _Elimination:
+        if j not in joined:
+            joined[j] = _Elimination(maps[j].hstack(nodes[j + 1].data.relations))
+        return joined[j]
+
+    results = tuple(
+        (nodes[i].label,
+         solve_matrix(nodes[i + 1].data.relations, maps[i] @ maps[i - 1]) is not None
+         and _kernel_part_in_span(M(i), maps[i].cols, lambda: M(i - 1)))
+        for i in range(1, len(nodes) - 1))
     return ExactnessReport(all(good for _, good in results), results)

@@ -460,13 +460,18 @@ class _SectorData:
 
 
 def _field_total_betti(model: BaseModel, p: int) -> int:
-    """Total F_p Betti number of the base: sum over e of
-    n_e - rank_p d_e - rank_p d_{e+1}."""
+    """Total F_p Betti number of the base: sum of
+    n_e - rank_p d_e - rank_p d_{e+1} over degrees that meet each critical
+    point once, -dim/2..dim/2 when aspherical and one period of
+    2*lambda*nu consecutive degrees otherwise (the boundary keeps the
+    sphere class, so each period holds one copy of the Morse complex)."""
     if not model.morse_boundary:
         return len(model.crit)
     h = model.half_dim
-    r = {e: rank_mod_p(model.boundary_at(e), p) for e in range(-h, h + 2)}
-    return sum(len(model.generators_in_degree(e)) - r[e] - r[e + 1] for e in range(-h, h + 1))
+    span = 2 * h + 1 if model.aspherical else abs(2 * model.lambda_nu)
+    r = {e: rank_mod_p(model.boundary_at(e), p) for e in range(-h, -h + span + 1)}
+    return sum(len(model.generators_in_degree(e)) - r[e] - r[e + 1]
+               for e in range(-h, -h + span))
 
 
 def _field_quotient_dim(sect: _SectorData, e: int, b: int, p: int) -> int:

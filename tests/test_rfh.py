@@ -539,6 +539,19 @@ def test_field_total_betti_sees_torsion():
     assert _field_total_betti(model, 3) == 2
 
 
+def test_field_total_betti_counts_each_critical_point_once():
+    """With 2*lambda*nu = dim the degrees -dim/2..dim/2 meet the points of
+    index 0 and 4 twice (sphere classes 0 and +-1); one period of
+    2*lambda*nu degrees meets each point once.  The zero Morse matrix
+    sends the count through the rank path."""
+    model = load_model({"dim": 4, "nu": 1, "lambda": "2", "cM": 2, "cap": "zero",
+                        "crit": [{"label": "a", "index": 0}, {"label": "x", "index": 1},
+                                 {"label": "c", "index": 4}],
+                        "morseBoundary": {"1": [[0]]}})
+    for p in (2, 3, 5):
+        assert _field_total_betti(model, p) == 3
+
+
 def test_full_rfh_computes_field_betti_once(monkeypatch):
     """The total F_p Betti number depends only on the model and p, so
     full_rfh computes it at most once, and not at all when no cell needs
