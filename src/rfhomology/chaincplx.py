@@ -1,20 +1,29 @@
 """Graded chain complexes of free Z-modules, chain maps, mapping cones and
 the long exact sequence of a cone, with exactness verified over Z.
 
-Degrees live in a finite contiguous window.  Homology and exactness are only
-asserted on degrees with margin inside that window: the window edges see
-artificially truncated kernels, so callers must build two degrees wider than
-what they want to read off.
+A finite complex has a window (lo, hi) of degrees and homology at interior
+degrees; the cone's sequence at d reads the base in d-3..d+1, so `cone_les`
+reaches lo+3..hi-1.  A complex given by its boundary in each degree has no
+window: `LazyHomology` and `_cone_les` read it one degree at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import DegreeOutOfRange, NotAChainMap, NotAComplex
 from .exactlin import (IntMatrix, ZModulePresentation, _Elimination,
                        homology_with_cycles, invariant_factors, solve_matrix)
+
+
+def _degree_range(degrees: tuple[int, int]) -> tuple[int, int]:
+    """(lo, hi), or DegreeOutOfRange naming the range when it is empty."""
+    lo, hi = degrees
+    if lo > hi:
+        raise DegreeOutOfRange(f"empty degree range ({lo}, {hi})")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -29,9 +38,7 @@ class GradedComplex:
     boundary: dict[int, IntMatrix]
 
     def __post_init__(self):
-        lo, hi = self.degrees
-        if lo > hi:
-            raise DegreeOutOfRange(f"empty degree range {self.degrees}")
+        lo, hi = _degree_range(self.degrees)
         for d in range(lo, hi + 1):
             gens = self.basis.setdefault(d, ())
             if len(set(gens)) != len(gens):
@@ -137,32 +144,36 @@ HAT = "hat"
 CHECK = "check"
 
 
-def mapping_cone(psi: ChainMap) -> GradedComplex:
-    """Cone of a degree -2 self chain map: degree-d generators are the hat
-    copies (HAT, g) of C_{d-1} followed by the check copies (CHECK, g) of
-    C_d, with boundary blocks [[-d, psi], [0, d]], written column by
-    column."""
+def _check_cone_map(psi: ChainMap) -> None:
     if psi.source is not psi.target and psi.source != psi.target:
         raise NotAChainMap("cone needs an endomorphism")
     if psi.shift != -2:
         raise NotAChainMap(f"cone needs a degree -2 map, got {psi.shift}")
     psi.check()
+
+
+def _cone_boundary(d_below: IntMatrix, psi_d: IntMatrix, d_d: IntMatrix) -> IntMatrix:
+    """Cone_d -> Cone_{d-1} from the base's d_{d-1}, psi_d and d_d: blocks
+    [[-d_{d-1}, psi_d], [0, d_d]] on the hats (C_{d-1}) and checks (C_d)."""
+    off = d_below.rows                  # the hat rows come first
+    hats = tuple({i: -x for i, x in col.items()} for col in d_below.columns)
+    checks = tuple({**top, **{off + i: x for i, x in bottom.items()}}
+                   for top, bottom in zip(psi_d.columns, d_d.columns))
+    return IntMatrix(off + d_d.rows, d_below.cols + d_d.cols, hats + checks)
+
+
+def mapping_cone(psi: ChainMap) -> GradedComplex:
+    """Cone of a degree -2 self chain map: in degree d the hat copies
+    (HAT, g) of C_{d-1}, then the check copies (CHECK, g) of C_d."""
+    _check_cone_map(psi)
     C = psi.source
     lo, hi = C.degrees
-    degrees = (lo, hi + 1)
     basis = {d: tuple((HAT, g) for g in C.basis.get(d - 1, ()))
              + tuple((CHECK, g) for g in C.basis.get(d, ()))
              for d in range(lo, hi + 2)}
-    boundary: dict[int, IntMatrix] = {}
-    for d in range(lo + 1, hi + 2):
-        off = C.rank(d - 2)             # the hat rows come first
-        hats = tuple({i: -x for i, x in col.items()}
-                     for col in C.boundary_at(d - 1).columns)
-        checks = tuple({**top, **{off + i: x for i, x in bottom.items()}}
-                       for top, bottom in zip(psi.at(d).columns, C.boundary_at(d).columns))
-        boundary[d] = IntMatrix(off + C.rank(d - 1), C.rank(d - 1) + C.rank(d),
-                                hats + checks)
-    return GradedComplex(degrees, basis, boundary)
+    boundary = {d: _cone_boundary(C.boundary_at(d - 1), psi.at(d), C.boundary_at(d))
+                for d in range(lo + 1, hi + 2)}
+    return GradedComplex((lo, hi + 1), basis, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -184,25 +195,40 @@ class HomologyBasis:
     presentation: ZModulePresentation
 
 
-def homology_basis(C: GradedComplex, d: int, out: Optional[_Elimination] = None,
-                   in_factors: Optional[Sequence[int]] = None) -> HomologyBasis:
-    """H_d(C) on a cycle basis (see `homology_with_cycles`, which is handed
-    `out` and `in_factors` when the caller has eliminated d_d and d_{d+1})."""
+def homology_basis(C: GradedComplex, d: int) -> HomologyBasis:
+    """H_d(C) on a cycle basis (see `homology_with_cycles`)."""
     lo, hi = C.degrees
     if not (lo < d < hi):
         raise DegreeOutOfRange(f"degree {d} not interior to {C.degrees}")
-    return HomologyBasis(d, *homology_with_cycles(C.boundary_at(d), C.boundary_at(d + 1),
-                                                  out, in_factors))
+    return HomologyBasis(d, *homology_with_cycles(C.boundary_at(d), C.boundary_at(d + 1)))
 
 
-def _homology_bases(C: GradedComplex, lo: int, hi: int) -> dict[int, HomologyBasis]:
-    """`homology_basis` of C in degrees lo..hi with each boundary eliminated
-    once: the elimination of d_d gives the cycles of degree d, and its
-    invariant factors the torsion of H_{d-1}."""
-    elims = {d: _Elimination(C.boundary_at(d)) for d in range(lo, hi + 1)}
-    factors = {d: e.invariant_factors() for d, e in elims.items()}
-    factors[hi + 1] = invariant_factors(C.boundary_at(hi + 1))
-    return {d: homology_basis(C, d, elims[d], factors[d + 1]) for d in range(lo, hi + 1)}
+class LazyHomology:
+    """H_d on a cycle basis of the complex with boundary(d) : C_d -> C_{d-1},
+    built on first use.  Each boundary is built and eliminated (with V) at
+    most once, giving H_d's cycles and H_{d-1}'s torsion (a zero one is
+    eliminated only for its kernel; see `homology_with_cycles`)."""
+
+    def __init__(self, boundary: Callable[[int], IntMatrix]):
+        self.boundary = cache(boundary)
+        self._eliminations: dict[int, _Elimination] = {}
+        self._bases: dict[int, HomologyBasis] = {}
+
+    def _elimination(self, d: int) -> _Elimination:
+        if d not in self._eliminations:
+            self._eliminations[d] = _Elimination(self.boundary(d))
+        return self._eliminations[d]
+
+    def basis(self, d: int) -> HomologyBasis:
+        if d not in self._bases:
+            d_in = self.boundary(d + 1)
+            factors = self._elimination(d + 1).invariant_factors() if any(d_in.columns) else ()
+            self._bases[d] = HomologyBasis(d, *homology_with_cycles(
+                self.boundary(d), d_in, self._elimination(d), factors))
+        return self._bases[d]
+
+    def group(self, d: int) -> ZModulePresentation:
+        return self.basis(d).presentation
 
 
 def homology_table(C: GradedComplex, degrees: Iterable[int]) -> dict[int, ZModulePresentation]:
@@ -293,55 +319,49 @@ class LongExactSequence:
     nodes: tuple[LESNode, ...]
     maps: tuple[IntMatrix, ...]
 
-    def labels(self) -> list[str]:
-        return [n.label for n in self.nodes]
-
 
 def cone_les(psi: ChainMap,
              degrees: Optional[tuple[int, int]] = None,
              label_cone: str = "Cone",
              label_base: str = "C") -> LongExactSequence:
     """The helix ... -> H_d(Cone) -> H_d(C) -> H_{d-2}(C) -> H_{d-1}(Cone) -> ...
-    At the chain level the first map sends (CHECK, g) to g and kills the
-    hats, the second is induced by psi, the third sends g to (HAT, g).
-    Each boundary of the cone and of C is eliminated once: the one
-    elimination of d_d gives the cycles and coordinates of H_d and, by its
-    invariant factors, the torsion of H_{d-1} (see `homology_with_cycles`)."""
-    cone = mapping_cone(psi)
-    C = psi.source
-    lo, hi = C.degrees
-    if degrees is None:
-        degrees = (lo + 3, hi - 1)
-    dlo, dhi = degrees
-    if dlo > dhi:
-        raise DegreeOutOfRange("empty degree range")
+    of a degree -2 self chain map psi, checked here, on `degrees` (by default
+    all that its window (lo, hi) reaches, lo+3..hi-1), built by `_cone_les`."""
+    _check_cone_map(psi)
+    lo, hi = psi.source.degrees
+    dlo, dhi = _degree_range((lo + 3, hi - 1) if degrees is None else degrees)
     if dlo < lo + 3 or dhi > hi - 1:
         raise DegreeOutOfRange(
             f"need degrees within [{lo + 3}, {hi - 1}], got {degrees}")
+    return _cone_les(psi.source.boundary_at, psi.at, (dlo, dhi), label_cone, label_base)
 
-    h_cone = _homology_bases(cone, dlo, dhi)
-    h_base = _homology_bases(C, dlo - 2, dhi)
 
-    def proj_matrix(d: int) -> IntMatrix:
-        # Cone_d -> C_d : kill hats, project checks
-        return matrix_from_terms(cone.basis[d], C.basis[d],
-                                 lambda g: [(g[1], 1)] if g[0] == CHECK else [])
-
-    def incl_matrix(d: int) -> IntMatrix:
-        # C_{d-2} -> Cone_{d-1} : include into the hat block
-        return matrix_from_terms(C.basis[d - 2], cone.basis[d - 1],
-                                 lambda g: [((HAT, g), 1)])
-
+def _cone_les(boundary: Callable[[int], IntMatrix], psi: Callable[[int], IntMatrix],
+              degrees: tuple[int, int], label_cone: str, label_base: str
+              ) -> LongExactSequence:
+    """The cone sequence on degrees dlo..dhi of the complex with boundary(d)
+    : C_d -> C_{d-1} and chain map psi(d) : C_d -> C_{d-2}, read one degree
+    at a time; the maps project onto the checks, apply psi, include as hats."""
+    cap = cache(psi)
+    base = LazyHomology(boundary)
+    cone = LazyHomology(lambda d: _cone_boundary(base.boundary(d - 1), cap(d),
+                                                 base.boundary(d)))
+    dlo, dhi = degrees
     nodes: list[LESNode] = []
     maps: list[IntMatrix] = []
     for d in range(dhi, dlo - 1, -1):
-        nodes.append(LESNode(f"{label_cone}_{d}", h_cone[d]))
-        maps.append(induced_matrix(proj_matrix(d), h_cone[d], h_base[d]))
-        nodes.append(LESNode(f"{label_base}_{d}", h_base[d]))
-        maps.append(induced_matrix(psi.at(d), h_base[d], h_base[d - 2]))
-        nodes.append(LESNode(f"{label_base}_{d-2}", h_base[d - 2]))
+        h_cone, h_d, h_below = cone.basis(d), base.basis(d), base.basis(d - 2)
+        # the ranks of C_d, C_{d-1} and C_{d-2}
+        n, n1, n2 = base.boundary(d).cols, base.boundary(d).rows, base.boundary(d - 1).rows
+        nodes.append(LESNode(f"{label_cone}_{d}", h_cone))
+        proj = IntMatrix.zero(n, n1).hstack(IntMatrix.identity(n))
+        maps.append(induced_matrix(proj, h_cone, h_d))
+        nodes.append(LESNode(f"{label_base}_{d}", h_d))
+        maps.append(induced_matrix(cap(d), h_d, h_below))
+        nodes.append(LESNode(f"{label_base}_{d-2}", h_below))
         if d > dlo:
-            maps.append(induced_matrix(incl_matrix(d), h_base[d - 2], h_cone[d - 1]))
+            incl = IntMatrix.identity(n2).vstack(IntMatrix.zero(n1, n2))
+            maps.append(induced_matrix(incl, h_below, cone.basis(d - 1)))
     return LongExactSequence(tuple(nodes), tuple(maps))
 
 

@@ -97,7 +97,7 @@ _BASE = ("--model", "--m", "--tau", "--degrees", "--format")
 COMMAND_FLAGS = {
     "rfh-w0": _BASE,
     "rfh-full": _BASE + ("--coeff",),
-    "gysin": _BASE,
+    "gysin": ("--model", "--m", "--degrees", "--format"),
     "transfer": _BASE,
     "orderability": ("--model", "--m", "--tau", "--format"),
     "cp2-demo": ("--m", "--tau", "--window", "--format"),
@@ -200,7 +200,7 @@ def cmd_rfh_full(args: argparse.Namespace) -> int:
 
 def cmd_gysin(args: argparse.Namespace) -> int:
     model = args.model
-    les = gysin(model, args.m, args.degrees, args.tau)
+    les = gysin(model, args.m, args.degrees)
     report = verify_exactness(les)
     payload = {
         "command": "gysin", "model": model.name, "m": args.m,

@@ -32,7 +32,7 @@ class NotAChainMap(EngineError):
 
 
 class DegreeOutOfRange(EngineError):
-    """Requested degree lies outside the safely-truncated interior range."""
+    """An empty degree range, or a degree that a complex's window does not determine."""
 
 
 # -- base models / Floer complexes ---------------------------------------------

@@ -29,11 +29,11 @@ right block could not afford.  Its callers:
   boundary, and no relation matrix is eliminated again.
 * `solve_matrix` substitutes forward in pivot order, solves the remainder
   by its Smith form and maps back by V; it is the one integer solve.
-* `chaincplx` keeps eliminations to share them within one call:
-  `cone_les` eliminates each boundary once, for the cycles of its degree
-  and the torsion of the degree below, and `verify_exactness` eliminates
-  each [map | relations of its target] once, for the kernel read at the
-  map's source and the solve made at its target.
+* `chaincplx` keeps eliminations to share them: `LazyHomology`, behind
+  `cone_les` and the sectors of `rfh`, eliminates each boundary once, for
+  the cycles of its degree and the torsion of the degree below, and
+  `verify_exactness` eliminates each [map | relations of its target] once,
+  for the kernel read at the map's source and the solve made at its target.
 
 `_smith` itself is dense, reduces rows and columns with
 minimal-absolute-value pivoting and carries U, V and V^-1.  Apart from the

@@ -27,15 +27,15 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, Optional, Sequence
 
-from .basemodel import BaseModel, build_fc, cap_map, cap_matrix, primitivity_report
-from .chaincplx import (ChainMap, GradedComplex, HomologyBasis,
-                        LongExactSequence, _preimage_in_span, cone_les,
-                        homology_table, induced_matrix, matrix_from_terms)
+from .basemodel import BaseModel, cap_matrix, primitivity_report
+from .chaincplx import (ChainMap, GradedComplex, LazyHomology,
+                        LongExactSequence, _cone_les, _degree_range,
+                        _preimage_in_span, homology_table, induced_matrix,
+                        matrix_from_terms)
 from .errors import (ConsecutiveIndexModel, EmptyWindow,
                      TruncationTooNarrow, UnstabilizedTruncation)
-from .exactlin import (IntMatrix, ZModulePresentation, homology_with_cycles,
-                       is_surjective_over_z, presentation_from_relations,
-                       rank_mod_p)
+from .exactlin import (IntMatrix, ZModulePresentation, is_surjective_over_z,
+                       presentation_from_relations, rank_mod_p)
 from .novikov import CompletionRegime, regime_for
 
 
@@ -242,20 +242,17 @@ def rfc_w0(model: BaseModel, m: int, tau: Fraction,
 
 def rfh_w0_table(model: BaseModel, m: int, tau: Fraction,
                  degrees: tuple[int, int]) -> dict[int, ZModulePresentation]:
-    lo, hi = degrees
-    C = rfc_w0(model, m, tau, (lo - 3, hi + 3))
-    return homology_table(C, range(lo, hi + 1))
+    """H_d(rfc_w0) on lo..hi; each degree of rfc_w0 is complete, so lo-1..hi+1 suffice."""
+    lo, hi = _degree_range(degrees)
+    return homology_table(rfc_w0(model, m, tau, (lo - 1, hi + 1)), range(lo, hi + 1))
 
 
-def gysin(model: BaseModel, m: int, degrees: tuple[int, int],
-          tau: Fraction = Fraction(1)) -> LongExactSequence:
-    """The Floer Gysin long exact sequence
-    ... -> RFH^w0_d -> FH_d -> FH_{d-2} -> RFH^w0_{d-1} -> ... on the
-    requested degrees, built over a window wide enough for them."""
-    dlo, dhi = degrees
-    fc = build_fc(model, degrees=(dlo - 6, dhi + 3))
-    psi = cap_map(model, m, fc=fc)
-    return cone_les(psi, degrees=(dlo, dhi), label_cone="RFH^w0", label_base="FH")
+def gysin(model: BaseModel, m: int, degrees: tuple[int, int]) -> LongExactSequence:
+    """The Floer Gysin sequence ... -> RFH^w0_d -> FH_d -> FH_{d-2} -> RFH^w0_{d-1}
+    -> ... on `degrees`, read off the model's boundary and cap one degree at
+    a time (`BaseModel.cap_terms` checked the cap as a chain map)."""
+    return _cone_les(model.boundary_at, lambda d: model.cap_at(d, m),
+                     _degree_range(degrees), "RFH^w0", "FH")
 
 
 # ---------------------------------------------------------------------------
@@ -425,32 +422,17 @@ class FullRFHResult:
         }
 
 
-class _SectorData:
-    """Homology of the base in each degree with the induced cap map, each
-    built on first use from the model's boundary and cap at that degree."""
+class _SectorData(LazyHomology):
+    """The `LazyHomology` of the base, with the induced cap map in each
+    degree built on first use from the cap at that degree."""
 
     def __init__(self, model: BaseModel, m: int):
+        super().__init__(model.boundary_at)
         self.model, self.m = model, m
-        self._boundaries: dict[int, IntMatrix] = {}
-        self._bases: dict[int, HomologyBasis] = {}
         self._psi_induced: dict[int, IntMatrix] = {}
-
-    def boundary(self, e: int) -> IntMatrix:
-        if e not in self._boundaries:
-            self._boundaries[e] = self.model.boundary_at(e)
-        return self._boundaries[e]
 
     def cap(self, e: int) -> IntMatrix:
         return self.model.cap_at(e, self.m)
-
-    def basis(self, e: int) -> HomologyBasis:
-        if e not in self._bases:
-            self._bases[e] = HomologyBasis(
-                e, *homology_with_cycles(self.boundary(e), self.boundary(e + 1)))
-        return self._bases[e]
-
-    def group(self, e: int) -> ZModulePresentation:
-        return self.basis(e).presentation
 
     def psi_induced(self, e: int) -> IntMatrix:
         if e not in self._psi_induced:
@@ -561,9 +543,9 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
     field = parse_coeff(coeff)
     regime = (CompletionRegime.FINITE if model.aspherical
               else regime_for(tau, model.lam, m))
+    dlo, dhi = _degree_range(degrees)
     nilpotent, iso_over_z = _cap_shortcuts(model, m, field)
 
-    dlo, dhi = degrees
     period = model.c_min if not model.aspherical else 0
     sect = _SectorData(model, m)
 
@@ -607,8 +589,6 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
             return GroupValue.of(_truncated_coker(sect, star, ks_full))
         # monotone
         groups = {k: sect.group(star + 2 * k) for k in range(period)}
-        if all(g.is_zero() for g in groups.values()):
-            return GroupValue.zero()
         if any(g.is_zero() for g in groups.values()):
             # a zero sector in the period chops every relation chain
             return GroupValue.zero()
@@ -664,7 +644,7 @@ def delta_injectivity(model: BaseModel, m: int, tau: Fraction,
     tau = Fraction(tau)
     regime = (CompletionRegime.FINITE if model.aspherical
               else regime_for(tau, model.lam, m))
-    dlo, dhi = degrees
+    dlo, dhi = _degree_range(degrees)
     results: dict[int, bool] = {}
     sect = _SectorData(model, m)
     in_sectors = range(-k_range, k_range + 1)

@@ -168,6 +168,7 @@ def test_usage_errors(capsys):
     ["cp2-demo", "--model", "cp:2"],
     ["cp2-demo", "--truncation", "1"],
     ["orderability", "--degrees", "-2..2"],
+    ["gysin", "--tau", "2"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     """Malformed or unread arguments exit 2 with one `error:` line and no
@@ -388,6 +389,10 @@ def test_morse_boundary_not_squaring_to_zero_is_a_usage_error(tmp_path, command)
 def test_morse_boundary_not_squaring_to_zero_is_rejected_in_every_regime(tmp_path, command, tau):
     """Monotone with lambda*nu = 2 at m = 1: lower, finite and upper regime.
     With a zero cap no homology needs the boundaries in every regime, so
-    only the check on the model catches the bad differential."""
+    only the check on the model catches the bad differential.  `--tau` goes
+    only to the commands that read it; `gysin` runs without it."""
     path = write_bad_boundary_model(tmp_path, {"nu": 1, "lambda": "2", "cM": 2})
-    assert_bad_boundary_rejected([command, "--model", f"file:{path}", "--tau", tau], path)
+    argv = [command, "--model", f"file:{path}"]
+    if "--tau" in COMMAND_FLAGS[command]:
+        argv += ["--tau", tau]
+    assert_bad_boundary_rejected(argv, path)

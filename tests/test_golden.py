@@ -2,8 +2,10 @@
 
 The files under tests/golden/ hold the markdown and `--format json` stdout
 of every README example except `selftest` (whose JSON carries timings), and
-of one `rfh-full` run that takes the `relations` fallback.  They pin the
-rendering and the argument parsing: a change to either shows up here.
+of one `rfh-full` run that takes the `relations` fallback, and of one
+`gysin` run far from degree 0, where no node may depend on a degree
+window.  They pin the rendering and the argument parsing: a change to
+either shows up here.
 """
 
 import os
@@ -22,6 +24,7 @@ CASES = {
     "rfh-full-cp2-fp5": ["rfh-full", "--model", "cp:2", "--m", "2", "--tau", "2/1",
                          "--coeff", "fp:5"],
     "gysin-cp3": ["gysin", "--model", "cp:3", "--m", "4", "--degrees", "-6..6"],
+    "gysin-cp2-far": ["gysin", "--model", "cp:2", "--m", "3", "--degrees", "-40..-34"],
     "transfer-cp2": ["transfer", "--model", "cp:2", "--m", "5"],
     "orderability-cp2": ["orderability", "--model", "cp:2", "--m", "1"],
     "cp2-demo": ["cp2-demo", "--m", "2", "--tau", "1"],

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -15,9 +16,11 @@ from rfhomology import exactlin, rfh
 from rfhomology.basemodel import (BaseModel, build_fc, cap_map,
                                   cap_stabilization, cp_model, load_model,
                                   point_model, surface_model)
-from rfhomology.chaincplx import (homology_basis, homology_table, induced_matrix,
-                                  mapping_cone, verify_boundary, verify_exactness)
-from rfhomology.errors import (ConsecutiveIndexModel, TruncationTooNarrow)
+from rfhomology.chaincplx import (cone_les, homology_basis, homology_table,
+                                  induced_matrix, mapping_cone, verify_boundary,
+                                  verify_exactness)
+from rfhomology.errors import (ConsecutiveIndexModel, DegreeOutOfRange,
+                               TruncationTooNarrow)
 from rfhomology.exactlin import IntMatrix, ZModulePresentation, rank
 from rfhomology.novikov import CompletionRegime
 from rfhomology.rfh import (RFHGenerator, _cap_shortcuts, _field_quotient_dim,
@@ -335,6 +338,21 @@ def test_gysin_dense_remainder_does_not_grow_with_the_surface(monkeypatch):
     assert stats[8] == stats[16] == stats[32], stats
     assert stats[8][1] <= (1, 1), stats
 
+
+@pytest.mark.parametrize("degrees", [(3, 1), (9, 1)])
+@pytest.mark.parametrize("call", [
+    lambda r: rfh_w0_table(CP2, 1, Fraction(1), r),
+    lambda r: full_rfh(CP2, 1, Fraction(1), r),
+    lambda r: delta_injectivity(CP2, 1, Fraction(1), 2, r),
+    lambda r: gysin(CP2, 1, r),
+], ids=["rfh_w0_table", "full_rfh", "delta_injectivity", "gysin"])
+def test_empty_degree_range_is_one_error(call, degrees):
+    """Every degree-range function rejects lo > hi with the same error,
+    naming the range it was given."""
+    with pytest.raises(DegreeOutOfRange, match=re.escape(f"empty degree range {degrees}")):
+        call(degrees)
+
+
 # -- full boundary and primitives -------------------------------------------------
 
 def test_boundary_full_rules_cp2():
@@ -647,9 +665,12 @@ def test_delta_injectivity_with_torsion_sectors():
 def test_sectors_match_the_windowed_complex():
     """Each sector, built from the boundaries and the cap at its own degree,
     has the homology and the induced cap that `build_fc` and `cap_map`
-    give on a window around that degree."""
+    give on a window around that degree.  Likewise `gysin`, which reads the
+    model one degree at a time, equals the cone sequence of `cap_map` on a
+    window around its degrees, node for node and map for map, and a wider
+    `rfc_w0` changes no group of `rfh_w0_table`."""
     rng = random.Random(12)
-    models = [cp_model(n) for n in (1, 2, 3)] + [surface_model(g) for g in (1, 2)]
+    models = [cp_model(n) for n in (1, 2, 3, 4)] + [surface_model(g) for g in (1, 2, 4)]
     models += [point_model(), load_model(TORSION_MODEL), load_model(MONOTONE_TORSION_MODEL)]
     models += [nonperfect_surface(g, rng) for g in (1, 2, 3)]
     for model in models:
@@ -662,6 +683,13 @@ def test_sectors_match_the_windowed_complex():
                 want = induced_matrix(cap_map(model, m, fc).at(e), homology_basis(fc, e),
                                       homology_basis(fc, e - 2))
                 assert sect.psi_induced(e) == want, (model.name, m, e)
+            for lo, hi in ((-5, 5), (-40, -30), (17, 25), (0, 0)):
+                fc = build_fc(model, (lo - 6, hi + 3))
+                want = cone_les(cap_map(model, m, fc), (lo, hi), "RFH^w0", "FH")
+                assert gysin(model, m, (lo, hi)) == want, (model.name, m, lo, hi)
+                wide = rfc_w0(model, m, Fraction(1), (lo - 5, hi + 5))
+                assert rfh_w0_table(model, m, Fraction(1), (lo, hi)) == \
+                    homology_table(wide, range(lo, hi + 1)), (model.name, m, lo, hi)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
