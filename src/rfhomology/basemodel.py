@@ -30,8 +30,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Union
 
-from .chaincplx import ChainMap, GradedComplex, matrix_from_terms
-from .errors import EmptyWindow, NotAChainMap, UnsupportedModel
+from .chaincplx import ChainMap, GradedComplex, _degree_range, matrix_from_terms
+from .errors import NotAChainMap, UnsupportedModel
 from .exactlin import IntMatrix, rank
 
 CapSpec = Union[str, dict]   # "cpn" | "surface" | "zero" | {"degree_matrices": {d: rows}}
@@ -319,10 +319,9 @@ def load_model(source) -> BaseModel:
 def build_fc(model: BaseModel, degrees: tuple[int, int]) -> GradedComplex:
     """Floer chain complex of the model on a degree range: basis = pairs
     (critical point, sphere class k) in each degree, boundary =
-    `BaseModel.boundary_at` (zero for the built-in perfect models)."""
-    lo, hi = degrees
-    if lo > hi:
-        raise EmptyWindow(f"degree range {degrees} is empty")
+    `BaseModel.boundary_at` (zero for the built-in perfect models).  An
+    empty range raises DegreeOutOfRange."""
+    lo, hi = _degree_range(degrees)
     basis = {d: tuple(model.generators_in_degree(d)) for d in range(lo, hi + 1)}
     return GradedComplex(degrees, basis,
                          {d: model.boundary_at(d) for d in range(lo + 1, hi + 1)})

@@ -22,10 +22,10 @@ infinite complex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .basemodel import BaseModel, cap_matrix, primitivity_report
 from .chaincplx import (ChainMap, GradedComplex, LazyHomology,
@@ -43,8 +43,15 @@ from .novikov import CompletionRegime, regime_for
 # Generators and their exact invariants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class RFHGenerator:
+class RFHGenerator(NamedTuple):
+    """A generator of the full complex: the critical point (`label`,
+    `morse_index`), the covering number `cov` = l of the fiber orbit, the
+    sphere class `k`, and `hat` for the max of the fiberwise Morse function
+    (the min, "check", otherwise).
+
+    A named tuple: immutable, hashable, and ordered field by field in that
+    order.  It equals the plain 5-tuple of its fields."""
+
     label: str
     morse_index: int
     cov: int          # covering number l of the fiber orbit
@@ -177,20 +184,20 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
     if model.aspherical:
         strips.append((1, 0, 0, 0))
 
+    # index = slope*k - 2l + c, c = morse index - dim/2 + hat
+    slope = -2 * (model.lambda_nu - m * nu)
     keyed = []
     for pos, (label, idx) in enumerate(model.crit):
         for hat in (False, True):
-            fam = strips
-            if degrees is not None:
-                # index = -2l - 2(lambda*nu - m*nu)k + c
-                c = idx - model.half_dim + hat
-                fam = strips + [(-2 * (model.lambda_nu - m * nu), -2,
-                                 degrees[0] - c, degrees[1] - c)]
-            for k, l in _lattice_points(fam):
-                g = RFHGenerator(label, idx, l, k, hat)
-                keyed.append(((rfh_index(g, model, m), k, l, hat, pos), g))
-    keyed.sort(key=lambda kg: kg[0])
-    return [g for _, g in keyed]
+            c = idx - model.half_dim + hat
+            fam = strips if degrees is None else strips + [
+                (slope, -2, degrees[0] - c, degrees[1] - c)]
+            keyed += [(slope * k - 2 * l + c, k, l, hat, pos,
+                       RFHGenerator(label, idx, l, k, hat))
+                      for k, l in _lattice_points(fam)]
+    # the first five entries are unique, so generators are never compared
+    keyed.sort()
+    return [t[5] for t in keyed]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +231,7 @@ def rfc_w0(model: BaseModel, m: int, tau: Fraction,
                   for label, k in model.generators_in_degree(d)
                   if window is None or _in_window(-(1 + tau) * Fraction(k * nu), window)]
               for d in range(lo - 1, hi + 1)}
-    basis = {d: tuple(replace(g, hat=True) for g in checks[d - 1]) + tuple(checks[d])
+    basis = {d: tuple(g._replace(hat=True) for g in checks[d - 1]) + tuple(checks[d])
              for d in range(lo, hi + 1)}
 
     def terms(g: RFHGenerator):
@@ -269,14 +276,17 @@ def boundary_full(gen: RFHGenerator, model: BaseModel, m: int) -> dict[RFHGenera
     """d = d0 + d1 + d2 on a generator: d0 raises the covering number of a
     check, d1 vanishes (no consecutive Morse indices), and d2 is the cap
     term with its sphere-class and fiber shift.  Hats are cycles."""
-    _require_index_gaps(model)
-    if gen.hat:
+    if not model.index_gaps:
+        _require_index_gaps(model)
+    label, idx, cov, k, hat = gen
+    if hat:
         return {}
     # d0
-    out = {RFHGenerator(gen.label, gen.morse_index, gen.cov + 1, gen.k, True): 1}
+    out = {RFHGenerator(label, idx, cov + 1, k, True): 1}
     # d2
-    for tlab, tidx, s, c in model.cap_terms[gen.label]:
-        t = RFHGenerator(tlab, tidx, gen.cov + m * model.nu * s, gen.k + s, True)
+    shift = m * model.nu
+    for tlab, tidx, s, c in model.cap_terms[label]:
+        t = RFHGenerator(tlab, tidx, cov + shift * s, k + s, True)
         out[t] = out.get(t, 0) + m * c
     return {g: c for g, c in out.items() if c != 0}
 
@@ -673,11 +683,11 @@ def transfer_maps(model: BaseModel, tau: Fraction, degrees: tuple[int, int],
     lo, hi = degrees
     T = ChainMap(C_m, C_1, 0, {d: matrix_from_terms(
         C_m.basis[d], C_1.basis[d],
-        lambda g: [(replace(g, cov=g.cov // m), 1 if g.hat else m)])
+        lambda g: [(g._replace(cov=g.cov // m), 1 if g.hat else m)])
         for d in range(lo, hi + 1)})
     P = ChainMap(C_1, C_m, 0, {d: matrix_from_terms(
         C_1.basis[d], C_m.basis[d],
-        lambda g: [(replace(g, cov=g.cov * m), m if g.hat else 1)])
+        lambda g: [(g._replace(cov=g.cov * m), m if g.hat else 1)])
         for d in range(lo, hi + 1)})
     T.check()
     P.check()

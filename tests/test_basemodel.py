@@ -8,7 +8,7 @@ from rfhomology.basemodel import (BaseModel, build_fc, cap_map, cap_matrix,
                                   cap_stabilization, cp_model, load_model, model_from_spec, point_model,
                                   primitivity_report, surface_model)
 from rfhomology.chaincplx import homology_table
-from rfhomology.errors import EmptyWindow, NotAChainMap, UnsupportedModel
+from rfhomology.errors import DegreeOutOfRange, NotAChainMap, UnsupportedModel
 from rfhomology.exactlin import is_surjective_over_z
 
 
@@ -21,7 +21,7 @@ def test_build_fc_torus_and_point():
 
 
 def test_build_fc_needs_constraints():
-    with pytest.raises(EmptyWindow):
+    with pytest.raises(DegreeOutOfRange, match=r"empty degree range \(2, 1\)"):
         build_fc(cp_model(1), degrees=(2, 1))
 
 

@@ -51,6 +51,33 @@ def test_cp2_index_formula():
             assert eta(g, m) == -Fraction(g.cov, m)
 
 
+def test_generator_value_semantics():
+    """A generator is an immutable value, ordered field by field, equal to
+    (and hashing like) the plain tuple of its fields."""
+    gens = enumerate_generators(surface_model(2), 1, Fraction(1), k_bound=0, l_bound=3)
+    gens += enumerate_generators(CP2, 2, Fraction(1), k_bound=2, l_bound=3)
+    shuffled = gens[:]
+    random.Random(15).shuffle(shuffled)
+    assert sorted(shuffled) == sorted(
+        shuffled, key=lambda g: (g.label, g.morse_index, g.cov, g.k, g.hat))
+    for g in gens[:40]:
+        twin = RFHGenerator(*g)
+        assert twin is not g and twin == g and hash(twin) == hash(g)
+        assert g == (g.label, g.morse_index, g.cov, g.k, g.hat)
+        assert hash(g) == hash((g.label, g.morse_index, g.cov, g.k, g.hat))
+    g = RFHGenerator("q1", 2, -3, 1, True)
+    assert str(g) == "^(q1, l=-3, k=1)" and g.flag() == "hat"
+    assert repr(g) == "RFHGenerator(label='q1', morse_index=2, cov=-3, k=1, hat=True)"
+    v = RFHGenerator("q0", 0, 4, -2, False)
+    assert str(v) == "v(q0, l=4, k=-2)" and v.flag() == "check"
+    for field in ("label", "morse_index", "cov", "k", "hat"):
+        with pytest.raises(AttributeError):
+            setattr(g, field, 0)
+    moved = g._replace(cov=5)
+    assert moved == RFHGenerator("q1", 2, 5, 1, True) and moved is not g
+    assert g.cov == -3
+
+
 def test_enumerate_deterministic_and_complete():
     a = enumerate_generators(CP2, 2, Fraction(1), degrees=(-4, 4), k_bound=4)
     b = enumerate_generators(CP2, 2, Fraction(1), degrees=(-4, 4), k_bound=4)
