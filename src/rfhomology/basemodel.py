@@ -142,10 +142,13 @@ class BaseModel:
     def cap_terms(self) -> dict[str, tuple[tuple[str, int, int, int], ...]]:
         """The unit cap pattern by source: label -> its terms (target label,
         target Morse index, sphere-class shift, coefficient), targets in
-        `crit` order.  A term lowers the degree by 2, so its shift is
-        (idx_tgt - idx_src + 2) / (2*lambda*nu), and 0 when aspherical.
-        A cap that does not commute with the Morse differential is rejected
-        here, so every command that uses the model reports it the same way."""
+        `crit` order.  Each term must lower the degree by 2 (a built-in
+        pattern on indices that do not fit it raises UnsupportedModel), so
+        its shift is (idx_tgt - idx_src + 2) / (2*lambda*nu), and 0 when
+        aspherical, where the cap lowers the Morse index by 2 and is
+        nilpotent.  A cap that does not commute with the Morse differential
+        raises NotAChainMap.  Both are checked here, so every command that
+        uses the model reports them the same way."""
         terms: dict[str, list[tuple[str, int, int, int]]] = {src: [] for src, _ in self.crit}
         if self.cap == "cpn":
             # q_i -> q_{i-1}, and q_0 -> t q_n closes the cycle
@@ -172,6 +175,11 @@ class BaseModel:
                                     for i, (tl, tk) in enumerate(tgt) if M.get(i, col))
         elif self.cap != "zero":
             raise UnsupportedModel(f"unknown cap spec {self.cap!r}")
+        for src, idx in self.crit:
+            for tgt, tidx, s, _ in terms[src]:
+                if self.fh_degree(tidx, s) != self.fh_degree(idx, 0) - 2:
+                    raise UnsupportedModel(f"cap term {src} -> {tgt} (sphere shift {s}) "
+                                           "does not lower the degree by 2")
         # d . cap = cap . d on each critical point, keyed by (target, shift)
         morse = self.morse_terms
         for src, idx in self.crit:

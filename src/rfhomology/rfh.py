@@ -452,15 +452,14 @@ class _SectorData(LazyHomology):
 
 
 def _field_total_betti(model: BaseModel, p: int) -> int:
-    """Total F_p Betti number of the base: sum of
-    n_e - rank_p d_e - rank_p d_{e+1} over degrees that meet each critical
-    point once, -dim/2..dim/2 when aspherical and one period of
-    2*lambda*nu consecutive degrees otherwise (the boundary keeps the
-    sphere class, so each period holds one copy of the Morse complex)."""
+    """Total F_p Betti number of a monotone base: sum of
+    n_e - rank_p d_e - rank_p d_{e+1} over one period of 2*lambda*nu
+    consecutive degrees, which meets each critical point once (the boundary
+    keeps the sphere class, so each period holds one copy of the Morse
+    complex)."""
     if not model.morse_boundary:
         return len(model.crit)
-    h = model.half_dim
-    span = 2 * h + 1 if model.aspherical else abs(2 * model.lambda_nu)
+    h, span = model.half_dim, abs(2 * model.lambda_nu)
     r = {e: rank_mod_p(model.boundary_at(e), p) for e in range(-h, -h + span + 1)}
     return sum(len(model.generators_in_degree(e)) - r[e] - r[e + 1]
                for e in range(-h, -h + span))
@@ -505,14 +504,6 @@ def _sector_blocks(sect: _SectorData, star: int, src: Sequence[int],
     return IntMatrix(R_tgt.rows, len(delta), tuple(delta)), R_tgt, layout(src)[1]
 
 
-def _truncated_coker(sect: _SectorData, star: int,
-                     sectors: Sequence[int]) -> ZModulePresentation:
-    """Smith-normal-form cokernel of id + cap-shift on finitely supported
-    sums; exact whenever the listed sectors cover all nonzero groups."""
-    delta, rel, _ = _sector_blocks(sect, star, sectors, sectors)
-    return presentation_from_relations(delta.rows, delta.hstack(rel))
-
-
 def _cap_shortcuts(model: BaseModel, m: int, field: Optional[int]) -> tuple[bool, bool]:
     """Whether the cap with -m[omega] over the Novikov ring is nilpotent
     (over F_p when `field` is p) and whether it is invertible over Z.  Both
@@ -544,67 +535,49 @@ def parse_coeff(coeff: str) -> Optional[int]:
     raise ValueError(f"coefficients must be z or fp:<prime>, got {coeff!r}")
 
 
+def _regime(model: BaseModel, m: int, tau: Fraction) -> CompletionRegime:
+    """The completion regime of the sum of base homologies: an aspherical
+    base has the single sphere class 0, so its sum is finite."""
+    return (CompletionRegime.FINITE if model.aspherical
+            else regime_for(tau, model.lam, m))
+
+
 def full_rfh(model: BaseModel, m: int, tau: Fraction,
              degrees: tuple[int, int], coeff: str = "z") -> FullRFHResult:
     """Per-degree full Rabinowitz Floer homology through the short exact
     sequence with middle map id + cap-shift on the regime-completed sum of
-    base homologies."""
+    base homologies.  A nilpotent cap makes id + cap-shift unipotent, so
+    every cell is 0.  That decides every aspherical base: its cap lowers
+    the Morse index by 2 (see `BaseModel.cap_terms`), so it is nilpotent."""
     tau = Fraction(tau)
     field = parse_coeff(coeff)
-    regime = (CompletionRegime.FINITE if model.aspherical
-              else regime_for(tau, model.lam, m))
+    regime = _regime(model, m, tau)
     dlo, dhi = _degree_range(degrees)
     nilpotent, iso_over_z = _cap_shortcuts(model, m, field)
-
-    period = model.c_min if not model.aspherical else 0
+    period = model.c_min
     sect = _SectorData(model, m)
-
-    def sector_list(star: int) -> list[int]:
-        if model.aspherical:
-            ks = []
-            for k in range(-(model.dim + 2), model.dim + 3):
-                e = star + 2 * k
-                if -model.half_dim <= e <= model.half_dim and not sect.group(e).is_zero():
-                    ks.append(k)
-            return ks
-        return list(range(period))
 
     @cache
     def field_betti() -> int:
         return _field_total_betti(model, field)
 
-    def field_value(star: int) -> GroupValue:
-        """dim FH_star / ker(psi^b) over F_p, b the total F_p Betti number."""
-        return GroupValue.of(ZModulePresentation(
-            _field_quotient_dim(sect, star, field_betti(), field), ()))
-
     def value_for(d: int) -> GroupValue:
         star = d + 1
-        if not model.aspherical and regime == CompletionRegime.ALL_LOWER:
+        if nilpotent or regime == CompletionRegime.ALL_LOWER:
+            # nilpotent: every class reduces to zero through x ~ -cap(x)
             return GroupValue.zero()
-        if nilpotent:
-            # every class reduces to zero through the relation x ~ -cap(x)
-            if not model.aspherical:
-                return GroupValue.zero()
-        if regime == CompletionRegime.ALL_UPPER:
-            if field is not None or iso_over_z:
-                return GroupValue.zero()
-        if model.aspherical:
-            ks = sector_list(star)
-            if not ks:
-                return GroupValue.zero()
-            if field is not None:
-                return field_value(star)
-            ks_full = list(range(min(ks), max(ks) + 1))
-            return GroupValue.of(_truncated_coker(sect, star, ks_full))
-        # monotone
+        if regime == CompletionRegime.ALL_UPPER and (field is not None or iso_over_z):
+            return GroupValue.zero()
+        # a monotone base with a cap that is not nilpotent
         groups = {k: sect.group(star + 2 * k) for k in range(period)}
         if any(g.is_zero() for g in groups.values()):
             # a zero sector in the period chops every relation chain
             return GroupValue.zero()
         if field is not None:
-            # ALL_LOWER and ALL_UPPER have returned, so the regime is FINITE
-            return field_value(star)
+            # ALL_LOWER and ALL_UPPER have returned, so the regime is FINITE:
+            # dim FH_star / ker(psi^b) over F_p, b the total F_p Betti number
+            return GroupValue.of(ZModulePresentation(
+                _field_quotient_dim(sect, star, field_betti(), field), ()))
         # pattern detection: rank-one torsion-free sectors, cap = +-m
         pattern = True
         for k in range(period):
@@ -652,8 +625,7 @@ def delta_injectivity(model: BaseModel, m: int, tau: Fraction,
     if k_range < 1:
         raise TruncationTooNarrow("need k_range >= 1")
     tau = Fraction(tau)
-    regime = (CompletionRegime.FINITE if model.aspherical
-              else regime_for(tau, model.lam, m))
+    regime = _regime(model, m, tau)
     dlo, dhi = _degree_range(degrees)
     results: dict[int, bool] = {}
     sect = _SectorData(model, m)

@@ -357,6 +357,39 @@ def test_non_commuting_cap_is_a_usage_error(tmp_path, command, message):
     assert err == f"error: cap {message}\n"
 
 
+OFF_DEGREE_CAP_MODELS = {
+    # q0 -> t q2 keeps the degree when nu = 0
+    "cpn-aspherical": ({"dim": 4, "nu": 0, "lambda": "0", "cM": None,
+                        "crit": [{"label": f"q{i}", "index": 2 * i} for i in range(3)],
+                        "cap": "builtin:cpn"}, "q0 -> q2 (sphere shift 1)"),
+    # q0 -> t q1 lowers the degree by 5 when 2*lambda*nu = 4
+    "cpn-index-gap-1": ({"dim": 2, "nu": 1, "lambda": "2", "cM": 2,
+                         "crit": [{"label": "q0", "index": 0}, {"label": "q1", "index": 1}],
+                         "cap": "builtin:cpn"}, "q0 -> q1 (sphere shift 1)"),
+    # top -> bot lowers the degree by 1
+    "surface-top-index-1": ({"dim": 2, "nu": 0, "lambda": "0", "cM": None,
+                             "crit": [{"label": "bot", "index": 0}, {"label": "top", "index": 1}],
+                             "cap": "builtin:surface"}, "top -> bot (sphere shift 0)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_DEGREE_CAP_MODELS))
+@pytest.mark.parametrize("command", [c for c in COMMANDS if "--model" in COMMAND_FLAGS[c]])
+def test_cap_term_not_lowering_the_degree_by_2_is_a_usage_error(tmp_path, command, name):
+    """A built-in cap pattern on critical points it does not fit has a term
+    that does not lower the degree by 2.  `cap_at` used to drop such a term
+    while `cap_matrix` kept it, so `rfh-full` read a cap that is not
+    nilpotent off a cap that is zero, and exited 0.  Now every command
+    that reads the model exits 2 with one line naming the term."""
+    spec, term = OFF_DEGREE_CAP_MODELS[name]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    argv = [command, "--model", f"file:{path}"]
+    code, err = run_quietly(argv)
+    assert_usage_error(argv, code, err)
+    assert err == f"error: cap term {term} does not lower the degree by 2\n"
+
+
 def write_bad_boundary_model(tmp_path, grading):
     """d_1 = d_2 = [[1]] on points of index 0, 1 and 2 gives d_1 . d_2 != 0."""
     path = tmp_path / "model.json"

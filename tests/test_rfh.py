@@ -578,10 +578,11 @@ def test_field_quotient_dim_matches_cycle_bases():
 
 
 def test_field_total_betti_sees_torsion():
-    """d top = 2 a1 kills a1 over F_3 but not over F_2."""
-    model = load_model(TORSION_MODEL)
-    assert _field_total_betti(model, 2) == 4
-    assert _field_total_betti(model, 3) == 2
+    """d x = 2 a kills x and a over F_3 and F_5 but not over F_2."""
+    model = load_model(MONOTONE_TORSION_MODEL)
+    assert _field_total_betti(model, 2) == 3
+    assert _field_total_betti(model, 3) == 1
+    assert _field_total_betti(model, 5) == 1
 
 
 def test_field_total_betti_counts_each_critical_point_once():
@@ -613,9 +614,7 @@ def test_full_rfh_computes_field_betti_once(monkeypatch):
     assert sum(v.kind != "zero" for v in res.table.values()) > 1
     calls.clear()
     model = nonperfect_surface(3, random.Random(5))
-    full_rfh(model, 2, Fraction(1), (-8, 8), "fp:3")
-    assert calls == [3]
-    calls.clear()
+    full_rfh(model, 2, Fraction(1), (-8, 8), "fp:3")    # aspherical: nilpotent cap
     full_rfh(model, 2, Fraction(1), (-8, 8), "z")
     full_rfh(CP2, 2, Fraction(1), (-4, 4), "fp:3")    # ALL_LOWER: every cell 0
     assert calls == []
@@ -631,10 +630,23 @@ def test_full_rfh_cp1_parity():
 
 
 def test_full_rfh_aspherical_zero():
-    for model in (surface_model(1), surface_model(2), point_model()):
-        for tau in (Fraction(1, 3), Fraction(2)):
-            res = full_rfh(model, 2, tau, (-3, 3))
-            assert all(v.kind == "zero" for v in res.table.values())
+    """Over an aspherical base each cap term lowers the Morse index by 2, so
+    the cap is nilpotent and id + cap-shift is unipotent: every cell is 0,
+    over Z and over F_p, at every radius, with or without torsion in the
+    base homology."""
+    rng = random.Random(16)
+    models = [surface_model(g) for g in (1, 2, 3)] + [point_model(), load_model(TORSION_MODEL)]
+    models += [nonperfect_surface(g, rng) for g in (1, 2, 3)]
+    models += [random_custom_cap_model(rng, "aspherical") for _ in range(12)]
+    for coeff, p in (("z", None), ("fp:2", 2), ("fp:3", 3), ("fp:5", 5)):
+        for model in models:
+            for m in (1, 2, 3):
+                assert _cap_shortcuts(model, m, p)[0], (model.name, m, coeff)
+                for tau in (Fraction(1, 3), Fraction(2)):
+                    res = full_rfh(model, m, tau, (-5, 5), coeff)
+                    assert res.regime == CompletionRegime.FINITE
+                    assert all(v.kind == "zero" for v in res.table.values()), \
+                        (model.name, m, tau, coeff)
 
 
 def test_full_rfh_relations_fallback():
