@@ -9,7 +9,7 @@ from .chaincplx import (ChainMap, GradedComplex, LongExactSequence, cone_les,
                         homology_table, mapping_cone, verify_boundary,
                         verify_exactness)
 from .exactlin import (IntMatrix, SmithDecomposition, ZModulePresentation,
-                       homology, is_surjective_over_z, smith_normal_form)
+                       is_surjective_over_z, smith_normal_form)
 from .novikov import CompletionRegime, regime_for
 from .rfh import (FullRFHResult, GroupValue, RFHGenerator, boundary_full,
                   delta_injectivity, enumerate_generators, full_rfh, gysin,

@@ -1,10 +1,13 @@
-"""Graded chain complexes of free Z-modules, chain maps, mapping cones and
-the long exact sequence of a cone, with exactness verified over Z.
+"""Graded chain complexes of free Z-modules, chain maps, mapping cones,
+homology and the long exact sequence of a cone, with exactness verified
+over Z.
 
-A finite complex has a window (lo, hi) of degrees and homology at interior
-degrees; the cone's sequence at d reads the base in d-3..d+1, so `cone_les`
-reaches lo+3..hi-1.  A complex given by its boundary in each degree has no
-window: `LazyHomology` and `_cone_les` read it one degree at a time.
+`LazyHomology` is the one homology routine: it reads a complex given by its
+boundary in each degree one degree at a time, and every homology group or
+cycle basis in the package comes from it.  A finite complex has a window
+(lo, hi) of degrees and homology at interior degrees (`homology_table`);
+the cone's sequence at d reads the base in d-3..d+1, so `cone_les` reaches
+lo+3..hi-1.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import DegreeOutOfRange, NotAChainMap, NotAComplex
 from .exactlin import (IntMatrix, ZModulePresentation, _Elimination,
-                       homology_with_cycles, invariant_factors, solve_matrix)
+                       invariant_factors, solve_matrix)
 
 
 def _degree_range(degrees: tuple[int, int]) -> tuple[int, int]:
@@ -177,7 +180,7 @@ def mapping_cone(psi: ChainMap) -> GradedComplex:
 
 
 # ---------------------------------------------------------------------------
-# Homology with chosen generators, induced maps
+# Homology, on cycle bases or from invariant factors alone; induced maps
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -195,62 +198,69 @@ class HomologyBasis:
     presentation: ZModulePresentation
 
 
-def homology_basis(C: GradedComplex, d: int) -> HomologyBasis:
-    """H_d(C) on a cycle basis (see `homology_with_cycles`)."""
-    lo, hi = C.degrees
-    if not (lo < d < hi):
-        raise DegreeOutOfRange(f"degree {d} not interior to {C.degrees}")
-    return HomologyBasis(d, *homology_with_cycles(C.boundary_at(d), C.boundary_at(d + 1)))
-
-
 class LazyHomology:
-    """H_d on a cycle basis of the complex with boundary(d) : C_d -> C_{d-1},
-    built on first use.  Each boundary is built and eliminated (with V) at
-    most once, giving H_d's cycles and H_{d-1}'s torsion (a zero one is
-    eliminated only for its kernel; see `homology_with_cycles`)."""
+    """H_d of the complex with boundary(d) : C_d -> C_{d-1}, built on first
+    use.  With r_k the rank of boundary(k), H_d = Z^(n_d - r_d - r_{d+1})
+    plus Z_t for every invariant factor t >= 2 of boundary(d+1), since
+    ker boundary(d) is a direct summand of C_d.
+
+    `group(d)` reads only those invariant factors, off an elimination
+    already made for that degree or else by `invariant_factors`, which
+    builds no V.  `basis(d)` presents H_d on a cycle basis K with
+    coordinates C (C K = I), both read off the elimination (with V) of
+    boundary(d), and relations X = C boundary(d+1); it eliminates a nonzero
+    boundary(d+1) with V too, for the torsion now and the cycles of
+    basis(d+1) later.  Each boundary is built once and eliminated at most
+    once with V."""
 
     def __init__(self, boundary: Callable[[int], IntMatrix]):
         self.boundary = cache(boundary)
         self._eliminations: dict[int, _Elimination] = {}
+        self._factors: dict[int, tuple[int, ...]] = {}
+        self._groups: dict[int, ZModulePresentation] = {}
         self._bases: dict[int, HomologyBasis] = {}
 
     def _elimination(self, d: int) -> _Elimination:
         if d not in self._eliminations:
-            self._eliminations[d] = _Elimination(self.boundary(d))
+            elim = self._eliminations[d] = _Elimination(self.boundary(d))
+            self._factors[d] = elim.invariant_factors()
         return self._eliminations[d]
+
+    def group(self, d: int) -> ZModulePresentation:
+        if d not in self._groups:
+            d_out = self.boundary(d)
+            if not (d_out @ self.boundary(d + 1)).is_zero():
+                raise NotAComplex(f"d_{d} . d_{d + 1} != 0")
+            factors = self._factors
+            for k in (d, d + 1):
+                if k not in factors:
+                    factors[k] = invariant_factors(self.boundary(k))
+            out, inc = factors[d], factors[d + 1]
+            self._groups[d] = ZModulePresentation(d_out.cols - len(out) - len(inc),
+                                                  tuple(t for t in inc if t >= 2))
+        return self._groups[d]
 
     def basis(self, d: int) -> HomologyBasis:
         if d not in self._bases:
             d_in = self.boundary(d + 1)
-            factors = self._elimination(d + 1).invariant_factors() if any(d_in.columns) else ()
-            self._bases[d] = HomologyBasis(d, *homology_with_cycles(
-                self.boundary(d), d_in, self._elimination(d), factors))
+            if any(d_in.columns):
+                self._elimination(d + 1)
+            K, C = self._elimination(d).kernel()
+            # K X = d_in, as im(d_in) lies in ker boundary(d)
+            self._bases[d] = HomologyBasis(d, K, C, C @ d_in, self.group(d))
         return self._bases[d]
-
-    def group(self, d: int) -> ZModulePresentation:
-        return self.basis(d).presentation
 
 
 def homology_table(C: GradedComplex, degrees: Iterable[int]) -> dict[int, ZModulePresentation]:
-    """H_d(C) for each interior degree d, from ranks and invariant factors
-    alone: with r_k the rank of d_k, H_d = Z^(n_d - r_d - r_{d+1}) plus
-    Z_t for every invariant factor t >= 2 of d_{d+1}, since ker d_d is a
-    direct summand.  Each boundary is eliminated once; no cycle basis is
-    built (see `homology_basis` for that)."""
+    """H_d(C) for each degree d, by `LazyHomology.group`; a degree not
+    interior to C's window raises DegreeOutOfRange."""
     lo, hi = C.degrees
-    factors: dict[int, tuple[int, ...]] = {}
+    h = LazyHomology(C.boundary_at)
     table = {}
     for d in degrees:
         if not (lo < d < hi):
             raise DegreeOutOfRange(f"degree {d} not interior to {C.degrees}")
-        for k in (d, d + 1):
-            if k not in factors:
-                factors[k] = invariant_factors(C.boundary_at(k))
-        if not (C.boundary_at(d) @ C.boundary_at(d + 1)).is_zero():
-            raise NotAComplex(f"d_{d} . d_{d + 1} != 0")
-        out, inc = factors[d], factors[d + 1]
-        table[d] = ZModulePresentation(C.rank(d) - len(out) - len(inc),
-                                       tuple(t for t in inc if t >= 2))
+        table[d] = h.group(d)
     return table
 
 

@@ -1,5 +1,5 @@
-"""Exact integer linear algebra: Smith normal form, kernels, images and
-homology of pairs of integer matrices.
+"""Exact integer linear algebra: Smith normal form, invariant factors,
+kernels and integer solves.
 
 Everything here runs on Python's arbitrary-precision integers; there is no
 floating point anywhere in this module.
@@ -22,18 +22,17 @@ right block could not afford.  Its callers:
   `is_surjective_over_z` and `presentation_from_relations`) counts the
   unit pivots and reads the remainder's diagonal; it builds no V.
 * `kernel_basis` reads V on the columns that became zero, plus V times the
-  remainder's kernel.  `homology_with_cycles` also takes the matching rows
-  of V^-1, a left inverse of that basis, so the relations of a homology
-  group and the induced maps of `chaincplx` are products, not solves; it
-  reads the group's torsion off the invariant factors of the incoming
-  boundary, and no relation matrix is eliminated again.
+  remainder's kernel; `_Elimination.kernel` also gives the matching rows
+  of V^-1, a left inverse of that basis.
 * `solve_matrix` substitutes forward in pivot order, solves the remainder
   by its Smith form and maps back by V; it is the one integer solve.
-* `chaincplx` keeps eliminations to share them: `LazyHomology`, behind
-  `cone_les` and the sectors of `rfh`, eliminates each boundary once, for
-  the cycles of its degree and the torsion of the degree below, and
-  `verify_exactness` eliminates each [map | relations of its target] once,
-  for the kernel read at the map's source and the solve made at its target.
+* `chaincplx` keeps eliminations to share them.  `LazyHomology`, the one
+  homology routine, reads a group off the invariant factors of the two
+  boundaries at its degree, and a cycle basis off the kernel of the
+  outgoing one with its left inverse, so the relations of a homology group
+  and the induced maps are products, not solves.  `verify_exactness`
+  eliminates each [map | relations of its target] once, for the kernel
+  read at the map's source and the solve made at its target.
 
 `_smith` itself is dense, reduces rows and columns with
 minimal-absolute-value pivoting and carries U, V and V^-1.  Apart from the
@@ -54,7 +53,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
-from .errors import NotAComplex, NotSquare, ShapeMismatch
+from .errors import NotSquare, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -612,7 +611,7 @@ def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# Homology of a pair of maps
+# Presentations and cokernels
 # ---------------------------------------------------------------------------
 
 def presentation_from_relations(n_generators: int, relations: IntMatrix) -> ZModulePresentation:
@@ -622,44 +621,6 @@ def presentation_from_relations(n_generators: int, relations: IntMatrix) -> ZMod
     factors = invariant_factors(relations)
     torsion = tuple(d for d in factors if d >= 2)
     return ZModulePresentation(n_generators - len(factors), torsion)
-
-
-def homology_with_cycles(d_out: IntMatrix, d_in: IntMatrix,
-                         out: Optional[_Elimination] = None,
-                         in_factors: Optional[Sequence[int]] = None
-                         ) -> tuple[IntMatrix, IntMatrix, IntMatrix, ZModulePresentation]:
-    """ker(d_out) / im(d_in) for consecutive boundary maps, together with
-    the basis K of ker(d_out) it is presented on, coordinates C with
-    C K = I, and the coordinates X = C d_in of im(d_in) in that basis: the
-    group is Z^{K.cols} / colspan(X).
-
-    d_out : C_k -> C_{k-1} and d_in : C_{k+1} -> C_k, so d_out has one
-    column per generator of C_k and d_in one row per generator of C_k.
-
-    The torsion is read off the invariant factors of d_in, not of X: K
-    spans a direct summand, so X and d_in = K X have the same nonzero
-    invariant factors.  A caller that has eliminated the boundaries
-    already hands in `out`, the `_Elimination` of d_out (with V), and
-    `in_factors`, the nonzero invariant factors of d_in, and nothing is
-    eliminated here.
-    """
-    if d_out.cols != d_in.rows:
-        raise ShapeMismatch(
-            f"chain group mismatch: d_out has {d_out.cols} columns, "
-            f"d_in has {d_in.rows} rows")
-    if not (d_out @ d_in).is_zero():
-        raise NotAComplex("d_out . d_in != 0")
-    K, C = (_Elimination(d_out) if out is None else out).kernel()
-    if in_factors is None:
-        in_factors = invariant_factors(d_in)
-    X = C @ d_in                # K X = d_in, as im(d_in) lies in ker(d_out)
-    return K, C, X, ZModulePresentation(K.cols - len(in_factors),
-                                        tuple(t for t in in_factors if t >= 2))
-
-
-def homology(d_out: IntMatrix, d_in: IntMatrix) -> ZModulePresentation:
-    """ker(d_out) / im(d_in); see `homology_with_cycles`."""
-    return homology_with_cycles(d_out, d_in)[3]
 
 
 def is_surjective_over_z(A: IntMatrix) -> bool:

@@ -29,9 +29,9 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .basemodel import BaseModel, cap_matrix, primitivity_report
 from .chaincplx import (ChainMap, GradedComplex, LazyHomology,
-                        LongExactSequence, _cone_les, _degree_range,
-                        _preimage_in_span, homology_table, induced_matrix,
-                        matrix_from_terms)
+                        LongExactSequence, _cone_boundary, _cone_les,
+                        _degree_range, _preimage_in_span, homology_table,
+                        induced_matrix, matrix_from_terms)
 from .errors import (ConsecutiveIndexModel, EmptyWindow,
                      TruncationTooNarrow, UnstabilizedTruncation)
 from .exactlin import (IntMatrix, ZModulePresentation, is_surjective_over_z,
@@ -468,12 +468,13 @@ def _field_total_betti(model: BaseModel, p: int) -> int:
 def _field_quotient_dim(sect: _SectorData, e: int, b: int, p: int) -> int:
     """dim over F_p of FH_e / ker(psi^b) = rank of the induced psi^b.  With
     f = psi^b : C_e -> C_t (t = e - 2b) a chain map, that rank is
-    rank_p [[d_{t+1}, f], [0, d_e]] - rank_p d_{t+1} - rank_p d_e."""
+    rank_p [[-d_{t+1}, f], [0, d_e]] - rank_p d_{t+1} - rank_p d_e, the
+    block being the cone boundary of f (negated columns keep the rank)."""
     d_in, d_out = sect.boundary(e - 2 * b + 1), sect.boundary(e)
     f = IntMatrix.identity(d_out.cols)
     for i in range(b):
         f = sect.cap(e - 2 * i) @ f
-    block = d_in.vstack(IntMatrix.zero(d_out.rows, d_in.cols)).hstack(f.vstack(d_out))
+    block = _cone_boundary(d_in, f, d_out)
     return rank_mod_p(block, p) - rank_mod_p(d_in, p) - rank_mod_p(d_out, p)
 
 
@@ -509,17 +510,19 @@ def _cap_shortcuts(model: BaseModel, m: int, field: Optional[int]) -> tuple[bool
     (over F_p when `field` is p) and whether it is invertible over Z.  Both
     are read off its integer matrix C at t = 1 (see `cap_matrix`): the cap
     is nilpotent exactly when C^n vanishes (mod p), n the number of critical
-    points, and invertible exactly when C is unimodular."""
-    C = cap_matrix(model, m)
-    C_n = IntMatrix.identity(C.rows)
-    for _ in range(C.rows):
-        C_n = C_n @ C
-    if field:
+    points, which holds as soon as a lower power does, and invertible
+    exactly when C is unimodular."""
+    def vanishes(M: IntMatrix) -> bool:
         # over F_p a cap divisible by p dies: nilpotency can only improve
-        nilpotent = all(c % field == 0 for col in C_n.columns for c in col.values())
-    else:
-        nilpotent = C_n.is_zero()
-    return nilpotent, is_surjective_over_z(C)
+        return not any(c % field if field else c for col in M.columns for c in col.values())
+
+    C = cap_matrix(model, m)
+    power = IntMatrix.identity(C.rows)
+    for _ in range(C.rows):
+        if vanishes(power):
+            break
+        power = power @ C
+    return vanishes(power), is_surjective_over_z(C)
 
 
 def parse_coeff(coeff: str) -> Optional[int]:

@@ -17,9 +17,10 @@ from math import gcd
 
 from .basemodel import (build_fc, cap_map, cp_model, point_model,
                         surface_model)
-from .chaincplx import (ChainMap, GradedComplex, cone_les, homology_table,
-                        mapping_cone, verify_boundary, verify_exactness)
-from .exactlin import (IntMatrix, ZModulePresentation, det_bareiss, homology,
+from .chaincplx import (ChainMap, GradedComplex, LazyHomology, cone_les,
+                        homology_table, mapping_cone, verify_boundary,
+                        verify_exactness)
+from .exactlin import (IntMatrix, ZModulePresentation, det_bareiss,
                        smith_normal_form)
 from .rfh import (RFHGenerator, _transfer_failures, action, base_action,
                   boundary_full, boundary_full_chain, delta_injectivity,
@@ -45,12 +46,8 @@ def circle_bundle_homology(g: int, m: int) -> dict[int, ZModulePresentation]:
     d3 = IntMatrix.zero(2 * g + 1, 1)
     d4 = IntMatrix.zero(1, 0)
     d0 = IntMatrix.zero(0, 1)
-    return {
-        0: homology(d0, d1),
-        1: homology(d1, d2),
-        2: homology(d2, d3),
-        3: homology(d3, d4),
-    }
+    h = LazyHomology([d0, d1, d2, d3, d4].__getitem__)
+    return {d: h.group(d) for d in range(4)}
 
 
 def minor_gcd(A: IntMatrix, k: int) -> int:

@@ -4,11 +4,10 @@ import pytest
 
 from rfhomology.basemodel import cp_model, point_model, surface_model
 from rfhomology.chaincplx import (ChainMap, GradedComplex, HomologyBasis,
-                                  LongExactSequence, cone_les, exact_at,
-                                  homology_basis, homology_table,
-                                  induced_matrix, mapping_cone,
-                                  matrix_from_terms, verify_boundary,
-                                  verify_exactness)
+                                  LazyHomology, LongExactSequence, cone_les,
+                                  exact_at, homology_table, induced_matrix,
+                                  mapping_cone, matrix_from_terms,
+                                  verify_boundary, verify_exactness)
 from rfhomology.errors import DegreeOutOfRange, NotAChainMap, NotAComplex
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
                                  presentation_from_relations)
@@ -161,12 +160,12 @@ def test_matrix_from_terms_sums_and_truncates():
 
 
 def test_homology_table_rejects_non_complex():
-    """The rank formula is only valid when d . d = 0, so the table checks it
-    like the cycle-basis path does."""
+    """The rank formula is only valid when d . d = 0, so `LazyHomology`
+    checks it for the table and for a cycle basis alike."""
     C = GradedComplex((0, 3), {0: ("a",), 1: ("b",), 2: ("c",)},
                       {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[1]])})
     with pytest.raises(NotAComplex):
-        homology_basis(C, 1)
+        LazyHomology(C.boundary_at).basis(1)
     with pytest.raises(NotAComplex):
         homology_table(C, [1])
     assert homology_table(C, [2]) == {2: ZModulePresentation(0, ())}
@@ -176,13 +175,16 @@ def test_homology_table_matches_cycle_bases_on_random_complexes():
     """The rank-only table equals the presentation built on cycle bases, on
     200 seeded random complexes and the cones of their degree -2 maps; each
     basis has coords @ cycles = I, and its relations are the incoming
-    boundary written in it."""
+    boundary written in it.  The table and a basis's presentation are the
+    same `LazyHomology.group`; the independent check is the presentation
+    recomputed from the relations themselves by `presentation_from_relations`."""
     rng = random.Random(4)
     for _ in range(200):
         C, phi = random_complex_and_map(rng)
         for K in (C, mapping_cone(phi)):
             lo, hi = K.degrees
-            bases = {d: homology_basis(K, d) for d in range(lo + 1, hi)}
+            lazy = LazyHomology(K.boundary_at)
+            bases = {d: lazy.basis(d) for d in range(lo + 1, hi)}
             assert homology_table(K, bases) == {d: h.presentation for d, h in bases.items()}
             for d, h in bases.items():
                 assert h.presentation == presentation_from_relations(h.cycles.cols, h.relations)
@@ -196,12 +198,13 @@ def test_induced_matrix_rejects_image_outside_the_cycles():
     tgt = GradedComplex((-1, 1), {-1: ("b",), 0: ("a",)},
                         {0: IntMatrix.from_rows([[1]])})
     phi = IntMatrix.from_rows([[1]])
+    h_src = LazyHomology(src.boundary_at).basis(0)
     with pytest.raises(NotAChainMap, match="image of a cycle is not a cycle"):
-        induced_matrix(phi, homology_basis(src, 0), homology_basis(tgt, 0))
+        induced_matrix(phi, h_src, LazyHomology(tgt.boundary_at).basis(0))
     # the same map into a target where a is a cycle is induced as 1
     ok = GradedComplex((-1, 1), {-1: ("b",), 0: ("a",)}, {})
-    assert induced_matrix(phi, homology_basis(src, 0),
-                          homology_basis(ok, 0)) == IntMatrix.identity(1)
+    assert induced_matrix(phi, h_src, LazyHomology(ok.boundary_at).basis(0)) == \
+        IntMatrix.identity(1)
 
 
 def test_randomized_cone_les_exactness():

@@ -16,12 +16,13 @@ from rfhomology import exactlin, rfh
 from rfhomology.basemodel import (BaseModel, build_fc, cap_map,
                                   cap_stabilization, cp_model, load_model,
                                   point_model, surface_model)
-from rfhomology.chaincplx import (cone_les, homology_basis, homology_table,
+from rfhomology.chaincplx import (LazyHomology, cone_les, homology_table,
                                   induced_matrix, mapping_cone, verify_boundary,
                                   verify_exactness)
 from rfhomology.errors import (ConsecutiveIndexModel, DegreeOutOfRange,
                                TruncationTooNarrow)
-from rfhomology.exactlin import IntMatrix, ZModulePresentation, rank
+from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
+                                 presentation_from_relations, rank)
 from rfhomology.novikov import CompletionRegime
 from rfhomology.rfh import (RFHGenerator, _cap_shortcuts, _field_quotient_dim,
                             _field_total_betti, _SectorData, action,
@@ -225,8 +226,9 @@ def nonperfect_surface(g, rng):
 
 
 def test_homology_table_matches_cycle_bases_on_models():
-    """The rank-only table equals the presentation built on cycle bases, on
-    the zero-winding complexes and the Floer complexes of the built-in and
+    """The rank-only table equals the presentation recomputed from the
+    relations of the cycle bases by `presentation_from_relations`, on the
+    zero-winding complexes and the Floer complexes of the built-in and
     non-perfect models."""
     rng = random.Random(8)
     models = [cp_model(n) for n in (1, 2, 3)] + [surface_model(g) for g in range(1, 9)]
@@ -236,8 +238,11 @@ def test_homology_table_matches_cycle_bases_on_models():
         complexes += [rfc_w0(model, m, Fraction(1), (-6, 6)) for m in (1, 2, 3)]
         for C in complexes:
             degrees = range(-5, 6)
+            lazy = LazyHomology(C.boundary_at)
+            bases = {d: lazy.basis(d) for d in degrees}
             assert homology_table(C, degrees) == {
-                d: homology_basis(C, d).presentation for d in degrees}, model.name
+                d: presentation_from_relations(h.cycles.cols, h.relations)
+                for d, h in bases.items()}, model.name
 
 
 def test_rfc_w0_boundary_squares_to_zero():
@@ -350,20 +355,44 @@ def test_gysin_dense_remainder_does_not_grow_with_the_surface(monkeypatch):
     """The Gysin sequence of surface:g is eliminated sparsely: what reaches
     the dense Smith form is the unit-free remainder only, whose count and
     largest shape stay put as g doubles (five 1 x 1 inputs, the cap's 2s).
+    The `_Elimination` constructions are pinned too: 31 per checked Gysin
+    sequence, all with V, as each boundary is eliminated once for its
+    cycles and the torsion below; one without V for `rfh_w0_table`, which
+    needs invariant factors only; 1,031 for criterion 5's Gysin zoo, all
+    with V.
     A deterministic guard on the complexity, unlike a timing."""
+    shapes, made = [], []       # made: one `transform` flag per construction
+    smith, init = exactlin._smith, exactlin._Elimination.__init__
+
+    def record(D, n):
+        shapes.append((len(D), n))
+        return smith(D, n)
+
+    def count(self, A, transform=True):
+        made.append(transform)
+        init(self, A, transform)
+    monkeypatch.setattr(exactlin, "_smith", record)
+    monkeypatch.setattr(exactlin._Elimination, "__init__", count)
     stats = {}
     for g in (8, 16, 32):
-        shapes = []
-
-        def record(D, n, smith=exactlin._smith):
-            shapes.append((len(D), n))
-            return smith(D, n)
-        monkeypatch.setattr(exactlin, "_smith", record)
+        shapes.clear()
+        made.clear()
         assert verify_exactness(gysin(surface_model(g), 2, (-2, 3))).ok
-        monkeypatch.undo()
         stats[g] = (len(shapes), max(shapes, default=(0, 0)))
+        assert made == [True] * 31, (g, len(made), made.count(True))
+        made.clear()
+        rfh_w0_table(surface_model(g), 3, Fraction(1), (-1, 2))
+        assert made == [False], (g, made)
     assert stats[8] == stats[16] == stats[32], stats
     assert stats[8][1] <= (1, 1), stats
+    made.clear()
+    for n in (1, 2, 3):
+        for m in range(1, 6):
+            assert verify_exactness(gysin(cp_model(n), m, (-5, 5))).ok
+    for g in (1, 2):
+        for m in (1, 2, 3):
+            assert verify_exactness(gysin(surface_model(g), m, (-1, 2))).ok
+    assert made == [True] * 1031, (len(made), made.count(True))
 
 
 @pytest.mark.parametrize("degrees", [(3, 1), (9, 1)])
@@ -719,8 +748,8 @@ def test_sectors_match_the_windowed_complex():
                 fc = build_fc(model, (e - 2, e + 2))
                 assert sect.group(e) == homology_table(fc, [e])[e], (model.name, m, e)
                 fc = build_fc(model, (e - 3, e + 2))
-                want = induced_matrix(cap_map(model, m, fc).at(e), homology_basis(fc, e),
-                                      homology_basis(fc, e - 2))
+                h = LazyHomology(fc.boundary_at)
+                want = induced_matrix(cap_map(model, m, fc).at(e), h.basis(e), h.basis(e - 2))
                 assert sect.psi_induced(e) == want, (model.name, m, e)
             for lo, hi in ((-5, 5), (-40, -30), (17, 25), (0, 0)):
                 fc = build_fc(model, (lo - 6, hi + 3))
