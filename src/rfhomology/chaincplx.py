@@ -185,13 +185,12 @@ def mapping_cone(psi: ChainMap) -> GradedComplex:
 
 @dataclass(frozen=True)
 class HomologyBasis:
-    """H_degree presented on the columns of `cycles` (a basis of the cycle
-    lattice, a direct summand of the chains) modulo the relation
+    """A homology group presented on the columns of `cycles` (a basis of
+    the cycle lattice, a direct summand of the chains) modulo the relation
     coordinates `relations`.  `coords` writes a cycle in that basis:
     coords @ cycles = I, so coords @ z are the coordinates of any cycle z,
     and relations = coords @ (incoming boundary)."""
 
-    degree: int
     cycles: IntMatrix       # chain coordinates of the chosen cycle basis
     coords: IntMatrix       # left inverse of `cycles`
     relations: IntMatrix    # boundary images written in that basis
@@ -214,11 +213,17 @@ class LazyHomology:
     once with V."""
 
     def __init__(self, boundary: Callable[[int], IntMatrix]):
-        self.boundary = cache(boundary)
+        self._build = boundary
+        self._boundaries: dict[int, IntMatrix] = {}
         self._eliminations: dict[int, _Elimination] = {}
         self._factors: dict[int, tuple[int, ...]] = {}
         self._groups: dict[int, ZModulePresentation] = {}
         self._bases: dict[int, HomologyBasis] = {}
+
+    def boundary(self, d: int) -> IntMatrix:
+        if d not in self._boundaries:
+            self._boundaries[d] = self._build(d)
+        return self._boundaries[d]
 
     def _elimination(self, d: int) -> _Elimination:
         if d not in self._eliminations:
@@ -247,7 +252,7 @@ class LazyHomology:
                 self._elimination(d + 1)
             K, C = self._elimination(d).kernel()
             # K X = d_in, as im(d_in) lies in ker boundary(d)
-            self._bases[d] = HomologyBasis(d, K, C, C @ d_in, self.group(d))
+            self._bases[d] = HomologyBasis(K, C, C @ d_in, self.group(d))
         return self._bases[d]
 
 

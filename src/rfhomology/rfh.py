@@ -28,7 +28,7 @@ from functools import cache
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .basemodel import BaseModel, cap_matrix, primitivity_report
-from .chaincplx import (ChainMap, GradedComplex, LazyHomology,
+from .chaincplx import (ChainMap, GradedComplex, HomologyBasis, LazyHomology,
                         LongExactSequence, _cone_boundary, _cone_les,
                         _degree_range, _preimage_in_span, homology_table,
                         induced_matrix, matrix_from_terms)
@@ -434,21 +434,40 @@ class FullRFHResult:
 
 class _SectorData(LazyHomology):
     """The `LazyHomology` of the base, with the induced cap map in each
-    degree built on first use from the cap at that degree."""
+    degree built on first use from the cap at that degree.
+
+    Over a monotone base the generator (q, k) sits in degree
+    mu - dim/2 - 2*lambda*nu*k, so k -> k + 1 is a chain isomorphism
+    C_e = C_{e - 2*lambda*nu} that keeps the order of the generators and
+    carries the cap along: `boundary_at` and `cap_at` are the same matrices
+    at e and e + `period`, period = |2*lambda*nu|.  So `group`, `basis` and
+    `psi_induced` are read at the residue of e modulo the period, each built
+    once per residue; an aspherical base (period 0) keys them by e."""
 
     def __init__(self, model: BaseModel, m: int):
         super().__init__(model.boundary_at)
         self.model, self.m = model, m
+        self.period = abs(2 * model.lambda_nu)
         self._psi_induced: dict[int, IntMatrix] = {}
+
+    def residue(self, e: int) -> int:
+        return e % self.period if self.period else e
+
+    def group(self, e: int) -> ZModulePresentation:
+        return super().group(self.residue(e))
+
+    def basis(self, e: int) -> HomologyBasis:
+        return super().basis(self.residue(e))
 
     def cap(self, e: int) -> IntMatrix:
         return self.model.cap_at(e, self.m)
 
     def psi_induced(self, e: int) -> IntMatrix:
-        if e not in self._psi_induced:
-            self._psi_induced[e] = induced_matrix(self.cap(e), self.basis(e),
-                                                  self.basis(e - 2))
-        return self._psi_induced[e]
+        r = self.residue(e)
+        if r not in self._psi_induced:
+            self._psi_induced[r] = induced_matrix(self.cap(r), self.basis(r),
+                                                  self.basis(r - 2))
+        return self._psi_induced[r]
 
 
 def _field_total_betti(model: BaseModel, p: int) -> int:
@@ -624,20 +643,27 @@ def delta_injectivity(model: BaseModel, m: int, tau: Fraction,
     """Check per degree that id + cap-shift has trivial kernel on the
     truncation |k| <= k_range of the completed sum, torsion relations
     accounted for.  The overflow row below the truncation is kept so that
-    escaping cap terms are not silently dropped."""
+    escaping cap terms are not silently dropped.  Degrees of one residue
+    modulo the period of `_SectorData` read the same sectors, so their
+    `_sector_blocks` are the same matrices: each residue is decided once
+    and its verdict copied to the other degrees."""
     if k_range < 1:
         raise TruncationTooNarrow("need k_range >= 1")
     tau = Fraction(tau)
     regime = _regime(model, m, tau)
     dlo, dhi = _degree_range(degrees)
-    results: dict[int, bool] = {}
     sect = _SectorData(model, m)
     in_sectors = range(-k_range, k_range + 1)
     out_sectors = range(-k_range - 1, k_range + 1)
+    verdicts: dict[int, bool] = {}
+    results: dict[int, bool] = {}
     for star in range(dlo, dhi + 1):
-        delta, R_out, R_in = _sector_blocks(sect, star, in_sectors, out_sectors)
-        # group-level kernel: delta(x) in output relations => x in input relations
-        results[star] = _preimage_in_span(delta, R_out, R_in)
+        r = sect.residue(star)
+        if r not in verdicts:
+            delta, R_out, R_in = _sector_blocks(sect, star, in_sectors, out_sectors)
+            # group-level kernel: delta(x) in output relations => x in input relations
+            verdicts[r] = _preimage_in_span(delta, R_out, R_in)
+        results[star] = verdicts[r]
     return {"regime": regime.value, "k_range": k_range,
             "degrees": results, "all": all(results.values())}
 

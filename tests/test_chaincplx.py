@@ -265,7 +265,7 @@ def test_verify_exactness_matches_exact_at_node_by_node():
 def cyclic(relation):
     """Z modulo the relations in the 1 x r list `relation`, on one cycle."""
     rel = IntMatrix.from_rows([relation], cols=len(relation))
-    return HomologyBasis(0, IntMatrix.identity(1), IntMatrix.identity(1), rel,
+    return HomologyBasis(IntMatrix.identity(1), IntMatrix.identity(1), rel,
                          presentation_from_relations(1, rel))
 
 

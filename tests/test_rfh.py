@@ -678,16 +678,17 @@ def test_full_rfh_aspherical_zero():
                         (model.name, m, tau, coeff)
 
 
+# unit cap q1 -> 3 q0 (degree 1 -> -1), q0 -> 3 t q1 (degree -1 -> -3)
+RELATIONS_MODEL = {"dim": 2, "nu": 1, "lambda": "2", "cM": 2,
+                   "crit": [{"label": "q0", "index": 0}, {"label": "q1", "index": 2}],
+                   "cap": {"1": [[3]], "-1": [[3]]},
+                   "primitiveOmega": True}
+
+
 def test_full_rfh_relations_fallback():
     """A monotone model whose cap is not m times a rank-one shift gets the
     honest relations description instead of a digit module."""
-    spec = {"dim": 2, "nu": 1, "lambda": "2", "cM": 2,
-            "crit": [{"label": "q0", "index": 0}, {"label": "q1", "index": 2}],
-            "cap": {"1": [[0], [3]], "-1": [[3], [0]]},
-            "primitiveOmega": True}
-    # unit cap q1 -> 3 q0 (degree 1 -> -1), q0 -> 3 t q1 (degree -1 -> -3)
-    spec["cap"] = {"1": [[3]], "-1": [[3]]}
-    model = load_model(spec)
+    model = load_model(RELATIONS_MODEL)
     res = full_rfh(model, 1, Fraction(10), (0, 1))
     kinds = {v.kind for v in res.table.values()}
     assert "relations" in kinds
@@ -728,6 +729,55 @@ def test_delta_injectivity_with_torsion_sectors():
     assert rep["all"]
     res = full_rfh(model, 1, Fraction(1), (-2, 2))
     assert all(v.kind == "zero" for v in res.table.values())   # zero cap is nilpotent
+
+
+def test_monotone_base_repeats_with_the_sector_period():
+    """`_SectorData` reads a monotone base at the degree modulo its period,
+    which is sound only because k -> k + 1 is a chain isomorphism
+    C_d = C_{d + period} carrying the cap: `boundary_at` and `cap_at` must
+    be the same matrices at d and d + period, for every d and m."""
+    rng = random.Random(19)
+    models = [cp_model(n) for n in (1, 2, 3, 4)]
+    models += [load_model(MONOTONE_TORSION_MODEL), load_model(RELATIONS_MODEL)]
+    models += [random_custom_cap_model(rng, kind) for kind in ("monotone", "permutation") * 25]
+    assert sum(model.lambda_nu < 0 for model in models) >= 5
+    for model in models:
+        period = _SectorData(model, 1).period
+        assert period > 0, model.name
+        for d in range(-20, 21):
+            assert model.boundary_at(d) == model.boundary_at(d + period), (model.name, d)
+            for m in (1, 2, 3):
+                assert model.cap_at(d, m) == model.cap_at(d + period, m), (model.name, d, m)
+
+
+def test_delta_injectivity_eliminations_do_not_grow_with_k_range(monkeypatch):
+    """`delta_injectivity` decides one degree per residue modulo the period
+    (6 for cp:2) and builds each sector once per residue, so its
+    `_Elimination` count is the same at every k_range (12: six sector bases
+    and six verdicts; 36 / 60 / 92 / 284 when each degree was read on its
+    own) and `_sector_blocks` runs at most once per residue.  A
+    deterministic guard on the ladder of growing truncations."""
+    made, stars = [], []
+    init, blocks = exactlin._Elimination.__init__, rfh._sector_blocks
+
+    def count(self, A, transform=True):
+        made.append(transform)
+        init(self, A, transform)
+
+    def count_blocks(sect, star, src, tgt):
+        stars.append(star)
+        return blocks(sect, star, src, tgt)
+    monkeypatch.setattr(exactlin._Elimination, "__init__", count)
+    monkeypatch.setattr(rfh, "_sector_blocks", count_blocks)
+    counts = {}
+    for k_range in (2, 8, 16, 64):
+        made.clear()
+        stars.clear()
+        rep = delta_injectivity(CP2, 2, Fraction(2), k_range, (-6, 6))
+        assert rep["all"] and len(rep["degrees"]) == 13
+        assert len(stars) <= 6, (k_range, stars)
+        counts[k_range] = len(made)
+    assert counts == {2: 12, 8: 12, 16: 12, 64: 12}, counts
 
 
 def test_sectors_match_the_windowed_complex():
