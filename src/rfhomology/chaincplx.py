@@ -256,6 +256,13 @@ class LazyHomology:
         return self._bases[d]
 
 
+def _cone_homology(base: LazyHomology, psi: Callable[[int], IntMatrix]) -> LazyHomology:
+    """The `LazyHomology` of the cone of the degree -2 chain map psi(d) :
+    C_d -> C_{d-2} over `base`, which builds each base boundary once."""
+    return LazyHomology(lambda d: _cone_boundary(base.boundary(d - 1), psi(d),
+                                                 base.boundary(d)))
+
+
 def homology_table(C: GradedComplex, degrees: Iterable[int]) -> dict[int, ZModulePresentation]:
     """H_d(C) for each degree d, by `LazyHomology.group`; a degree not
     interior to C's window raises DegreeOutOfRange."""
@@ -359,8 +366,7 @@ def _cone_les(boundary: Callable[[int], IntMatrix], psi: Callable[[int], IntMatr
     at a time; the maps project onto the checks, apply psi, include as hats."""
     cap = cache(psi)
     base = LazyHomology(boundary)
-    cone = LazyHomology(lambda d: _cone_boundary(base.boundary(d - 1), cap(d),
-                                                 base.boundary(d)))
+    cone = _cone_homology(base, cap)
     dlo, dhi = degrees
     nodes: list[LESNode] = []
     maps: list[IntMatrix] = []

@@ -98,8 +98,8 @@ COMMAND_FLAGS = {
     "rfh-w0": _BASE,
     "rfh-full": _BASE + ("--coeff",),
     "gysin": ("--model", "--m", "--degrees", "--format"),
-    "transfer": _BASE,
-    "orderability": ("--model", "--m", "--tau", "--format"),
+    "transfer": ("--model", "--m", "--degrees", "--format"),
+    "orderability": ("--model", "--m", "--format"),
     "cp2-demo": ("--m", "--tau", "--window", "--format"),
     "selftest": ("--format",),
 }
@@ -225,7 +225,7 @@ def cmd_gysin(args: argparse.Namespace) -> int:
 def cmd_transfer(args: argparse.Namespace) -> int:
     model = args.model
     lo, hi = args.degrees
-    ok = not _transfer_failures(*transfer_maps(model, args.tau, args.degrees, args.m),
+    ok = not _transfer_failures(*transfer_maps(model, args.degrees, args.m),
                                 args.m)
     payload = {"command": "transfer", "model": model.name, "m": args.m,
                "degrees": [lo, hi], "identity": f"P.T = T.P = {args.m}.id",
@@ -238,7 +238,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
 
 def cmd_orderability(args: argparse.Namespace) -> int:
     model = args.model
-    rep = orderability_report(model, args.m, args.tau)
+    rep = orderability_report(model, args.m)
     payload = {"command": "orderability", "model": model.name, "m": args.m, **rep}
     verdict = rep["orderable"]
     md = (f"{model.name}, m={args.m}: RFH^w0 "

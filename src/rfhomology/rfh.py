@@ -29,8 +29,8 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .basemodel import BaseModel, cap_matrix, primitivity_report
 from .chaincplx import (ChainMap, GradedComplex, HomologyBasis, LazyHomology,
-                        LongExactSequence, _cone_boundary, _cone_les,
-                        _degree_range, _preimage_in_span, homology_table,
+                        LongExactSequence, _cone_boundary, _cone_homology,
+                        _cone_les, _degree_range, _preimage_in_span,
                         induced_matrix, matrix_from_terms)
 from .errors import (ConsecutiveIndexModel, EmptyWindow,
                      TruncationTooNarrow, UnstabilizedTruncation)
@@ -204,32 +204,20 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
 # Zero-winding complex and Gysin sequence
 # ---------------------------------------------------------------------------
 
-def _in_window(action: Fraction, window: tuple) -> bool:
-    """a < action < b for window = (a, b), an end of None being open."""
-    a, b = window
-    return (a is None or a < action) and (b is None or action < b)
-
-
-def rfc_w0(model: BaseModel, m: int, tau: Fraction,
-           degrees: tuple[int, int],
-           window: Optional[tuple[Fraction, Fraction]] = None) -> GradedComplex:
+def rfc_w0(model: BaseModel, m: int, degrees: tuple[int, int]) -> GradedComplex:
     """Complex on the zero-winding generators, assembled from the generator
     bookkeeping: hat->hat is minus the Morse part, check->check the Morse
     part, check->hat the cap part.  Under l = m*k*nu this is the cone of the
-    cap chain map, which the tests verify through an independent code path.
-
-    An action window, when given, keeps only generators with
-    -(1+tau)*k*nu strictly inside it (image terms escaping the window are
-    truncated, as in the windowed cap)."""
+    cap chain map, which the engine reads lazily (`rfh_w0_table`, `gysin`):
+    this complex is its generator-level oracle and the complex on which
+    `transfer_maps` acts."""
     lo, hi = degrees
     nu = model.nu
-    tau = Fraction(tau)
     idx_of = model.index_of
     morse = model.morse_terms
 
     checks = {d: [RFHGenerator(label, idx_of[label], m * k * nu, k, False)
-                  for label, k in model.generators_in_degree(d)
-                  if window is None or _in_window(-(1 + tau) * Fraction(k * nu), window)]
+                  for label, k in model.generators_in_degree(d)]
               for d in range(lo - 1, hi + 1)}
     basis = {d: tuple(g._replace(hat=True) for g in checks[d - 1]) + tuple(checks[d])
              for d in range(lo, hi + 1)}
@@ -249,9 +237,13 @@ def rfc_w0(model: BaseModel, m: int, tau: Fraction,
 
 def rfh_w0_table(model: BaseModel, m: int, tau: Fraction,
                  degrees: tuple[int, int]) -> dict[int, ZModulePresentation]:
-    """H_d(rfc_w0) on lo..hi; each degree of rfc_w0 is complete, so lo-1..hi+1 suffice."""
+    """RFH^w0_d on lo..hi, the homology of the lazy cone of the cap, read at
+    the residue of d (the cone repeats with the base, see `_SectorData`); it
+    does not depend on the radius, so `tau` is ignored."""
     lo, hi = _degree_range(degrees)
-    return homology_table(rfc_w0(model, m, tau, (lo - 1, hi + 1)), range(lo, hi + 1))
+    sect = _SectorData(model, m)
+    cone = _cone_homology(sect, sect.cap)
+    return {d: cone.group(sect.residue(d)) for d in range(lo, hi + 1)}
 
 
 def gysin(model: BaseModel, m: int, degrees: tuple[int, int]) -> LongExactSequence:
@@ -434,7 +426,7 @@ class FullRFHResult:
 
 class _SectorData(LazyHomology):
     """The `LazyHomology` of the base, with the induced cap map in each
-    degree built on first use from the cap at that degree.
+    degree built on first use from `cap` at that degree (RFH^w0 is its cone).
 
     Over a monotone base the generator (q, k) sits in degree
     mu - dim/2 - 2*lambda*nu*k, so k -> k + 1 is a chain isomorphism
@@ -583,6 +575,11 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
     def field_betti() -> int:
         return _field_total_betti(model, field)
 
+    @cache
+    def field_quotient_dim(r: int) -> int:
+        # the boundaries and caps at e and e + period are the same matrices
+        return _field_quotient_dim(sect, r, field_betti(), field)
+
     def value_for(d: int) -> GroupValue:
         star = d + 1
         if nilpotent or regime == CompletionRegime.ALL_LOWER:
@@ -599,7 +596,7 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
             # ALL_LOWER and ALL_UPPER have returned, so the regime is FINITE:
             # dim FH_star / ker(psi^b) over F_p, b the total F_p Betti number
             return GroupValue.of(ZModulePresentation(
-                _field_quotient_dim(sect, star, field_betti(), field), ()))
+                field_quotient_dim(sect.residue(star)), ()))
         # pattern detection: rank-one torsion-free sectors, cap = +-m
         pattern = True
         for k in range(period):
@@ -672,15 +669,15 @@ def delta_injectivity(model: BaseModel, m: int, tau: Fraction,
 # Transfer and projection
 # ---------------------------------------------------------------------------
 
-def transfer_maps(model: BaseModel, tau: Fraction, degrees: tuple[int, int],
+def transfer_maps(model: BaseModel, degrees: tuple[int, int],
                   m: int) -> tuple[ChainMap, ChainMap]:
     """T from the degree-m complex to the degree-1 complex sends a generator
     to the one with covering number l/m, with coefficient 1 on hats and m on
     checks; P goes back with covering number l*m, with coefficient m on hats
     and 1 on checks.  Both are chain maps because the degree-m cap is m
     times the unit cap."""
-    C_m = rfc_w0(model, m, tau, degrees)
-    C_1 = rfc_w0(model, 1, tau, degrees)
+    C_m = rfc_w0(model, m, degrees)
+    C_1 = rfc_w0(model, 1, degrees)
     lo, hi = degrees
     T = ChainMap(C_m, C_1, 0, {d: matrix_from_terms(
         C_m.basis[d], C_1.basis[d],
@@ -711,15 +708,14 @@ def _transfer_failures(T: ChainMap, P: ChainMap, m: int) -> list[int]:
 # Orderability
 # ---------------------------------------------------------------------------
 
-def orderability_report(model: BaseModel, m: int,
-                        tau: Fraction = Fraction(1)) -> dict:
+def orderability_report(model: BaseModel, m: int) -> dict:
     """Nonvanishing of the zero-winding homology on the stabilized window
     implies orderability and the existence of translated points; vanishing
-    leaves both questions open."""
+    leaves both questions open.  RFH^w0 and cap_surjective share one `_SectorData`."""
     dlo, dhi = -model.dim - 2, model.dim + 2
-    table = rfh_w0_table(model, m, tau, (dlo, dhi))
-    nonzero = any(not p.is_zero() for p in table.values())
     sect = _SectorData(model, m)
+    cone = _cone_homology(sect, sect.cap)
+    nonzero = any(not cone.group(d).is_zero() for d in range(dlo, dhi + 1))
     surjective = True
     for e in range(dlo, dhi + 1):
         tgt = sect.basis(e - 2)

@@ -15,17 +15,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .basemodel import (build_fc, cap_map, cp_model, point_model,
-                        surface_model)
+from .basemodel import cp_model, point_model, surface_model
 from .chaincplx import (ChainMap, GradedComplex, LazyHomology, cone_les,
-                        homology_table, mapping_cone, verify_boundary,
-                        verify_exactness)
+                        homology_table, verify_boundary, verify_exactness)
 from .exactlin import (IntMatrix, ZModulePresentation, det_bareiss,
                        smith_normal_form)
 from .rfh import (RFHGenerator, _transfer_failures, action, base_action,
                   boundary_full, boundary_full_chain, delta_injectivity,
                   enumerate_generators, fh_index, full_rfh, gysin,
-                  primitive_partial_sum, rfh_index, rfh_w0_table,
+                  primitive_partial_sum, rfc_w0, rfh_index, rfh_w0_table,
                   transfer_maps, winding)
 
 
@@ -277,7 +275,7 @@ def criterion_6() -> tuple[bool, str]:
     failures = []
     model = cp_model(2)
     for m in range(1, 7):
-        T, P = transfer_maps(model, Fraction(1), (-6, 6), m)
+        T, P = transfer_maps(model, (-6, 6), m)
         failures += [f"m={m} deg {d}" for d in _transfer_failures(T, P, m)]
     for n in (1, 2, 3):
         base = rfh_w0_table(cp_model(n), 1, Fraction(1), (-6, 6))
@@ -344,18 +342,17 @@ def criterion_8() -> tuple[bool, str]:
 
 
 def criterion_9() -> tuple[bool, str]:
-    """Oracle equivalences: the zero-winding complex has the same homology
-    as the mapping cone of the cap map on every zoo instance, and the Smith
-    form agrees with the minor-gcd oracle on 500 random matrices."""
+    """Oracle equivalences: the engine's zero-winding homology, the lazy
+    cone of the cap, equals the homology of the complex that `rfc_w0`
+    assembles from the generators on every zoo instance, and the Smith form
+    agrees with the minor-gcd oracle on 500 random matrices."""
     failures = []
     zoo = [(cp_model(n), m) for n in (1, 2, 3) for m in range(1, 6)]
     zoo += [(surface_model(g), m) for g in (1, 2) for m in (1, 2, 3)]
     zoo += [(point_model(), m) for m in (1, 2)]
     for model, m in zoo:
         direct = rfh_w0_table(model, m, Fraction(1), (-5, 5))
-        fc = build_fc(model, degrees=(-9, 8))
-        cone = mapping_cone(cap_map(model, m, fc=fc))
-        oracle = homology_table(cone, range(-5, 6))
+        oracle = homology_table(rfc_w0(model, m, (-6, 6)), range(-5, 6))
         for d in range(-5, 6):
             if direct[d] != oracle[d]:
                 failures.append(f"{model.name} m={m} deg {d}: "

@@ -169,6 +169,8 @@ def test_usage_errors(capsys):
     ["cp2-demo", "--truncation", "1"],
     ["orderability", "--degrees", "-2..2"],
     ["gysin", "--tau", "2"],
+    ["transfer", "--tau", "2"],
+    ["orderability", "--tau", "2"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     """Malformed or unread arguments exit 2 with one `error:` line and no

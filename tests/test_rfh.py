@@ -193,12 +193,12 @@ def test_enumerate_needs_truncation_at_boundary():
 # -- zero-winding complex -------------------------------------------------------
 
 def test_rfc_w0_equals_cone_oracle():
-    """The directly-assembled zero-winding complex computes the same
-    homology as the mapping cone of the cap chain map."""
+    """The zero-winding complex assembled from the generators computes the
+    same homology as the mapping cone of the windowed cap chain map."""
     zoo = [(cp_model(n), m) for n in (1, 2, 3) for m in (1, 2, 5)]
     zoo += [(surface_model(1), 2), (surface_model(2), 3), (point_model(), 1)]
     for model, m in zoo:
-        direct = rfh_w0_table(model, m, Fraction(1), (-4, 4))
+        direct = homology_table(rfc_w0(model, m, (-5, 5)), range(-4, 5))
         cone = mapping_cone(cap_map(model, m, fc=build_fc(model, degrees=(-8, 7))))
         oracle = homology_table(cone, range(-4, 5))
         assert direct == oracle, (model.name, m)
@@ -235,7 +235,7 @@ def test_homology_table_matches_cycle_bases_on_models():
     models += [nonperfect_surface(g, rng) for g in (1, 2, 3, 5)]
     for model in models:
         complexes = [build_fc(model, degrees=(-6, 6))]
-        complexes += [rfc_w0(model, m, Fraction(1), (-6, 6)) for m in (1, 2, 3)]
+        complexes += [rfc_w0(model, m, (-6, 6)) for m in (1, 2, 3)]
         for C in complexes:
             degrees = range(-5, 6)
             lazy = LazyHomology(C.boundary_at)
@@ -247,7 +247,7 @@ def test_homology_table_matches_cycle_bases_on_models():
 
 def test_rfc_w0_boundary_squares_to_zero():
     for model, m in [(CP2, 2), (surface_model(1), 3)]:
-        C = rfc_w0(model, m, Fraction(1), (-6, 6))
+        C = rfc_w0(model, m, (-6, 6))
         assert verify_boundary(C).ok
 
 
@@ -290,18 +290,6 @@ def test_rfh_w0_tau_independence():
     for tau in (Fraction(1, 7), Fraction(1), Fraction(13, 2)):
         assert rfh_w0_table(CP2, 3, tau, (-4, 4)) == \
             rfh_w0_table(CP2, 3, Fraction(1), (-4, 4))
-
-
-def test_rfc_w0_action_window():
-    """An action window keeps exactly the sphere classes with
-    -(1+tau)*k*nu strictly inside it."""
-    tau = Fraction(1)
-    C = rfc_w0(CP2, 2, tau, (-20, 20), window=(Fraction(-3), Fraction(3)))
-    ks = set()
-    for d in range(-20, 21):
-        for g in C.basis[d]:
-            ks.add(g.k)
-    assert ks == {-1, 0, 1}
 
 
 def test_enumerate_requires_some_constraint():
@@ -445,7 +433,7 @@ def test_boundary_full_matches_rfc_w0():
     """Restricting the full boundary to winding-preserving terms reproduces
     the zero-winding differential."""
     m = 2
-    C = rfc_w0(CP2, m, Fraction(1), (-5, 5))
+    C = rfc_w0(CP2, m, (-5, 5))
     for d in range(-4, 6):
         tgt_pos = {t: i for i, t in enumerate(C.basis[d - 1])}
         M = C.boundary_at(d)
@@ -649,6 +637,24 @@ def test_full_rfh_computes_field_betti_once(monkeypatch):
     assert calls == []
 
 
+def test_full_rfh_field_cells_once_per_residue(monkeypatch):
+    """Over F_p a cell reads the boundaries and caps at its own degree,
+    which repeat with the period |2*lambda*nu| = 6 of cp:2, so 1,200
+    degrees of the finite regime need at most 6 block ranks (600 when
+    each degree was read on its own)."""
+    calls = []
+    quotient = rfh._field_quotient_dim
+
+    def counted(sect, e, b, p):
+        calls.append(e)
+        return quotient(sect, e, b, p)
+
+    monkeypatch.setattr(rfh, "_field_quotient_dim", counted)
+    res = full_rfh(CP2, 2, Fraction(2), (-600, 599), "fp:5")
+    assert len(calls) <= 6, len(calls)
+    assert sum(v.kind != "zero" for v in res.table.values()) == 600
+
+
 def test_full_rfh_cp1_parity():
     """For the projective line the nonzero sectors sit in odd base degrees,
     so the full homology lives in even total degrees."""
@@ -805,7 +811,7 @@ def test_sectors_match_the_windowed_complex():
                 fc = build_fc(model, (lo - 6, hi + 3))
                 want = cone_les(cap_map(model, m, fc), (lo, hi), "RFH^w0", "FH")
                 assert gysin(model, m, (lo, hi)) == want, (model.name, m, lo, hi)
-                wide = rfc_w0(model, m, Fraction(1), (lo - 5, hi + 5))
+                wide = rfc_w0(model, m, (lo - 5, hi + 5))
                 assert rfh_w0_table(model, m, Fraction(1), (lo, hi)) == \
                     homology_table(wide, range(lo, hi + 1)), (model.name, m, lo, hi)
 
@@ -870,13 +876,13 @@ def test_delta_minus_id_has_cokernel():
 
 def test_transfer_identities():
     for m in (1, 2, 6):
-        T, P = transfer_maps(CP2, Fraction(1), (-5, 5), m)
+        T, P = transfer_maps(CP2, (-5, 5), m)
         for d in range(-5, 6):
             n = T.source.rank(d)
             want = IntMatrix.identity(n).scale(m).entries
             assert (P.at(d) @ T.at(d)).entries == want
             assert (T.at(d) @ P.at(d)).entries == want
-    T1, P1 = transfer_maps(CP2, Fraction(1), (-4, 4), 1)
+    T1, P1 = transfer_maps(CP2, (-4, 4), 1)
     for d in range(-4, 5):
         assert T1.at(d).entries == IntMatrix.identity(T1.source.rank(d)).entries
         assert P1.at(d).entries == T1.at(d).entries
