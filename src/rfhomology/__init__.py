@@ -13,7 +13,6 @@ from .exactlin import (IntMatrix, SmithDecomposition, ZModulePresentation,
 from .novikov import CompletionRegime, regime_for
 from .rfh import (FullRFHResult, GroupValue, RFHGenerator, boundary_full,
                   delta_injectivity, enumerate_generators, full_rfh, gysin,
-                  orderability_report, rfc_w0, rfh_w0_table,
-                  transfer_maps)
+                  orderability_report, rfh_w0_table, transfer_failures)
 
 __version__ = "0.1.0"

@@ -203,16 +203,18 @@ class BaseModel:
         return all(b - a != 1 for a, b in zip(idxs, idxs[1:]))
 
     def fh_degree(self, morse_index: int, k: int) -> int:
+        """The degree of a generator (q, k), q of Morse index `morse_index`:
+        the one site of the grading convention (see the module docstring)."""
         return morse_index - self.half_dim - 2 * self.lambda_nu * k
 
     @cached_property
     def degree_classes(self) -> dict[int, tuple[tuple[str, int], ...]]:
         """Critical points by the degrees their generators reach: the residue
-        of mu - dim/2 modulo 2*lambda*nu (mu - dim/2 itself when aspherical)
-        -> (label, mu - dim/2) in `crit` order."""
+        of the degree at k = 0 modulo 2*lambda*nu (that degree itself when
+        aspherical) -> (label, degree at k = 0) in `crit` order."""
         classes: dict[int, list[tuple[str, int]]] = {}
         for label, idx in self.crit:
-            shifted = idx - self.half_dim
+            shifted = self.fh_degree(idx, 0)
             key = shifted if self.aspherical else shifted % (2 * self.lambda_nu)
             classes.setdefault(key, []).append((label, shifted))
         return {key: tuple(c) for key, c in classes.items()}

@@ -20,9 +20,9 @@ from . import selftest as selftest_mod
 from .basemodel import BaseModel, cp_model, model_from_spec
 from .chaincplx import verify_exactness
 from .errors import EngineError
-from .rfh import (GroupValue, _transfer_failures, action, boundary_full,
-                  enumerate_generators, full_rfh, gysin, orderability_report,
-                  parse_coeff, rfh_index, rfh_w0_table, transfer_maps, winding)
+from .rfh import (GroupValue, action, boundary_full, enumerate_generators,
+                  full_rfh, gysin, orderability_report, parse_coeff, rfh_index,
+                  rfh_w0_table, transfer_failures, winding)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +224,10 @@ def cmd_gysin(args: argparse.Namespace) -> int:
 
 def cmd_transfer(args: argparse.Namespace) -> int:
     model = args.model
-    lo, hi = args.degrees
-    ok = not _transfer_failures(*transfer_maps(model, args.degrees, args.m),
-                                args.m)
+    ok = not transfer_failures(model, args.m, args.degrees)
     payload = {"command": "transfer", "model": model.name, "m": args.m,
-               "degrees": [lo, hi], "identity": f"P.T = T.P = {args.m}.id",
-               "pass": ok}
+               "degrees": list(args.degrees),
+               "identity": f"P.T = T.P = {args.m}.id", "pass": ok}
     md = f"transfer/projection on {model.name}: P.T = T.P = {args.m}.id: " + \
         ("PASS" if ok else "FAIL")
     emit(payload, args.fmt, md)

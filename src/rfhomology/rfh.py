@@ -6,17 +6,22 @@ are exact:
 
     winding        w        = l - m*k*nu
     Lagrange mult. eta      = -l/m
-    index (min)    mu       = -2l - 2*(lam - m)*k*nu + morse_index - dim/2
+    index (min)    mu       = fh_degree(morse_index, k) - 2w
     index (max)    mu + 1
     action         A        = -k*nu - (tau/m)*l
 
+with fh_degree the degree of (q, k) in the base, the one site of the
+grading convention (`BaseModel.fh_degree`).
+
 The zero-winding complex is the cone of the cap chain map under the
-relabeling l = m*k*nu; the full boundary splits as d0 + d1 + d2 where d0
-raises the covering number inside a fiber, d1 is the Morse part, and d2 is
-the cap part with its sphere-class shift.  The full homology is computed
-through the structural short exact sequence 0 -> sum -> sum -> RFH -> 0
-with the middle map id + cap-shift, never by diagonalizing the literal
-infinite complex.
+relabeling l = m*k*nu, read lazily over the base (`_SectorData`); the
+transfer and projection are diagonal on it, and `selftest.rfc_w0`
+assembles it from the generators as an oracle.  The full boundary splits
+as d0 + d1 + d2 where d0 raises the covering number inside a fiber, d1 is
+the Morse part, and d2 is the cap part with its sphere-class shift.  The
+full homology is computed through the structural short exact sequence
+0 -> sum -> sum -> RFH -> 0 with the middle map id + cap-shift, never by
+diagonalizing the literal infinite complex.
 """
 
 from __future__ import annotations
@@ -28,10 +33,9 @@ from functools import cache
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .basemodel import BaseModel, cap_matrix, primitivity_report
-from .chaincplx import (ChainMap, GradedComplex, HomologyBasis, LazyHomology,
-                        LongExactSequence, _cone_boundary, _cone_homology,
-                        _cone_les, _degree_range, _preimage_in_span,
-                        induced_matrix, matrix_from_terms)
+from .chaincplx import (HomologyBasis, LazyHomology, LongExactSequence,
+                        _cone_boundary, _cone_homology, _cone_les,
+                        _degree_range, _preimage_in_span, induced_matrix)
 from .errors import (ConsecutiveIndexModel, EmptyWindow,
                      TruncationTooNarrow, UnstabilizedTruncation)
 from .exactlin import (IntMatrix, ZModulePresentation, is_surjective_over_z,
@@ -80,10 +84,7 @@ def fh_index(gen: RFHGenerator, model: BaseModel) -> int:
 
 
 def rfh_index(gen: RFHGenerator, model: BaseModel, m: int) -> int:
-    mu = (-2 * gen.cov
-          - 2 * (model.lambda_nu - m * model.nu) * gen.k
-          + gen.morse_index - model.half_dim)
-    return mu + (1 if gen.hat else 0)
+    return fh_index(gen, model) - 2 * winding(gen, model, m) + gen.hat
 
 
 def action(gen: RFHGenerator, model: BaseModel, m: int, tau: Fraction) -> Fraction:
@@ -184,12 +185,12 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
     if model.aspherical:
         strips.append((1, 0, 0, 0))
 
-    # index = slope*k - 2l + c, c = morse index - dim/2 + hat
+    # index = slope*k - 2l + c, c = base degree at k = 0 + hat
     slope = -2 * (model.lambda_nu - m * nu)
     keyed = []
     for pos, (label, idx) in enumerate(model.crit):
         for hat in (False, True):
-            c = idx - model.half_dim + hat
+            c = model.fh_degree(idx, 0) + hat
             fam = strips if degrees is None else strips + [
                 (slope, -2, degrees[0] - c, degrees[1] - c)]
             keyed += [(slope * k - 2 * l + c, k, l, hat, pos,
@@ -204,41 +205,11 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
 # Zero-winding complex and Gysin sequence
 # ---------------------------------------------------------------------------
 
-def rfc_w0(model: BaseModel, m: int, degrees: tuple[int, int]) -> GradedComplex:
-    """Complex on the zero-winding generators, assembled from the generator
-    bookkeeping: hat->hat is minus the Morse part, check->check the Morse
-    part, check->hat the cap part.  Under l = m*k*nu this is the cone of the
-    cap chain map, which the engine reads lazily (`rfh_w0_table`, `gysin`):
-    this complex is its generator-level oracle and the complex on which
-    `transfer_maps` acts."""
-    lo, hi = degrees
-    nu = model.nu
-    idx_of = model.index_of
-    morse = model.morse_terms
-
-    checks = {d: [RFHGenerator(label, idx_of[label], m * k * nu, k, False)
-                  for label, k in model.generators_in_degree(d)]
-              for d in range(lo - 1, hi + 1)}
-    basis = {d: tuple(g._replace(hat=True) for g in checks[d - 1]) + tuple(checks[d])
-             for d in range(lo, hi + 1)}
-
-    def terms(g: RFHGenerator):
-        sign = -1 if g.hat else 1
-        for tl, c in morse[g.label]:
-            yield RFHGenerator(tl, idx_of[tl], g.cov, g.k, g.hat), sign * c
-        if not g.hat:
-            for tlab, tidx, s, c in model.cap_terms[g.label]:
-                yield RFHGenerator(tlab, tidx, g.cov + m * nu * s, g.k + s, True), m * c
-
-    boundary = {d: matrix_from_terms(basis[d], basis[d - 1], terms)
-                for d in range(lo + 1, hi + 1)}
-    return GradedComplex(degrees, basis, boundary)
-
-
 def rfh_w0_table(model: BaseModel, m: int, tau: Fraction,
                  degrees: tuple[int, int]) -> dict[int, ZModulePresentation]:
     """RFH^w0_d on lo..hi, the homology of the lazy cone of the cap, read at
-    the residue of d (the cone repeats with the base, see `_SectorData`); it
+    the residue of d (the cone repeats with the base, see `_SectorData`);
+    criterion 9 compares it with the generator-level `selftest.rfc_w0`.  It
     does not depend on the radius, so `tau` is ignored."""
     lo, hi = _degree_range(degrees)
     sect = _SectorData(model, m)
@@ -464,16 +435,15 @@ class _SectorData(LazyHomology):
 
 def _field_total_betti(model: BaseModel, p: int) -> int:
     """Total F_p Betti number of a monotone base: sum of
-    n_e - rank_p d_e - rank_p d_{e+1} over one period of 2*lambda*nu
-    consecutive degrees, which meets each critical point once (the boundary
-    keeps the sphere class, so each period holds one copy of the Morse
-    complex)."""
+    n_e - rank_p d_e - rank_p d_{e+1} over e in 0..|2*lambda*nu| - 1.  Both
+    terms repeat with that period, and each period holds one copy of the
+    Morse complex (the boundary keeps the sphere class)."""
     if not model.morse_boundary:
         return len(model.crit)
-    h, span = model.half_dim, abs(2 * model.lambda_nu)
-    r = {e: rank_mod_p(model.boundary_at(e), p) for e in range(-h, -h + span + 1)}
+    span = abs(2 * model.lambda_nu)
+    r = {e: rank_mod_p(model.boundary_at(e), p) for e in range(span + 1)}
     return sum(len(model.generators_in_degree(e)) - r[e] - r[e + 1]
-               for e in range(-h, -h + span))
+               for e in range(span))
 
 
 def _field_quotient_dim(sect: _SectorData, e: int, b: int, p: int) -> int:
@@ -669,39 +639,39 @@ def delta_injectivity(model: BaseModel, m: int, tau: Fraction,
 # Transfer and projection
 # ---------------------------------------------------------------------------
 
-def transfer_maps(model: BaseModel, degrees: tuple[int, int],
-                  m: int) -> tuple[ChainMap, ChainMap]:
-    """T from the degree-m complex to the degree-1 complex sends a generator
-    to the one with covering number l/m, with coefficient 1 on hats and m on
-    checks; P goes back with covering number l*m, with coefficient m on hats
-    and 1 on checks.  Both are chain maps because the degree-m cap is m
-    times the unit cap."""
-    C_m = rfc_w0(model, m, degrees)
-    C_1 = rfc_w0(model, 1, degrees)
-    lo, hi = degrees
-    T = ChainMap(C_m, C_1, 0, {d: matrix_from_terms(
-        C_m.basis[d], C_1.basis[d],
-        lambda g: [(g._replace(cov=g.cov // m), 1 if g.hat else m)])
-        for d in range(lo, hi + 1)})
-    P = ChainMap(C_1, C_m, 0, {d: matrix_from_terms(
-        C_1.basis[d], C_m.basis[d],
-        lambda g: [(g._replace(cov=g.cov * m), m if g.hat else 1)])
-        for d in range(lo, hi + 1)})
-    T.check()
-    P.check()
-    return T, P
+def _transfer_maps(sect: _SectorData, d: int) -> tuple[IntMatrix, IntMatrix]:
+    """T_d and P_d on the cone layout at d, the hats (C_{d-1}) then the
+    checks (C_d): the transfer T = diag(1 on hats, m on checks) from the cone
+    of the degree-m cap to the cone of the unit cap, and the projection
+    P = diag(m on hats, 1 on checks) back."""
+    hats, checks = sect.boundary(d).rows, sect.boundary(d).cols
+
+    def diag(on_hats: int, on_checks: int) -> IntMatrix:
+        return IntMatrix(hats + checks, hats + checks, tuple(
+            {i: on_hats if i < hats else on_checks} for i in range(hats + checks)))
+    return diag(1, sect.m), diag(sect.m, 1)
 
 
-def _transfer_failures(T: ChainMap, P: ChainMap, m: int) -> list[int]:
-    """The degrees at which P.T = T.P = m.id fails, for the maps of
-    `transfer_maps`."""
-    lo, hi = T.source.degrees
-    failures = []
+def transfer_failures(model: BaseModel, m: int, degrees: tuple[int, int]) -> list[int]:
+    """The degrees of lo..hi at which T or P of `_transfer_maps` does not
+    commute with the boundaries of the two cones, or P.T = T.P = m.id fails.
+    None should: the degree-m cap is m times the unit cap.  Both cones repeat
+    with the base (see `_SectorData`), so each residue is decided once; the
+    base has boundaries in every degree, so lo is checked like the rest."""
+    lo, hi = _degree_range(degrees)
+    sect = _SectorData(model, m)
+    cone_m = _cone_homology(sect, sect.cap)
+    cone_1 = _cone_homology(sect, lambda e: model.cap_at(e, 1))
+    verdicts: dict[int, bool] = {}
     for d in range(lo, hi + 1):
-        want = IntMatrix.identity(T.source.rank(d)).scale(m)
-        if P.at(d) @ T.at(d) != want or T.at(d) @ P.at(d) != want:
-            failures.append(d)
-    return failures
+        r = sect.residue(d)
+        if r not in verdicts:
+            (T, P), (T_below, P_below) = _transfer_maps(sect, r), _transfer_maps(sect, r - 1)
+            want = IntMatrix.identity(T.rows).scale(m)
+            verdicts[r] = (cone_1.boundary(r) @ T == T_below @ cone_m.boundary(r)
+                           and cone_m.boundary(r) @ P == P_below @ cone_1.boundary(r)
+                           and P @ T == want and T @ P == want)
+    return [d for d in range(lo, hi + 1) if not verdicts[sect.residue(d)]]
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,16 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .basemodel import cp_model, point_model, surface_model
+from .basemodel import BaseModel, cp_model, point_model, surface_model
 from .chaincplx import (ChainMap, GradedComplex, LazyHomology, cone_les,
-                        homology_table, verify_boundary, verify_exactness)
+                        homology_table, matrix_from_terms, verify_boundary,
+                        verify_exactness)
 from .exactlin import (IntMatrix, ZModulePresentation, det_bareiss,
                        smith_normal_form)
-from .rfh import (RFHGenerator, _transfer_failures, action, base_action,
-                  boundary_full, boundary_full_chain, delta_injectivity,
-                  enumerate_generators, fh_index, full_rfh, gysin,
-                  primitive_partial_sum, rfc_w0, rfh_index, rfh_w0_table,
-                  transfer_maps, winding)
+from .rfh import (RFHGenerator, action, base_action, boundary_full,
+                  boundary_full_chain, delta_injectivity, enumerate_generators,
+                  fh_index, full_rfh, gysin, primitive_partial_sum, rfh_index,
+                  rfh_w0_table, transfer_failures, winding)
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +46,36 @@ def circle_bundle_homology(g: int, m: int) -> dict[int, ZModulePresentation]:
     d0 = IntMatrix.zero(0, 1)
     h = LazyHomology([d0, d1, d2, d3, d4].__getitem__)
     return {d: h.group(d) for d in range(4)}
+
+
+def rfc_w0(model: BaseModel, m: int, degrees: tuple[int, int]) -> GradedComplex:
+    """Complex on the zero-winding generators, assembled from the generator
+    bookkeeping: hat->hat is minus the Morse part, check->check the Morse
+    part, check->hat the cap part.  Under l = m*k*nu this is the cone of the
+    cap chain map, which the engine reads lazily (`rfh_w0_table`, `gysin`,
+    `transfer_failures`); this complex is its generator-level oracle."""
+    lo, hi = degrees
+    nu = model.nu
+    idx_of = model.index_of
+    morse = model.morse_terms
+
+    checks = {d: [RFHGenerator(label, idx_of[label], m * k * nu, k, False)
+                  for label, k in model.generators_in_degree(d)]
+              for d in range(lo - 1, hi + 1)}
+    basis = {d: tuple(g._replace(hat=True) for g in checks[d - 1]) + tuple(checks[d])
+             for d in range(lo, hi + 1)}
+
+    def terms(g: RFHGenerator):
+        sign = -1 if g.hat else 1
+        for tl, c in morse[g.label]:
+            yield RFHGenerator(tl, idx_of[tl], g.cov, g.k, g.hat), sign * c
+        if not g.hat:
+            for tlab, tidx, s, c in model.cap_terms[g.label]:
+                yield RFHGenerator(tlab, tidx, g.cov + m * nu * s, g.k + s, True), m * c
+
+    boundary = {d: matrix_from_terms(basis[d], basis[d - 1], terms)
+                for d in range(lo + 1, hi + 1)}
+    return GradedComplex(degrees, basis, boundary)
 
 
 def minor_gcd(A: IntMatrix, k: int) -> int:
@@ -275,8 +305,7 @@ def criterion_6() -> tuple[bool, str]:
     failures = []
     model = cp_model(2)
     for m in range(1, 7):
-        T, P = transfer_maps(model, (-6, 6), m)
-        failures += [f"m={m} deg {d}" for d in _transfer_failures(T, P, m)]
+        failures += [f"m={m} deg {d}" for d in transfer_failures(model, m, (-6, 6))]
     for n in (1, 2, 3):
         base = rfh_w0_table(cp_model(n), 1, Fraction(1), (-6, 6))
         if any(not p.is_zero() for p in base.values()):

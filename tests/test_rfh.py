@@ -16,22 +16,24 @@ from rfhomology import exactlin, rfh
 from rfhomology.basemodel import (BaseModel, build_fc, cap_map,
                                   cap_stabilization, cp_model, load_model,
                                   point_model, surface_model)
-from rfhomology.chaincplx import (LazyHomology, cone_les, homology_table,
-                                  induced_matrix, mapping_cone, verify_boundary,
-                                  verify_exactness)
+from rfhomology.chaincplx import (ChainMap, LazyHomology, _cone_homology,
+                                  cone_les, homology_table, induced_matrix,
+                                  mapping_cone, matrix_from_terms,
+                                  verify_boundary, verify_exactness)
 from rfhomology.errors import (ConsecutiveIndexModel, DegreeOutOfRange,
                                TruncationTooNarrow)
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
                                  presentation_from_relations, rank)
 from rfhomology.novikov import CompletionRegime
 from rfhomology.rfh import (RFHGenerator, _cap_shortcuts, _field_quotient_dim,
-                            _field_total_betti, _SectorData, action,
-                            base_action, boundary_full, boundary_full_chain,
-                            delta_injectivity, enumerate_generators, eta,
-                            fh_index, full_rfh, gysin, orderability_report,
-                            primitive_partial_sum, rfc_w0, rfh_index,
-                            rfh_w0_table, transfer_maps, winding)
-from rfhomology.selftest import random_complex_and_map
+                            _field_total_betti, _SectorData, _transfer_maps,
+                            action, base_action, boundary_full,
+                            boundary_full_chain, delta_injectivity,
+                            enumerate_generators, eta, fh_index, full_rfh,
+                            gysin, orderability_report, primitive_partial_sum,
+                            rfh_index, rfh_w0_table, transfer_failures,
+                            winding)
+from rfhomology.selftest import random_complex_and_map, rfc_w0
 
 CP2 = cp_model(2)
 
@@ -50,6 +52,25 @@ def test_cp2_index_formula():
             assert rfh_index(g, CP2, m) == want + (1 if g.hat else 0)
             assert winding(g, CP2, m) == g.cov - m * g.k
             assert eta(g, m) == -Fraction(g.cov, m)
+
+
+def test_rfh_index_is_the_base_degree_less_twice_the_winding():
+    """On boxes of the zoo every generator's index is the degree in which
+    `generators_in_degree` places its (label, k), plus one on a hat, less
+    twice the winding: both read the grading from `BaseModel.fh_degree`."""
+    rng = random.Random(12)
+    models = [cp_model(n) for n in (1, 2, 3)] + [surface_model(g) for g in (1, 2)]
+    models += [point_model(), load_model(TORSION_MODEL),
+               load_model(MONOTONE_TORSION_MODEL), nonperfect_surface(2, rng)]
+    for model in models:
+        placed = {(label, k): e for e in range(-60, 61)
+                  for label, k in model.generators_in_degree(e)}
+        for m in (1, 2, 3):
+            gens = enumerate_generators(model, m, Fraction(1), k_bound=4, l_bound=5)
+            assert gens
+            for g in gens:
+                assert rfh_index(g, model, m) == \
+                    placed[g.label, g.k] + g.hat - 2 * winding(g, model, m), (model.name, m, g)
 
 
 def test_generator_value_semantics():
@@ -874,18 +895,85 @@ def test_delta_minus_id_has_cokernel():
     assert not coker.is_zero()
 
 
-def test_transfer_identities():
+def test_transfer_identities(monkeypatch):
+    """P.T = T.P = m.id on the cone layout, T = P = id at m = 1, and a
+    transfer that does not commute with the cone boundaries is reported:
+    swapping T and P keeps P.T = T.P = m.id but moves the cap's factor m,
+    so every degree whose cone boundary holds a cap term fails."""
     for m in (1, 2, 6):
-        T, P = transfer_maps(CP2, (-5, 5), m)
+        assert transfer_failures(CP2, m, (-5, 5)) == []
+        sect = _SectorData(CP2, m)
         for d in range(-5, 6):
-            n = T.source.rank(d)
-            want = IntMatrix.identity(n).scale(m).entries
-            assert (P.at(d) @ T.at(d)).entries == want
-            assert (T.at(d) @ P.at(d)).entries == want
-    T1, P1 = transfer_maps(CP2, (-4, 4), 1)
+            T, P = _transfer_maps(sect, d)
+            want = IntMatrix.identity(T.rows).scale(m)
+            assert P @ T == want and T @ P == want
+    sect = _SectorData(CP2, 1)
     for d in range(-4, 5):
-        assert T1.at(d).entries == IntMatrix.identity(T1.source.rank(d)).entries
-        assert P1.at(d).entries == T1.at(d).entries
+        T, P = _transfer_maps(sect, d)
+        assert T == P == IntMatrix.identity(T.rows)
+    original = _transfer_maps
+    monkeypatch.setattr(rfh, "_transfer_maps", lambda sect, d: original(sect, d)[::-1])
+    assert transfer_failures(CP2, 2, (-5, 5)) == [-4, -2, 0, 2, 4]
+
+
+def reference_transfer_maps(model, m, degrees):
+    """The generator-level transfer on `rfc_w0`: T sends a generator to the
+    one with covering number l/m, with coefficient 1 on hats and m on
+    checks; P goes back with covering number l*m, with coefficient m on
+    hats and 1 on checks.  Both are checked as chain maps."""
+    C_m, C_1 = rfc_w0(model, m, degrees), rfc_w0(model, 1, degrees)
+    lo, hi = degrees
+    T = ChainMap(C_m, C_1, 0, {d: matrix_from_terms(
+        C_m.basis[d], C_1.basis[d],
+        lambda g: [(g._replace(cov=g.cov // m), 1 if g.hat else m)])
+        for d in range(lo, hi + 1)})
+    P = ChainMap(C_1, C_m, 0, {d: matrix_from_terms(
+        C_1.basis[d], C_m.basis[d],
+        lambda g: [(g._replace(cov=g.cov * m), m if g.hat else 1)])
+        for d in range(lo, hi + 1)})
+    T.check()
+    P.check()
+    return T, P
+
+
+def test_transfer_maps_equal_the_generator_level_reference():
+    """The diagonal T and P that `transfer_failures` reads at the residue of
+    d equal, entry for entry, the generator-level maps on `rfc_w0` at d, and
+    `rfc_w0`'s boundaries equal those of the two lazy cones."""
+    rng = random.Random(21)
+    models = [cp_model(n) for n in (1, 2, 3)] + [surface_model(g) for g in (1, 2)]
+    models += [point_model(), load_model(TORSION_MODEL),
+               load_model(MONOTONE_TORSION_MODEL), nonperfect_surface(2, rng)]
+    for model in models:
+        for m in range(1, 6):
+            T, P = reference_transfer_maps(model, m, (-6, 6))
+            sect = _SectorData(model, m)
+            cone_m = _cone_homology(sect, sect.cap)
+            cone_1 = _cone_homology(sect, lambda e: model.cap_at(e, 1))
+            for d in range(-6, 7):
+                assert _transfer_maps(sect, sect.residue(d)) == (T.at(d), P.at(d)), \
+                    (model.name, m, d)
+                if d > -6:
+                    assert T.source.boundary_at(d) == cone_m.boundary(d), (model.name, m, d)
+                    assert T.target.boundary_at(d) == cone_1.boundary(d), (model.name, m, d)
+            assert transfer_failures(model, m, (-6, 6)) == [], (model.name, m)
+
+
+def test_transfer_reads_each_residue_once(monkeypatch):
+    """On cp:2 (period 6) transfer over -6..5 and over -600..599 builds the
+    same base boundaries and caps: each residue is read once."""
+    calls = Counter()
+    for name in ("boundary_at", "cap_at"):
+        def counted(self, *args, _name=name, _orig=getattr(BaseModel, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(BaseModel, name, counted)
+    counts = []
+    for degrees in ((-6, 5), (-600, 599)):
+        calls.clear()
+        assert transfer_failures(CP2, 3, degrees) == []
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] and counts[0]["cap_at"] > 0, counts
 
 
 def test_transfer_torsion_consequence():
