@@ -4,16 +4,16 @@ over Z.
 
 `LazyHomology` is the one homology routine: it reads a complex given by its
 boundary in each degree one degree at a time, and every homology group or
-cycle basis in the package comes from it.  A finite complex has a window
-(lo, hi) of degrees and homology at interior degrees (`homology_table`);
-the cone's sequence at d reads the base in d-3..d+1, so `cone_les` reaches
-lo+3..hi-1.
+cycle basis in the package comes from it; `LazyCone` adds a degree -2 self
+map, its induced map and its cone, which the cone's sequence reads.  A
+finite complex has a window (lo, hi) of degrees and homology at interior
+degrees (`homology_table`); the cone's sequence at d reads the base in
+d-3..d+1, so `cone_les` reaches lo+3..hi-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import DegreeOutOfRange, NotAChainMap, NotAComplex
@@ -197,55 +197,78 @@ class HomologyBasis:
     presentation: ZModulePresentation
 
 
+class _Memo:
+    """build(d) on first use, kept per residue of d modulo `period` (0: per d)."""
+
+    def __init__(self, build: Callable[[int], IntMatrix], period: int):
+        self._build, self._period, self._values = build, period, {}
+
+    def __call__(self, d: int) -> IntMatrix:
+        if self._period:
+            d %= self._period
+        if d not in self._values:
+            self._values[d] = self._build(d)
+        return self._values[d]
+
+
 class LazyHomology:
     """H_d of the complex with boundary(d) : C_d -> C_{d-1}, built on first
     use.  With r_k the rank of boundary(k), H_d = Z^(n_d - r_d - r_{d+1})
     plus Z_t for every invariant factor t >= 2 of boundary(d+1), since
     ker boundary(d) is a direct summand of C_d.
 
-    `group(d)` reads only those invariant factors, off an elimination
-    already made for that degree or else by `invariant_factors`, which
-    builds no V.  `basis(d)` presents H_d on a cycle basis K with
+    `group(d)` reads only those invariant factors (`factors`), off an
+    elimination already made for that degree or else by `invariant_factors`,
+    which builds no V.  `basis(d)` presents H_d on a cycle basis K with
     coordinates C (C K = I), both read off the elimination (with V) of
     boundary(d), and relations X = C boundary(d+1); it eliminates a nonzero
     boundary(d+1) with V too, for the torsion now and the cycles of
     basis(d+1) later.  Each boundary is built once and eliminated at most
-    once with V."""
+    once with V.  A complex whose boundaries repeat with a `period` is built
+    and read at `residue(d)`, d modulo the period (period 0: d itself)."""
 
-    def __init__(self, boundary: Callable[[int], IntMatrix]):
-        self._build = boundary
-        self._boundaries: dict[int, IntMatrix] = {}
+    def __init__(self, boundary: Callable[[int], IntMatrix], period: int = 0):
+        self.boundary = _Memo(boundary, period)
+        self.period = period
         self._eliminations: dict[int, _Elimination] = {}
         self._factors: dict[int, tuple[int, ...]] = {}
         self._groups: dict[int, ZModulePresentation] = {}
         self._bases: dict[int, HomologyBasis] = {}
 
-    def boundary(self, d: int) -> IntMatrix:
-        if d not in self._boundaries:
-            self._boundaries[d] = self._build(d)
-        return self._boundaries[d]
+    def residue(self, d: int) -> int:
+        return d % self.period if self.period else d
 
     def _elimination(self, d: int) -> _Elimination:
+        d = self.residue(d)
         if d not in self._eliminations:
             elim = self._eliminations[d] = _Elimination(self.boundary(d))
             self._factors[d] = elim.invariant_factors()
         return self._eliminations[d]
 
+    def factors(self, d: int) -> tuple[int, ...]:
+        """The invariant factors of boundary(d), ones included."""
+        d = self.residue(d)
+        if d not in self._factors:
+            self._factors[d] = invariant_factors(self.boundary(d))
+        return self._factors[d]
+
+    def rank_mod(self, d: int, p: int) -> int:
+        """The rank of boundary(d) over F_p: its invariant factors prime to p."""
+        return sum(1 for t in self.factors(d) if t % p)
+
     def group(self, d: int) -> ZModulePresentation:
+        d = self.residue(d)
         if d not in self._groups:
             d_out = self.boundary(d)
             if not (d_out @ self.boundary(d + 1)).is_zero():
                 raise NotAComplex(f"d_{d} . d_{d + 1} != 0")
-            factors = self._factors
-            for k in (d, d + 1):
-                if k not in factors:
-                    factors[k] = invariant_factors(self.boundary(k))
-            out, inc = factors[d], factors[d + 1]
+            out, inc = self.factors(d), self.factors(d + 1)
             self._groups[d] = ZModulePresentation(d_out.cols - len(out) - len(inc),
                                                   tuple(t for t in inc if t >= 2))
         return self._groups[d]
 
     def basis(self, d: int) -> HomologyBasis:
+        d = self.residue(d)
         if d not in self._bases:
             d_in = self.boundary(d + 1)
             if any(d_in.columns):
@@ -254,13 +277,6 @@ class LazyHomology:
             # K X = d_in, as im(d_in) lies in ker boundary(d)
             self._bases[d] = HomologyBasis(K, C, C @ d_in, self.group(d))
         return self._bases[d]
-
-
-def _cone_homology(base: LazyHomology, psi: Callable[[int], IntMatrix]) -> LazyHomology:
-    """The `LazyHomology` of the cone of the degree -2 chain map psi(d) :
-    C_d -> C_{d-2} over `base`, which builds each base boundary once."""
-    return LazyHomology(lambda d: _cone_boundary(base.boundary(d - 1), psi(d),
-                                                 base.boundary(d)))
 
 
 def homology_table(C: GradedComplex, degrees: Iterable[int]) -> dict[int, ZModulePresentation]:
@@ -286,6 +302,31 @@ def induced_matrix(phi: IntMatrix, src: HomologyBasis, tgt: HomologyBasis) -> In
     if tgt.cycles @ Y != images:
         raise NotAChainMap("image of a cycle is not a cycle")
     return Y
+
+
+class LazyCone(LazyHomology):
+    """A complex with a degree -2 self chain map psi(d) : C_d -> C_{d-2}, psi
+    repeating with the boundaries: its homology, `psi`, the induced map
+    `psi_induced` and the `LazyHomology` of the cone of psi, each built on
+    first use and keyed by `residue(d)`."""
+
+    def __init__(self, boundary: Callable[[int], IntMatrix],
+                 psi: Callable[[int], IntMatrix], period: int = 0):
+        super().__init__(boundary, period)
+        self.psi = psi = _Memo(psi, period)
+        self._induced: dict[int, IntMatrix] = {}
+        boundary = self.boundary
+        # the cone reads the memos and not self: a reference cycle would keep
+        # every dead LazyCone, with its eliminations, for the cyclic collector
+        self.cone = LazyHomology(lambda d: _cone_boundary(boundary(d - 1), psi(d),
+                                                          boundary(d)), period)
+
+    def psi_induced(self, d: int) -> IntMatrix:
+        """psi(d) on homology, from the cycle basis at d to the one at d-2."""
+        d = self.residue(d)
+        if d not in self._induced:
+            self._induced[d] = induced_matrix(self.psi(d), self.basis(d), self.basis(d - 2))
+        return self._induced[d]
 
 
 def exact_at(incoming: IntMatrix, node: HomologyBasis,
@@ -342,10 +383,8 @@ class LongExactSequence:
     maps: tuple[IntMatrix, ...]
 
 
-def cone_les(psi: ChainMap,
-             degrees: Optional[tuple[int, int]] = None,
-             label_cone: str = "Cone",
-             label_base: str = "C") -> LongExactSequence:
+def cone_les(psi: ChainMap, degrees: Optional[tuple[int, int]] = None,
+             label_cone: str = "Cone", label_base: str = "C") -> LongExactSequence:
     """The helix ... -> H_d(Cone) -> H_d(C) -> H_{d-2}(C) -> H_{d-1}(Cone) -> ...
     of a degree -2 self chain map psi, checked here, on `degrees` (by default
     all that its window (lo, hi) reaches, lo+3..hi-1), built by `_cone_les`."""
@@ -355,19 +394,15 @@ def cone_les(psi: ChainMap,
     if dlo < lo + 3 or dhi > hi - 1:
         raise DegreeOutOfRange(
             f"need degrees within [{lo + 3}, {hi - 1}], got {degrees}")
-    return _cone_les(psi.source.boundary_at, psi.at, (dlo, dhi), label_cone, label_base)
+    return _cone_les(LazyCone(psi.source.boundary_at, psi.at), (dlo, dhi),
+                     label_cone, label_base)
 
 
-def _cone_les(boundary: Callable[[int], IntMatrix], psi: Callable[[int], IntMatrix],
-              degrees: tuple[int, int], label_cone: str, label_base: str
-              ) -> LongExactSequence:
-    """The cone sequence on degrees dlo..dhi of the complex with boundary(d)
-    : C_d -> C_{d-1} and chain map psi(d) : C_d -> C_{d-2}, read one degree
-    at a time; the maps project onto the checks, apply psi, include as hats."""
-    cap = cache(psi)
-    base = LazyHomology(boundary)
-    cone = _cone_homology(base, cap)
-    dlo, dhi = degrees
+def _cone_les(base: LazyCone, degrees: tuple[int, int], label_cone: str,
+              label_base: str) -> LongExactSequence:
+    """The cone sequence of `base` on degrees dlo..dhi, read one degree at a
+    time; the maps project onto the checks, apply psi, include as hats."""
+    cone, (dlo, dhi) = base.cone, degrees
     nodes: list[LESNode] = []
     maps: list[IntMatrix] = []
     for d in range(dhi, dlo - 1, -1):
@@ -378,7 +413,7 @@ def _cone_les(boundary: Callable[[int], IntMatrix], psi: Callable[[int], IntMatr
         proj = IntMatrix.zero(n, n1).hstack(IntMatrix.identity(n))
         maps.append(induced_matrix(proj, h_cone, h_d))
         nodes.append(LESNode(f"{label_base}_{d}", h_d))
-        maps.append(induced_matrix(cap(d), h_d, h_below))
+        maps.append(base.psi_induced(d))
         nodes.append(LESNode(f"{label_base}_{d-2}", h_below))
         if d > dlo:
             incl = IntMatrix.identity(n2).vstack(IntMatrix.zero(n1, n2))

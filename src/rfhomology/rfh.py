@@ -14,14 +14,15 @@ with fh_degree the degree of (q, k) in the base, the one site of the
 grading convention (`BaseModel.fh_degree`).
 
 The zero-winding complex is the cone of the cap chain map under the
-relabeling l = m*k*nu, read lazily over the base (`_SectorData`); the
-transfer and projection are diagonal on it, and `selftest.rfc_w0`
-assembles it from the generators as an oracle.  The full boundary splits
-as d0 + d1 + d2 where d0 raises the covering number inside a fiber, d1 is
-the Morse part, and d2 is the cap part with its sphere-class shift.  The
-full homology is computed through the structural short exact sequence
-0 -> sum -> sum -> RFH -> 0 with the middle map id + cap-shift, never by
-diagonalizing the literal infinite complex.
+relabeling l = m*k*nu.  Every entry point reads the base, the cap and that
+cone through one lazy `_SectorData` per (model, m); the transfer and
+projection are diagonal on the cone, and `selftest.rfc_w0` assembles it
+from the generators as an oracle.  The full boundary splits as d0 + d1 + d2
+where d0 raises the covering number inside a fiber, d1 is the Morse part,
+and d2 is the cap part with its sphere-class shift.  The full homology is
+computed through the structural short exact sequence 0 -> sum -> sum ->
+RFH -> 0 with the middle map id + cap-shift, never by diagonalizing the
+literal infinite complex.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ from functools import cache
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .basemodel import BaseModel, cap_matrix, primitivity_report
-from .chaincplx import (HomologyBasis, LazyHomology, LongExactSequence,
-                        _cone_boundary, _cone_homology, _cone_les,
-                        _degree_range, _preimage_in_span, induced_matrix)
-from .errors import (ConsecutiveIndexModel, EmptyWindow,
+from .chaincplx import (LazyCone, LongExactSequence, _cone_boundary, _cone_les,
+                        _degree_range, _preimage_in_span)
+from .errors import (ConsecutiveIndexModel, EmptyWindow, NonPositiveTau,
                      TruncationTooNarrow, UnstabilizedTruncation)
 from .exactlin import (IntMatrix, ZModulePresentation, is_surjective_over_z,
                        presentation_from_relations, rank_mod_p)
@@ -162,7 +162,7 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
     a degree range and an action window are parallel strips."""
     tau = Fraction(tau)
     if tau <= 0:
-        raise EmptyWindow(f"tau = {tau} must be positive")
+        raise NonPositiveTau(f"tau = {tau} must be positive")
     if window is not None:
         a, b = window
         if a is not None and b is not None and not a < b:
@@ -212,17 +212,15 @@ def rfh_w0_table(model: BaseModel, m: int, tau: Fraction,
     criterion 9 compares it with the generator-level `selftest.rfc_w0`.  It
     does not depend on the radius, so `tau` is ignored."""
     lo, hi = _degree_range(degrees)
-    sect = _SectorData(model, m)
-    cone = _cone_homology(sect, sect.cap)
-    return {d: cone.group(sect.residue(d)) for d in range(lo, hi + 1)}
+    cone = _SectorData(model, m).cone
+    return {d: cone.group(d) for d in range(lo, hi + 1)}
 
 
 def gysin(model: BaseModel, m: int, degrees: tuple[int, int]) -> LongExactSequence:
     """The Floer Gysin sequence ... -> RFH^w0_d -> FH_d -> FH_{d-2} -> RFH^w0_{d-1}
-    -> ... on `degrees`, read off the model's boundary and cap one degree at
-    a time (`BaseModel.cap_terms` checked the cap as a chain map)."""
-    return _cone_les(model.boundary_at, lambda d: model.cap_at(d, m),
-                     _degree_range(degrees), "RFH^w0", "FH")
+    -> ... on `degrees`: the cone sequence of the cap over `_SectorData`
+    (`BaseModel.cap_terms` checked the cap as a chain map)."""
+    return _cone_les(_SectorData(model, m), _degree_range(degrees), "RFH^w0", "FH")
 
 
 # ---------------------------------------------------------------------------
@@ -395,58 +393,31 @@ class FullRFHResult:
         }
 
 
-class _SectorData(LazyHomology):
-    """The `LazyHomology` of the base, with the induced cap map in each
-    degree built on first use from `cap` at that degree (RFH^w0 is its cone).
-
-    Over a monotone base the generator (q, k) sits in degree
+class _SectorData(LazyCone):
+    """The base of `model` with the cap at m as its degree -2 map: the
+    `LazyCone` whose cone is the zero-winding complex RFH^w0.  Over a
+    monotone base the generator (q, k) sits in degree
     mu - dim/2 - 2*lambda*nu*k, so k -> k + 1 is a chain isomorphism
     C_e = C_{e - 2*lambda*nu} that keeps the order of the generators and
     carries the cap along: `boundary_at` and `cap_at` are the same matrices
-    at e and e + `period`, period = |2*lambda*nu|.  So `group`, `basis` and
-    `psi_induced` are read at the residue of e modulo the period, each built
-    once per residue; an aspherical base (period 0) keys them by e."""
+    at e and e + `period`, period = |2*lambda*nu|, and everything is built
+    once per residue of e; an aspherical base (period 0) keys it by e."""
 
     def __init__(self, model: BaseModel, m: int):
-        super().__init__(model.boundary_at)
-        self.model, self.m = model, m
-        self.period = abs(2 * model.lambda_nu)
-        self._psi_induced: dict[int, IntMatrix] = {}
-
-    def residue(self, e: int) -> int:
-        return e % self.period if self.period else e
-
-    def group(self, e: int) -> ZModulePresentation:
-        return super().group(self.residue(e))
-
-    def basis(self, e: int) -> HomologyBasis:
-        return super().basis(self.residue(e))
-
-    def cap(self, e: int) -> IntMatrix:
-        return self.model.cap_at(e, self.m)
-
-    def psi_induced(self, e: int) -> IntMatrix:
-        r = self.residue(e)
-        if r not in self._psi_induced:
-            self._psi_induced[r] = induced_matrix(self.cap(r), self.basis(r),
-                                                  self.basis(r - 2))
-        return self._psi_induced[r]
+        super().__init__(model.boundary_at, lambda e: model.cap_at(e, m),
+                         abs(2 * model.lambda_nu))
+        self.m = m
 
 
-def _field_total_betti(model: BaseModel, p: int) -> int:
-    """Total F_p Betti number of a monotone base: sum of
-    n_e - rank_p d_e - rank_p d_{e+1} over e in 0..|2*lambda*nu| - 1.  Both
-    terms repeat with that period, and each period holds one copy of the
-    Morse complex (the boundary keeps the sphere class)."""
-    if not model.morse_boundary:
-        return len(model.crit)
-    span = abs(2 * model.lambda_nu)
-    r = {e: rank_mod_p(model.boundary_at(e), p) for e in range(span + 1)}
-    return sum(len(model.generators_in_degree(e)) - r[e] - r[e + 1]
-               for e in range(span))
+def _field_total_betti(sect: _SectorData, p: int) -> int:
+    """Total F_p Betti number of a monotone base: the sum of n_e - rank_p d_e
+    - rank_p d_{e+1} over one period of e, which holds one copy of the Morse
+    complex (the boundary keeps the sphere class)."""
+    return sum(sect.boundary(e).cols - sect.rank_mod(e, p) - sect.rank_mod(e + 1, p)
+               for e in range(sect.period))
 
 
-def _field_quotient_dim(sect: _SectorData, e: int, b: int, p: int) -> int:
+def _field_quotient_dim(sect: LazyCone, e: int, b: int, p: int) -> int:
     """dim over F_p of FH_e / ker(psi^b) = rank of the induced psi^b.  With
     f = psi^b : C_e -> C_t (t = e - 2b) a chain map, that rank is
     rank_p [[-d_{t+1}, f], [0, d_e]] - rank_p d_{t+1} - rank_p d_e, the
@@ -454,9 +425,9 @@ def _field_quotient_dim(sect: _SectorData, e: int, b: int, p: int) -> int:
     d_in, d_out = sect.boundary(e - 2 * b + 1), sect.boundary(e)
     f = IntMatrix.identity(d_out.cols)
     for i in range(b):
-        f = sect.cap(e - 2 * i) @ f
-    block = _cone_boundary(d_in, f, d_out)
-    return rank_mod_p(block, p) - rank_mod_p(d_in, p) - rank_mod_p(d_out, p)
+        f = sect.psi(e - 2 * i) @ f
+    return (rank_mod_p(_cone_boundary(d_in, f, d_out), p)
+            - sect.rank_mod(e - 2 * b + 1, p) - sect.rank_mod(e, p))
 
 
 def _sector_blocks(sect: _SectorData, star: int, src: Sequence[int],
@@ -543,7 +514,7 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
 
     @cache
     def field_betti() -> int:
-        return _field_total_betti(model, field)
+        return _field_total_betti(sect, field)
 
     @cache
     def field_quotient_dim(r: int) -> int:
@@ -660,8 +631,7 @@ def transfer_failures(model: BaseModel, m: int, degrees: tuple[int, int]) -> lis
     base has boundaries in every degree, so lo is checked like the rest."""
     lo, hi = _degree_range(degrees)
     sect = _SectorData(model, m)
-    cone_m = _cone_homology(sect, sect.cap)
-    cone_1 = _cone_homology(sect, lambda e: model.cap_at(e, 1))
+    cone_m, cone_1 = sect.cone, _SectorData(model, 1).cone
     verdicts: dict[int, bool] = {}
     for d in range(lo, hi + 1):
         r = sect.residue(d)
@@ -681,22 +651,17 @@ def transfer_failures(model: BaseModel, m: int, degrees: tuple[int, int]) -> lis
 def orderability_report(model: BaseModel, m: int) -> dict:
     """Nonvanishing of the zero-winding homology on the stabilized window
     implies orderability and the existence of translated points; vanishing
-    leaves both questions open.  RFH^w0 and cap_surjective share one `_SectorData`."""
+    leaves both questions open.  RFH^w0 is the cone of the one `_SectorData`
+    whose induced cap decides cap_surjective."""
     dlo, dhi = -model.dim - 2, model.dim + 2
     sect = _SectorData(model, m)
-    cone = _cone_homology(sect, sect.cap)
-    nonzero = any(not cone.group(d).is_zero() for d in range(dlo, dhi + 1))
-    surjective = True
-    for e in range(dlo, dhi + 1):
+    nonzero = any(not sect.cone.group(d).is_zero() for d in range(dlo, dhi + 1))
+
+    def onto(e: int) -> bool:
         tgt = sect.basis(e - 2)
-        if tgt.presentation.is_zero():
-            continue
-        induced = sect.psi_induced(e)
-        coker = presentation_from_relations(
-            tgt.cycles.cols, induced.hstack(tgt.relations))
-        if not coker.is_zero():
-            surjective = False
-            break
+        return tgt.presentation.is_zero() or presentation_from_relations(
+            tgt.cycles.cols, sect.psi_induced(e).hstack(tgt.relations)).is_zero()
+    surjective = all(onto(e) for e in range(dlo, dhi + 1))
     return {
         "rfh_w0_nonzero": nonzero,
         "cap_surjective": surjective,

@@ -6,7 +6,6 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -16,15 +15,15 @@ from rfhomology import exactlin, rfh
 from rfhomology.basemodel import (BaseModel, build_fc, cap_map,
                                   cap_stabilization, cp_model, load_model,
                                   point_model, surface_model)
-from rfhomology.chaincplx import (ChainMap, LazyHomology, _cone_homology,
+from rfhomology.chaincplx import (ChainMap, LazyCone, LazyHomology,
                                   cone_les, homology_table, induced_matrix,
                                   mapping_cone, matrix_from_terms,
                                   verify_boundary, verify_exactness)
 from rfhomology.errors import (ConsecutiveIndexModel, DegreeOutOfRange,
-                               TruncationTooNarrow)
+                               EmptyWindow, NonPositiveTau, TruncationTooNarrow)
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
                                  presentation_from_relations, rank)
-from rfhomology.novikov import CompletionRegime
+from rfhomology.novikov import CompletionRegime, regime_for
 from rfhomology.rfh import (RFHGenerator, _cap_shortcuts, _field_quotient_dim,
                             _field_total_betti, _SectorData, _transfer_maps,
                             action, base_action, boundary_full,
@@ -320,6 +319,18 @@ def test_enumerate_requires_some_constraint():
         enumerate_generators(CP2, 2, Fraction(1), degrees=(-2, 2))
 
 
+def test_nonpositive_tau_is_one_error():
+    """`enumerate_generators` and `regime_for` reject tau = 0 with the same
+    error type; an empty action window stays `EmptyWindow`."""
+    with pytest.raises(NonPositiveTau):
+        enumerate_generators(CP2, 2, Fraction(0), k_bound=1, l_bound=1)
+    with pytest.raises(NonPositiveTau):
+        regime_for(Fraction(0), CP2.lam, 2)
+    with pytest.raises(EmptyWindow):
+        enumerate_generators(CP2, 2, Fraction(1), window=(Fraction(1), Fraction(1)),
+                             k_bound=1, l_bound=1)
+
+
 # -- Gysin sequence --------------------------------------------------------------
 
 def test_gysin_cp2_m2_nodes():
@@ -367,8 +378,8 @@ def test_gysin_dense_remainder_does_not_grow_with_the_surface(monkeypatch):
     The `_Elimination` constructions are pinned too: 31 per checked Gysin
     sequence, all with V, as each boundary is eliminated once for its
     cycles and the torsion below; one without V for `rfh_w0_table`, which
-    needs invariant factors only; 1,031 for criterion 5's Gysin zoo, all
-    with V.
+    needs invariant factors only; 846 for criterion 5's Gysin zoo, all
+    with V, as a monotone base and its cone are read once per residue.
     A deterministic guard on the complexity, unlike a timing."""
     shapes, made = [], []       # made: one `transform` flag per construction
     smith, init = exactlin._smith, exactlin._Elimination.__init__
@@ -401,7 +412,28 @@ def test_gysin_dense_remainder_does_not_grow_with_the_surface(monkeypatch):
     for g in (1, 2):
         for m in (1, 2, 3):
             assert verify_exactness(gysin(surface_model(g), m, (-1, 2))).ok
-    assert made == [True] * 1031, (len(made), made.count(True))
+    assert made == [True] * 846, (len(made), made.count(True))
+
+
+def test_gysin_eliminations_do_not_grow_with_the_degree_range(monkeypatch):
+    """`gysin` reads cp:2 and the cone of its cap once per residue modulo
+    the period 6, so without the exactness check it makes as many
+    `_Elimination`s on a wide or a far range as on a narrow one (12; 25 and
+    204 on -5..5 and -50..50 when each degree was eliminated on its own)."""
+    made = []
+    init = exactlin._Elimination.__init__
+
+    def count(self, A, transform=True):
+        made.append(transform)
+        init(self, A, transform)
+    monkeypatch.setattr(exactlin._Elimination, "__init__", count)
+    counts = {}
+    for lo, hi in ((-5, 5), (-50, 50), (95, 105)):
+        made.clear()
+        les = gysin(CP2, 2, (lo, hi))
+        assert len(les.nodes) == 3 * (hi - lo + 1)
+        counts[lo, hi] = len(made)
+    assert len(set(counts.values())) == 1, counts
 
 
 @pytest.mark.parametrize("degrees", [(3, 1), (9, 1)])
@@ -586,7 +618,7 @@ def induced_rank_on_cycles(sect, e, b, p):
         return 0
     f = IntMatrix.identity(d_out.cols)
     for i in range(b):
-        f = sect.cap(e - 2 * i) @ f
+        f = sect.psi(e - 2 * i) @ f
     B = fp_matrix(sect.boundary(e - 2 * b + 1), p)
     return (fp_matrix(f, p) * cycles.transpose()).hstack(B).rank() - B.rank()
 
@@ -603,7 +635,7 @@ def test_field_quotient_dim_matches_cycle_bases():
     cycle bases, on seeded random complexes with a degree -2 chain map and
     on a base with 2-torsion."""
     rng = random.Random(6)
-    sects = [(SimpleNamespace(boundary=C.boundary_at, cap=f.at), C.degrees)
+    sects = [(LazyCone(C.boundary_at, f.at), C.degrees)
              for C, f in (random_complex_and_map(rng) for _ in range(40))]
     model = load_model(TORSION_MODEL)
     sects += [(_SectorData(model, m), (-7, 7)) for m in (1, 2)]
@@ -617,23 +649,23 @@ def test_field_quotient_dim_matches_cycle_bases():
 
 def test_field_total_betti_sees_torsion():
     """d x = 2 a kills x and a over F_3 and F_5 but not over F_2."""
-    model = load_model(MONOTONE_TORSION_MODEL)
-    assert _field_total_betti(model, 2) == 3
-    assert _field_total_betti(model, 3) == 1
-    assert _field_total_betti(model, 5) == 1
+    sect = _SectorData(load_model(MONOTONE_TORSION_MODEL), 1)
+    assert _field_total_betti(sect, 2) == 3
+    assert _field_total_betti(sect, 3) == 1
+    assert _field_total_betti(sect, 5) == 1
 
 
 def test_field_total_betti_counts_each_critical_point_once():
     """With 2*lambda*nu = dim the degrees -dim/2..dim/2 meet the points of
     index 0 and 4 twice (sphere classes 0 and +-1); one period of
     2*lambda*nu degrees meets each point once.  The zero Morse matrix
-    sends the count through the rank path."""
+    has no invariant factor, so every generator of the period counts."""
     model = load_model({"dim": 4, "nu": 1, "lambda": "2", "cM": 2, "cap": "zero",
                         "crit": [{"label": "a", "index": 0}, {"label": "x", "index": 1},
                                  {"label": "c", "index": 4}],
                         "morseBoundary": {"1": [[0]]}})
     for p in (2, 3, 5):
-        assert _field_total_betti(model, p) == 3
+        assert _field_total_betti(_SectorData(model, 1), p) == 3
 
 
 def test_full_rfh_computes_field_betti_once(monkeypatch):
@@ -642,9 +674,9 @@ def test_full_rfh_computes_field_betti_once(monkeypatch):
     it."""
     calls = []
 
-    def counted(model, p):
+    def counted(sect, p):
         calls.append(p)
-        return _field_total_betti(model, p)
+        return _field_total_betti(sect, p)
 
     monkeypatch.setattr(rfh, "_field_total_betti", counted)
     res = full_rfh(CP2, 2, Fraction(2), (-4, 4), "fp:5")     # FINITE regime
@@ -948,8 +980,7 @@ def test_transfer_maps_equal_the_generator_level_reference():
         for m in range(1, 6):
             T, P = reference_transfer_maps(model, m, (-6, 6))
             sect = _SectorData(model, m)
-            cone_m = _cone_homology(sect, sect.cap)
-            cone_1 = _cone_homology(sect, lambda e: model.cap_at(e, 1))
+            cone_m, cone_1 = sect.cone, _SectorData(model, 1).cone
             for d in range(-6, 7):
                 assert _transfer_maps(sect, sect.residue(d)) == (T.at(d), P.at(d)), \
                     (model.name, m, d)
