@@ -5,10 +5,15 @@ over Z.
 `LazyHomology` is the one homology routine: it reads a complex given by its
 boundary in each degree one degree at a time, and every homology group or
 cycle basis in the package comes from it; `LazyCone` adds a degree -2 self
-map, its induced map and its cone, which the cone's sequence reads.  A
-finite complex has a window (lo, hi) of degrees and homology at interior
-degrees (`homology_table`); the cone's sequence at d reads the base in
-d-3..d+1, so `cone_les` reaches lo+3..hi-1.
+map, its cone and the three maps of the cone's sequence on homology, which
+the sequence reads, all keyed by the residue of the degree modulo a period.
+The projection onto the checks and the inclusion of the hats re-index the
+rows of a cycle basis; they are never built as matrices.  A finite complex
+has a window (lo, hi) of degrees and homology at interior degrees
+(`homology_table`); the cone's sequence at d reads the base in d-3..d+1, so
+`cone_les` reaches lo+3..hi-1.  `verify_exactness` decides each node once
+per distinct tuple of the objects it reads, so a periodic sequence is
+checked for the cost of one period.
 """
 
 from __future__ import annotations
@@ -293,11 +298,16 @@ def homology_table(C: GradedComplex, degrees: Iterable[int]) -> dict[int, ZModul
 
 
 def induced_matrix(phi: IntMatrix, src: HomologyBasis, tgt: HomologyBasis) -> IntMatrix:
-    """Coordinates of phi(cycle basis of src) in the cycle basis of tgt,
-    read off by `tgt.coords`.  phi must send cycles to cycles (true for
-    chain maps), which holds exactly when the images are rebuilt from
-    those coordinates."""
-    images = phi @ src.cycles
+    """Coordinates of phi(cycle basis of src) in the cycle basis of tgt (see
+    `_in_cycles`)."""
+    return _in_cycles(phi @ src.cycles, tgt)
+
+
+def _in_cycles(images: IntMatrix, tgt: HomologyBasis) -> IntMatrix:
+    """The coordinates Y of the columns of `images` in the cycle basis of
+    tgt, read off by `tgt.coords`.  The columns must be cycles (true for the
+    image of a cycle under a chain map), which holds exactly when
+    tgt.cycles @ Y rebuilds them."""
     Y = tgt.coords @ images
     if tgt.cycles @ Y != images:
         raise NotAChainMap("image of a cycle is not a cycle")
@@ -306,27 +316,51 @@ def induced_matrix(phi: IntMatrix, src: HomologyBasis, tgt: HomologyBasis) -> In
 
 class LazyCone(LazyHomology):
     """A complex with a degree -2 self chain map psi(d) : C_d -> C_{d-2}, psi
-    repeating with the boundaries: its homology, `psi`, the induced map
-    `psi_induced` and the `LazyHomology` of the cone of psi, each built on
-    first use and keyed by `residue(d)`."""
+    repeating with the boundaries: its homology, `psi`, the `LazyHomology`
+    of the cone of psi and the three maps of the cone's sequence on
+    homology, `projection_induced`, `psi_induced` and `inclusion_induced`,
+    each built on first use and keyed by `residue(d)`."""
 
     def __init__(self, boundary: Callable[[int], IntMatrix],
                  psi: Callable[[int], IntMatrix], period: int = 0):
         super().__init__(boundary, period)
         self.psi = psi = _Memo(psi, period)
-        self._induced: dict[int, IntMatrix] = {}
+        self._induced: dict[tuple[str, int], IntMatrix] = {}
         boundary = self.boundary
         # the cone reads the memos and not self: a reference cycle would keep
         # every dead LazyCone, with its eliminations, for the cyclic collector
         self.cone = LazyHomology(lambda d: _cone_boundary(boundary(d - 1), psi(d),
                                                           boundary(d)), period)
 
+    def _induced_at(self, kind: str, d: int, build: Callable[[], IntMatrix]) -> IntMatrix:
+        key = kind, self.residue(d)
+        if key not in self._induced:
+            self._induced[key] = build()
+        return self._induced[key]
+
     def psi_induced(self, d: int) -> IntMatrix:
         """psi(d) on homology, from the cycle basis at d to the one at d-2."""
-        d = self.residue(d)
-        if d not in self._induced:
-            self._induced[d] = induced_matrix(self.psi(d), self.basis(d), self.basis(d - 2))
-        return self._induced[d]
+        return self._induced_at("psi", d, lambda: induced_matrix(
+            self.psi(d), self.basis(d), self.basis(d - 2)))
+
+    def projection_induced(self, d: int) -> IntMatrix:
+        """H_d(Cone) -> H_d(C), the projection onto the checks: the rows of
+        the cone's cycles below its n1 = rank C_{d-1} hat rows."""
+        def build() -> IntMatrix:
+            cycles, n1 = self.cone.basis(d).cycles, self.boundary(d).rows
+            return _in_cycles(cycles.submatrix(range(n1, cycles.rows), range(cycles.cols)),
+                              self.basis(d))
+        return self._induced_at("projection", d, build)
+
+    def inclusion_induced(self, d: int) -> IntMatrix:
+        """H_{d-2}(C) -> H_{d-1}(Cone), the inclusion as hats: the cycles of
+        C_{d-2}, which are the cone's first rows, with the rank C_{d-1}
+        check rows below them zero."""
+        def build() -> IntMatrix:
+            cycles = self.basis(d - 2).cycles
+            return _in_cycles(IntMatrix(cycles.rows + self.boundary(d).rows, cycles.cols,
+                                        cycles.columns), self.cone.basis(d - 1))
+        return self._induced_at("inclusion", d, build)
 
 
 def exact_at(incoming: IntMatrix, node: HomologyBasis,
@@ -401,23 +435,20 @@ def cone_les(psi: ChainMap, degrees: Optional[tuple[int, int]] = None,
 def _cone_les(base: LazyCone, degrees: tuple[int, int], label_cone: str,
               label_base: str) -> LongExactSequence:
     """The cone sequence of `base` on degrees dlo..dhi, read one degree at a
-    time; the maps project onto the checks, apply psi, include as hats."""
+    time; its maps project onto the checks, apply psi and include as hats,
+    each read off `base` at the residue of d, so a periodic base repeats
+    the same node data and map objects with its period."""
     cone, (dlo, dhi) = base.cone, degrees
     nodes: list[LESNode] = []
     maps: list[IntMatrix] = []
     for d in range(dhi, dlo - 1, -1):
-        h_cone, h_d, h_below = cone.basis(d), base.basis(d), base.basis(d - 2)
-        # the ranks of C_d, C_{d-1} and C_{d-2}
-        n, n1, n2 = base.boundary(d).cols, base.boundary(d).rows, base.boundary(d - 1).rows
-        nodes.append(LESNode(f"{label_cone}_{d}", h_cone))
-        proj = IntMatrix.zero(n, n1).hstack(IntMatrix.identity(n))
-        maps.append(induced_matrix(proj, h_cone, h_d))
-        nodes.append(LESNode(f"{label_base}_{d}", h_d))
+        nodes.append(LESNode(f"{label_cone}_{d}", cone.basis(d)))
+        maps.append(base.projection_induced(d))
+        nodes.append(LESNode(f"{label_base}_{d}", base.basis(d)))
         maps.append(base.psi_induced(d))
-        nodes.append(LESNode(f"{label_base}_{d-2}", h_below))
+        nodes.append(LESNode(f"{label_base}_{d-2}", base.basis(d - 2)))
         if d > dlo:
-            incl = IntMatrix.identity(n2).vstack(IntMatrix.zero(n1, n2))
-            maps.append(induced_matrix(incl, h_below, cone.basis(d - 1)))
+            maps.append(base.inclusion_induced(d))
     return LongExactSequence(tuple(nodes), tuple(maps))
 
 
@@ -438,18 +469,30 @@ def verify_exactness(les: LongExactSequence) -> ExactnessReport:
     incoming and an outgoing map, with the checks of `exact_at`.  The
     matrix M_j = [maps[j] | relations of node j+1] is eliminated once and
     shared by two nodes: node j reads its kernel, node j+1 solves against
-    it."""
+    it.  A node without cycle coordinates (maps[j].cols == 0) has an empty
+    kernel part and needs no M_j.  The verdict and M_j depend on their
+    matrices only, which live as long as `les`, so each is decided once per
+    distinct (by identity) tuple of them: a periodic sequence repeats its
+    objects, and its check costs one period."""
     nodes, maps = les.nodes, les.maps
-    joined: dict[int, _Elimination] = {}
+    joined: dict[tuple[int, int], _Elimination] = {}
+    verdicts: dict[tuple[int, int, int, int], bool] = {}
 
     def M(j: int) -> _Elimination:
-        if j not in joined:
-            joined[j] = _Elimination(maps[j].hstack(nodes[j + 1].data.relations))
-        return joined[j]
+        key = id(maps[j]), id(nodes[j + 1].data)
+        if key not in joined:
+            joined[key] = _Elimination(maps[j].hstack(nodes[j + 1].data.relations))
+        return joined[key]
 
-    results = tuple(
-        (nodes[i].label,
-         solve_matrix(nodes[i + 1].data.relations, maps[i] @ maps[i - 1]) is not None
-         and _kernel_part_in_span(M(i), maps[i].cols, lambda: M(i - 1)))
-        for i in range(1, len(nodes) - 1))
-    return ExactnessReport(all(good for _, good in results), results)
+    def exact(i: int) -> bool:
+        f = maps[i]
+        return (solve_matrix(nodes[i + 1].data.relations, f @ maps[i - 1]) is not None
+                and (not f.cols or _kernel_part_in_span(M(i), f.cols, lambda: M(i - 1))))
+
+    results = []
+    for i in range(1, len(nodes) - 1):
+        key = id(maps[i - 1]), id(nodes[i].data), id(maps[i]), id(nodes[i + 1].data)
+        if key not in verdicts:
+            verdicts[key] = exact(i)
+        results.append((nodes[i].label, verdicts[key]))
+    return ExactnessReport(all(good for _, good in results), tuple(results))

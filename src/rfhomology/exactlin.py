@@ -7,7 +7,10 @@ floating point anywhere in this module.
 `IntMatrix` stores its nonzeros by column (row -> entry) and never a zero.
 Boundary matrices of the complexes here are large and nearly empty, with
 mostly +-1 entries, so products, stacking and equality cost O(nnz);
-`entries` is a dense row-major view for tests and display.
+`entries` is a dense row-major view for tests and display.  The engine
+builds tens of thousands of tiny ones per sequence, many of them with no
+rows or no columns, so `IntMatrix` is a slots class, and a product with no
+rows, no columns or an empty inner dimension is the zero matrix at once.
 
 One sparse elimination, `_Elimination`, serves every engine caller.  It
 works on the columns of `IntMatrix`: while a +-1 entry is left, the one of
@@ -23,7 +26,7 @@ right block could not afford.  Its callers:
   unit pivots and reads the remainder's diagonal; it builds no V.
 * `kernel_basis` reads V on the columns that became zero, plus V times the
   remainder's kernel; `_Elimination.kernel` also gives the matching rows
-  of V^-1, a left inverse of that basis.
+  of V^-1, a left inverse of that basis (I and I at once for a zero A).
 * `solve_matrix` substitutes forward in pivot order, solves the remainder
   by its Smith form and maps back by V; it is the one integer solve.
 * `chaincplx` keeps eliminations to share them.  `LazyHomology`, the one
@@ -31,11 +34,12 @@ right block could not afford.  Its callers:
   boundaries at its degree, and a cycle basis off the kernel of the
   outgoing one with its left inverse, so the relations of a homology group
   and the induced maps are products, not solves.  `verify_exactness`
-  eliminates each [map | relations of its target] once, for the kernel
-  read at the map's source and the solve made at its target.
+  eliminates each distinct [map | relations of its target] once, for the
+  kernel read at the map's source and the solve made at its target.
 
 `_smith` itself is dense, reduces rows and columns with
-minimal-absolute-value pivoting and carries U, V and V^-1.  Apart from the
+minimal-absolute-value pivoting and carries U, V and V^-1; a zero or a
+1 x 1 input, the commonest remainders, returns at once.  Apart from the
 remainder it is reached only through `smith_normal_form`, the public
 decomposition and the oracle the tests compare against.
 
@@ -49,30 +53,48 @@ Ranks are double-checked by fraction-free (Bareiss) elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 from .errors import NotSquare, ShapeMismatch
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix stored by columns: columns[j] maps a row
     index to the nonzero entry there, and no zero is ever stored, so `==`
-    is entry-wise equality.  `entries` is a dense row-major view."""
+    is entry-wise equality.  `entries` is a dense row-major view.
 
+    A slots class: the three fields are set once, by `__init__` after the
+    shape checks, and assigning one raises; like a dict it is unhashable."""
+
+    __slots__ = ("rows", "cols", "columns")
     rows: int
     cols: int
     columns: tuple[dict[int, int], ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeMismatch(f"negative shape {self.rows}x{self.cols}")
-        if len(self.columns) != self.cols:
+    def __init__(self, rows: int, cols: int, columns: tuple[dict[int, int], ...]):
+        if rows < 0 or cols < 0:
+            raise ShapeMismatch(f"negative shape {rows}x{cols}")
+        if len(columns) != cols:
             raise ShapeMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.cols} columns, "
-                f"got {len(self.columns)}")
+                f"{rows}x{cols} matrix needs {cols} columns, got {len(columns)}")
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_columns(self, columns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntMatrix is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"IntMatrix is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.columns == other.columns)
+
+    __hash__ = None
 
     # -- construction ---------------------------------------------------
 
@@ -90,7 +112,7 @@ class IntMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple({} for _ in range(cols)))
+        return cls(rows, cols, tuple([{} for _ in range(cols)]))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -133,27 +155,21 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        if not (self.rows and self.cols and other.cols):
+            return IntMatrix.zero(self.rows, other.cols)
         out = []
         for col in other.columns:
             acc: dict[int, int] = {}
             for k, x in col.items():
                 for i, y in self.columns[k].items():
                     acc[i] = acc.get(i, 0) + x * y
-            out.append({i: v for i, v in acc.items() if v})
+            out.append({i: v for i, v in acc.items() if v} if 0 in acc.values() else acc)
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
         return IntMatrix(self.rows, self.cols + other.cols, self.columns + other.columns)
-
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
-            raise ShapeMismatch("vstack column mismatch")
-        off = self.rows
-        return IntMatrix(self.rows + other.rows, self.cols, tuple(
-            {**top, **{off + i: x for i, x in bottom.items()}}
-            for top, bottom in zip(self.columns, other.columns)))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
         """The rows `row_idx` (distinct) and the columns `col_idx`, in that
@@ -167,6 +183,12 @@ class IntMatrix:
             return f"IntMatrix({self.rows}x{self.cols})"
         return "IntMatrix(" + "; ".join(" ".join(map(str, row))
                                         for row in self.to_lists()) + ")"
+
+
+# the slot setters, which `IntMatrix.__setattr__` blocks for everyone else
+_set_rows = IntMatrix.rows.__set__
+_set_cols = IntMatrix.cols.__set__
+_set_columns = IntMatrix.columns.__set__
 
 
 @dataclass(frozen=True)
@@ -253,9 +275,15 @@ def _smith(D: list[list[int]], n: int
     Pivots are chosen with minimal absolute value; after diagonalization the
     divisibility chain is repaired by the usual column-addition trick.  Each
     column operation on V is mirrored by its inverse, a row operation on
-    V^-1.  An all-zero input returns I, 0, I, I at once.
+    V^-1.  An all-zero input returns I, 0, I, I at once, and a 1 x 1 input
+    [[a]] returns [[-1]] if a < 0 else [[1]], then [[|a|]], [[1]], [[1]].
     """
     m = len(D)
+    if m == n == 1:
+        if D[0][0] < 0:
+            D[0][0] = -D[0][0]
+            return [[-1]], D, [[1]], [[1]]
+        return [[1]], D, [[1]], [[1]]
     U = _identity_rows(m)
     V = _identity_rows(n)
     Vinv = _identity_rows(n)
@@ -411,6 +439,7 @@ class _Elimination:
     rest_rows: Sequence[int] = ()           # ... and its rows
     smith = None                            # R's (U, D, V, V^-1)
     rest_factors: Sequence[int] = ()        # R's nonzero invariant factors
+    pivot_order: Optional[dict[int, int]] = None   # pivot row -> position
 
     def __init__(self, A: IntMatrix, transform: bool = True):
         self.n = A.cols
@@ -484,10 +513,6 @@ class _Elimination:
     def invariant_factors(self) -> tuple[int, ...]:
         return (1,) * len(self.pivots) + tuple(self.rest_factors)
 
-    @cached_property
-    def pivot_order(self) -> dict[int, int]:
-        return {p: t for t, (p, _, _, _) in enumerate(self.pivots)}
-
     def _v(self, j: int) -> dict[int, int]:
         return self.V.get(j, {j: 1})
 
@@ -498,6 +523,9 @@ class _Elimination:
         inverse, unit rows on the zero columns and R's V^-1 on its
         columns."""
         n = self.n
+        if not self.pivots and not self.rest:   # A = 0: K = C = I
+            I = IntMatrix.identity(n)
+            return I, I
         done = {q for _, q, _, _ in self.pivots}
         rest = set(self.rest)
         zero = [j for j in range(n) if j not in done and j not in rest]
@@ -526,6 +554,8 @@ class _Elimination:
         # forward substitution, visiting only the pivots whose rows r meets:
         # pivot t's column only reaches rows of later pivots
         order = self.pivot_order
+        if order is None:                   # built on the first solve
+            order = self.pivot_order = {p: t for t, (p, _, _, _) in enumerate(self.pivots)}
         todo = [order[i] for i in r if i in order]
         heapify(todo)
         while todo:

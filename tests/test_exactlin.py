@@ -12,7 +12,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_f
 
 from rfhomology.chaincplx import LazyHomology, mapping_cone, matrix_from_terms
 from rfhomology.errors import NotAComplex, ShapeMismatch
-from rfhomology.exactlin import (IntMatrix, ZModulePresentation, det_bareiss,
+from rfhomology.exactlin import (IntMatrix, ZModulePresentation, _Elimination, det_bareiss,
                                  invariant_factors, is_surjective_over_z,
                                  kernel_basis, rank, rank_bareiss, rank_mod_p,
                                  smith_normal_form, solve_matrix)
@@ -42,6 +42,9 @@ matrices = st.integers(0, 5).flatmap(
 
 @settings(max_examples=200, deadline=None)
 @given(matrices)
+@example(IntMatrix.from_rows([[-3]]))
+@example(IntMatrix.from_rows([[0]]))
+@example(IntMatrix.from_rows([[5]]))
 def test_snf_invariants(A):
     s = smith_normal_form(A)
     assert (s.U @ A @ s.V).entries == s.D.entries
@@ -105,7 +108,7 @@ def test_sparse_storage_is_a_normal_form(A, data):
     assert (A @ K).is_zero()            # every entry cancels
     rows = data.draw(st.lists(st.integers(0, A.rows - 1), unique=True)) if A.rows else []
     cols = data.draw(st.lists(st.integers(0, A.cols - 1))) if A.cols else []
-    produced = [A, A.scale(0), A.scale(-3), A @ C, A @ K, K, A.hstack(A), A.vstack(A),
+    produced = [A, A.scale(0), A.scale(-3), A @ C, A @ K, K, A.hstack(A),
                 A.submatrix(rows, cols), solve_matrix(A, A @ C)]
     assert all(stores_no_zero(M) for M in produced)
 
@@ -130,6 +133,45 @@ def test_wrong_column_count_is_a_shape_mismatch():
         IntMatrix(2, 3, ({}, {}))
     with pytest.raises(ShapeMismatch):
         IntMatrix.from_rows([[1, 2], [3]])
+
+
+def test_products_with_empty_shapes_match_a_dense_reference():
+    """A product with no rows, no columns or an empty inner dimension is
+    the zero matrix at once; on seeded shapes that include them, and
+    entries small enough that zeros and cancellations are common, every
+    product equals the dense one read off `to_lists`."""
+    rng = random.Random(23)
+    for _ in range(400):
+        m, k, n = (rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(3))
+        A, B = rand_matrix(rng, m, k, lim=2), rand_matrix(rng, k, n, lim=2)
+        a, b = A.to_lists(), B.to_lists()
+        want = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+                for i in range(m)]
+        got = A @ B
+        assert (got.rows, got.cols) == (m, n) and stores_no_zero(got)
+        assert got.to_lists() == want
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 4), (4, 2)])
+def test_elimination_of_a_zero_matrix_has_identity_kernel(m, n):
+    """No pivot and no remainder: K = C = I_n, what the general path builds
+    from the n zero columns."""
+    K, C = _Elimination(IntMatrix.zero(m, n)).kernel()
+    assert K == C == IntMatrix.identity(n)
+
+
+def test_int_matrix_is_immutable_and_unhashable():
+    A = IntMatrix.identity(2)
+    for name, value in (("rows", 3), ("cols", 3), ("columns", ({}, {})), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(A, name, value)
+        with pytest.raises(AttributeError):
+            delattr(A, name)
+    assert (A.rows, A.cols, A.columns) == (2, 2, ({0: 1}, {1: 1}))
+    assert A == IntMatrix.from_rows([[1, 0], [0, 1]]) and A != IntMatrix.identity(3)
+    assert (A == A.to_lists()) is False and (A == (2, 2, A.columns)) is False
+    with pytest.raises(TypeError):
+        hash(A)
 
 
 def sympy_invariant_factors(A):

@@ -11,7 +11,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from rfhomology import exactlin, rfh
+from rfhomology import chaincplx, exactlin, rfh
 from rfhomology.basemodel import (BaseModel, build_fc, cap_map,
                                   cap_stabilization, cp_model, load_model,
                                   point_model, surface_model)
@@ -375,11 +375,13 @@ def test_gysin_dense_remainder_does_not_grow_with_the_surface(monkeypatch):
     """The Gysin sequence of surface:g is eliminated sparsely: what reaches
     the dense Smith form is the unit-free remainder only, whose count and
     largest shape stay put as g doubles (five 1 x 1 inputs, the cap's 2s).
-    The `_Elimination` constructions are pinned too: 31 per checked Gysin
+    The `_Elimination` constructions are pinned too: 25 per checked Gysin
     sequence, all with V, as each boundary is eliminated once for its
     cycles and the torsion below; one without V for `rfh_w0_table`, which
-    needs invariant factors only; 846 for criterion 5's Gysin zoo, all
+    needs invariant factors only; 474 for criterion 5's Gysin zoo, all
     with V, as a monotone base and its cone are read once per residue.
+    The exactness check skips nodes without cycles and decides each
+    distinct node once (31 and 846 before it did).
     A deterministic guard on the complexity, unlike a timing."""
     shapes, made = [], []       # made: one `transform` flag per construction
     smith, init = exactlin._smith, exactlin._Elimination.__init__
@@ -399,7 +401,7 @@ def test_gysin_dense_remainder_does_not_grow_with_the_surface(monkeypatch):
         made.clear()
         assert verify_exactness(gysin(surface_model(g), 2, (-2, 3))).ok
         stats[g] = (len(shapes), max(shapes, default=(0, 0)))
-        assert made == [True] * 31, (g, len(made), made.count(True))
+        assert made == [True] * 25, (g, len(made), made.count(True))
         made.clear()
         rfh_w0_table(surface_model(g), 3, Fraction(1), (-1, 2))
         assert made == [False], (g, made)
@@ -412,7 +414,7 @@ def test_gysin_dense_remainder_does_not_grow_with_the_surface(monkeypatch):
     for g in (1, 2):
         for m in (1, 2, 3):
             assert verify_exactness(gysin(surface_model(g), m, (-1, 2))).ok
-    assert made == [True] * 846, (len(made), made.count(True))
+    assert made == [True] * 474, (len(made), made.count(True))
 
 
 def test_gysin_eliminations_do_not_grow_with_the_degree_range(monkeypatch):
@@ -432,6 +434,55 @@ def test_gysin_eliminations_do_not_grow_with_the_degree_range(monkeypatch):
         made.clear()
         les = gysin(CP2, 2, (lo, hi))
         assert len(les.nodes) == 3 * (hi - lo + 1)
+        counts[lo, hi] = len(made)
+    assert len(set(counts.values())) == 1, counts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gysin_induced_maps_do_not_grow_with_the_degree_range(monkeypatch, n):
+    """A periodic `LazyCone` reads the projection onto the checks, the cap
+    and the inclusion of the hats on homology once per residue, so
+    `gysin(cp:n, 2, ...)` computes as many induced maps (calls of
+    `chaincplx._in_cycles`, which every one of them goes through) on a wide
+    or a far range as on -50..50: three per residue modulo the period
+    |2 lambda nu|.  When the projection and the inclusion were built at
+    every degree, cp:3 made 209 `induced_matrix` calls on -50..50 and 1,609
+    on -400..400."""
+    made = []
+    in_cycles = chaincplx._in_cycles
+
+    def count(images, tgt):
+        made.append(1)
+        return in_cycles(images, tgt)
+    monkeypatch.setattr(chaincplx, "_in_cycles", count)
+    counts = {}
+    for lo, hi in ((-50, 50), (-400, 400), (95, 105)):
+        made.clear()
+        gysin(cp_model(n), 2, (lo, hi))
+        counts[lo, hi] = len(made)
+    assert set(counts.values()) == {3 * abs(2 * cp_model(n).lambda_nu)}, counts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exactness_check_eliminations_do_not_grow_with_the_degree_range(monkeypatch, n):
+    """`verify_exactness` decides each node once per distinct (incoming map,
+    node, outgoing map, next node), and a periodic `gysin` repeats those
+    objects with its period, so checking `gysin(cp:n, 2, ...)` makes as
+    many `_Elimination`s on a wide or a far range as on -50..50 (when
+    every node was decided on its own: 351 on -50..50 and 2,801 on
+    -400..400, for cp:2 and cp:3 alike)."""
+    made = []
+    init = exactlin._Elimination.__init__
+
+    def count(self, A, transform=True):
+        made.append(transform)
+        init(self, A, transform)
+    monkeypatch.setattr(exactlin._Elimination, "__init__", count)
+    counts = {}
+    for lo, hi in ((-50, 50), (-400, 400), (95, 105)):
+        les = gysin(cp_model(n), 2, (lo, hi))
+        made.clear()
+        assert verify_exactness(les).ok
         counts[lo, hi] = len(made)
     assert len(set(counts.values())) == 1, counts
 
