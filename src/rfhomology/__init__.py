@@ -1,15 +1,13 @@
 """Exact-arithmetic Rabinowitz Floer homology of negative line bundles over
 monotone or aspherical symplectic bases."""
 
-from .basemodel import (BaseModel, build_fc, cap_map, cap_matrix,
-                        cap_stabilization, cp_model, load_model,
+from . import oracles
+from .basemodel import (BaseModel, cap_matrix, cp_model, load_model,
                         model_from_spec, point_model, primitivity_report,
                         surface_model)
 from .chaincplx import (ChainMap, GradedComplex, LongExactSequence, cone_les,
-                        homology_table, mapping_cone, verify_boundary,
-                        verify_exactness)
-from .exactlin import (IntMatrix, SmithDecomposition, ZModulePresentation,
-                       is_surjective_over_z, smith_normal_form)
+                        homology_table, verify_exactness)
+from .exactlin import IntMatrix, ZModulePresentation, is_surjective_over_z
 from .novikov import CompletionRegime, regime_for
 from .rfh import (FullRFHResult, GroupValue, RFHGenerator, boundary_full,
                   delta_injectivity, enumerate_generators, full_rfh, gysin,

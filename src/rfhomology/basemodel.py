@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Union
 
-from .chaincplx import ChainMap, GradedComplex, _degree_range, matrix_from_terms
+from .chaincplx import matrix_from_terms
 from .errors import NotAChainMap, UnsupportedModel
 from .exactlin import IntMatrix, rank
 
@@ -323,21 +323,6 @@ def load_model(source) -> BaseModel:
 
 
 # ---------------------------------------------------------------------------
-# The Floer complex on a degree range
-# ---------------------------------------------------------------------------
-
-def build_fc(model: BaseModel, degrees: tuple[int, int]) -> GradedComplex:
-    """Floer chain complex of the model on a degree range: basis = pairs
-    (critical point, sphere class k) in each degree, boundary =
-    `BaseModel.boundary_at` (zero for the built-in perfect models).  An
-    empty range raises DegreeOutOfRange."""
-    lo, hi = _degree_range(degrees)
-    basis = {d: tuple(model.generators_in_degree(d)) for d in range(lo, hi + 1)}
-    return GradedComplex(degrees, basis,
-                         {d: model.boundary_at(d) for d in range(lo + 1, hi + 1)})
-
-
-# ---------------------------------------------------------------------------
 # Cap product
 # ---------------------------------------------------------------------------
 
@@ -352,16 +337,6 @@ def cap_matrix(model: BaseModel, m: int) -> IntMatrix:
     labels = [label for label, _ in model.crit]
     return matrix_from_terms(labels, labels, lambda src: [
         (tgt, m * c) for tgt, _, _, c in model.cap_terms[src]])
-
-
-def cap_map(model: BaseModel, m: int, fc: GradedComplex) -> ChainMap:
-    """The degree -2 cap chain map on `fc = build_fc(model, ...)`, from
-    `BaseModel.cap_at`; the two lowest degrees map to zero, their targets
-    lying below the range."""
-    lo, hi = fc.degrees
-    psi = ChainMap(fc, fc, -2, {d: model.cap_at(d, m) for d in range(lo + 2, hi + 1)})
-    psi.check()
-    return psi
 
 
 def cap_stabilization(model: BaseModel, m: int) -> tuple[int, int]:

@@ -148,10 +148,6 @@ class ChainMap:
 # Mapping cone
 # ---------------------------------------------------------------------------
 
-HAT = "hat"
-CHECK = "check"
-
-
 def _check_cone_map(psi: ChainMap) -> None:
     if psi.source is not psi.target and psi.source != psi.target:
         raise NotAChainMap("cone needs an endomorphism")
@@ -168,20 +164,6 @@ def _cone_boundary(d_below: IntMatrix, psi_d: IntMatrix, d_d: IntMatrix) -> IntM
     checks = tuple({**top, **{off + i: x for i, x in bottom.items()}}
                    for top, bottom in zip(psi_d.columns, d_d.columns))
     return IntMatrix(off + d_d.rows, d_below.cols + d_d.cols, hats + checks)
-
-
-def mapping_cone(psi: ChainMap) -> GradedComplex:
-    """Cone of a degree -2 self chain map: in degree d the hat copies
-    (HAT, g) of C_{d-1}, then the check copies (CHECK, g) of C_d."""
-    _check_cone_map(psi)
-    C = psi.source
-    lo, hi = C.degrees
-    basis = {d: tuple((HAT, g) for g in C.basis.get(d - 1, ()))
-             + tuple((CHECK, g) for g in C.basis.get(d, ()))
-             for d in range(lo, hi + 2)}
-    boundary = {d: _cone_boundary(C.boundary_at(d - 1), psi.at(d), C.boundary_at(d))
-                for d in range(lo + 1, hi + 2)}
-    return GradedComplex((lo, hi + 1), basis, boundary)
 
 
 # ---------------------------------------------------------------------------

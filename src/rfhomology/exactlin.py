@@ -46,8 +46,6 @@ decomposition and the oracle the tests compare against.
 Field coefficients use the same elimination: the rank of A over F_p is the
 number of invariant factors of A that p does not divide (`rank_mod_p`).
 There is no elimination over a field.
-
-Ranks are double-checked by fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
-from .errors import NotSquare, ShapeMismatch
+from .errors import ShapeMismatch
 
 
 class IntMatrix:
@@ -659,58 +657,3 @@ def is_surjective_over_z(A: IntMatrix) -> bool:
     factors = invariant_factors(A)
     return len(factors) == A.rows and all(d == 1 for d in factors)
 
-
-# ---------------------------------------------------------------------------
-# Fraction-free elimination: the independent second method
-# ---------------------------------------------------------------------------
-
-def rank_bareiss(A: IntMatrix) -> int:
-    """Rank by fraction-free Gaussian elimination (Bareiss); exact, and
-    independent of the Smith normal form code path."""
-    m, n = A.rows, A.cols
-    M = A.to_lists()
-    prev = 1
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if M[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, n):
-                M[i][j] = (M[r][c] * M[i][j] - M[i][c] * M[r][j]) // prev
-            M[i][c] = 0
-        prev = M[r][c]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def det_bareiss(A: IntMatrix) -> int:
-    """Exact determinant by Bareiss elimination."""
-    if not A.is_square():
-        raise NotSquare("determinant of non-square matrix")
-    n = A.rows
-    if n == 0:
-        return 1
-    M = A.to_lists()
-    prev = 1
-    sign = 1
-    for c in range(n - 1):
-        if M[c][c] == 0:
-            piv = next((i for i in range(c + 1, n) if M[i][c] != 0), None)
-            if piv is None:
-                return 0
-            M[c], M[piv] = M[piv], M[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                M[i][j] = (M[c][c] * M[i][j] - M[i][c] * M[c][j]) // prev
-            M[i][c] = 0
-        prev = M[c][c]
-    return sign * M[n - 1][n - 1]

@@ -16,7 +16,7 @@ grading convention (`BaseModel.fh_degree`).
 The zero-winding complex is the cone of the cap chain map under the
 relabeling l = m*k*nu.  Every entry point reads the base, the cap and that
 cone through one lazy `_SectorData` per (model, m); the transfer and
-projection are diagonal on the cone, and `selftest.rfc_w0` assembles it
+projection are diagonal on the cone, and `oracles.rfc_w0` assembles it
 from the generators as an oracle.  The full boundary splits as d0 + d1 + d2
 where d0 raises the covering number inside a fiber, d1 is the Morse part,
 and d2 is the cap part with its sphere-class shift.  The full homology is
@@ -209,7 +209,7 @@ def rfh_w0_table(model: BaseModel, m: int, tau: Fraction,
                  degrees: tuple[int, int]) -> dict[int, ZModulePresentation]:
     """RFH^w0_d on lo..hi, the homology of the lazy cone of the cap, read at
     the residue of d (the cone repeats with the base, see `_SectorData`);
-    criterion 9 compares it with the generator-level `selftest.rfc_w0`.  It
+    criterion 9 compares it with the generator-level `oracles.rfc_w0`.  It
     does not depend on the radius, so `tau` is ignored."""
     lo, hi = _degree_range(degrees)
     cone = _SectorData(model, m).cone

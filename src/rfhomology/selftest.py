@@ -1,7 +1,7 @@
 """The acceptance suite: ten falsifiable criteria, each a self-contained
-check with its own oracle.  `run_all` returns one pass/fail record per
-criterion; the CLI `selftest` subcommand and tests/test_acceptance.py both
-drive it.
+check with its own oracle (see `oracles`, whose homology is its own).
+`run_all` returns one pass/fail record per criterion; the CLI `selftest`
+subcommand and tests/test_acceptance.py both drive it.
 
 Everything is exact: there are no tolerances anywhere, every comparison is
 integer or rational equality.
@@ -12,78 +12,18 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
 
-from .basemodel import BaseModel, cp_model, point_model, surface_model
-from .chaincplx import (ChainMap, GradedComplex, LazyHomology, cone_les,
-                        homology_table, matrix_from_terms, verify_boundary,
+from .basemodel import cp_model, point_model, surface_model
+from .chaincplx import (ChainMap, GradedComplex, cone_les, verify_boundary,
                         verify_exactness)
-from .exactlin import (IntMatrix, ZModulePresentation, det_bareiss,
-                       smith_normal_form)
+from .errors import EngineError
+from .exactlin import IntMatrix, ZModulePresentation, smith_normal_form
+from .oracles import (circle_bundle_homology, homology_by_minors,
+                      minor_factors, rfc_w0)
 from .rfh import (RFHGenerator, action, base_action, boundary_full,
                   boundary_full_chain, delta_injectivity, enumerate_generators,
                   fh_index, full_rfh, gysin, primitive_partial_sum, rfh_index,
                   rfh_w0_table, transfer_failures, winding)
-
-
-# ---------------------------------------------------------------------------
-# Oracles
-# ---------------------------------------------------------------------------
-
-def circle_bundle_homology(g: int, m: int) -> dict[int, ZModulePresentation]:
-    """Cellular homology of the circle bundle of Euler number -m over a
-    genus-g surface, from its standard CW structure: one 0-cell, 2g+1
-    1-cells (the fiber and the base loops), 2g+1 2-cells, one 3-cell; the
-    only nonzero boundary sends the lifted base 2-cell to m times the
-    fiber."""
-    d1 = IntMatrix.zero(1, 2 * g + 1)
-    rows = [[0] * (2 * g + 1) for _ in range(2 * g + 1)]
-    rows[0][2 * g] = m        # fiber 1-cell <- base 2-cell
-    d2 = IntMatrix.from_rows(rows, cols=2 * g + 1)
-    d3 = IntMatrix.zero(2 * g + 1, 1)
-    d4 = IntMatrix.zero(1, 0)
-    d0 = IntMatrix.zero(0, 1)
-    h = LazyHomology([d0, d1, d2, d3, d4].__getitem__)
-    return {d: h.group(d) for d in range(4)}
-
-
-def rfc_w0(model: BaseModel, m: int, degrees: tuple[int, int]) -> GradedComplex:
-    """Complex on the zero-winding generators, assembled from the generator
-    bookkeeping: hat->hat is minus the Morse part, check->check the Morse
-    part, check->hat the cap part.  Under l = m*k*nu this is the cone of the
-    cap chain map, which the engine reads lazily (`rfh_w0_table`, `gysin`,
-    `transfer_failures`); this complex is its generator-level oracle."""
-    lo, hi = degrees
-    nu = model.nu
-    idx_of = model.index_of
-    morse = model.morse_terms
-
-    checks = {d: [RFHGenerator(label, idx_of[label], m * k * nu, k, False)
-                  for label, k in model.generators_in_degree(d)]
-              for d in range(lo - 1, hi + 1)}
-    basis = {d: tuple(g._replace(hat=True) for g in checks[d - 1]) + tuple(checks[d])
-             for d in range(lo, hi + 1)}
-
-    def terms(g: RFHGenerator):
-        sign = -1 if g.hat else 1
-        for tl, c in morse[g.label]:
-            yield RFHGenerator(tl, idx_of[tl], g.cov, g.k, g.hat), sign * c
-        if not g.hat:
-            for tlab, tidx, s, c in model.cap_terms[g.label]:
-                yield RFHGenerator(tlab, tidx, g.cov + m * nu * s, g.k + s, True), m * c
-
-    boundary = {d: matrix_from_terms(basis[d], basis[d - 1], terms)
-                for d in range(lo + 1, hi + 1)}
-    return GradedComplex(degrees, basis, boundary)
-
-
-def minor_gcd(A: IntMatrix, k: int) -> int:
-    g = 0
-    for ri in combinations(range(A.rows), k):
-        for ci in combinations(range(A.cols), k):
-            g = gcd(g, det_bareiss(A.submatrix(ri, ci)))
-    return g
 
 
 def random_complex_and_map(rng: random.Random, lo: int = -4, hi: int = 5
@@ -174,7 +114,7 @@ def random_complex_and_map(rng: random.Random, lo: int = -4, hi: int = 5
 def criterion_1() -> tuple[bool, str]:
     """Zero-winding tables: cp:n, n in 1..3, m in 1..5, degrees -8..8 equal
     Z_m in odd degrees and 0 in even degrees; under 5 seconds total."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for n in (1, 2, 3):
         model = cp_model(n)
@@ -186,8 +126,8 @@ def criterion_1() -> tuple[bool, str]:
                         else ZModulePresentation(0, ()))
                 if got != want:
                     failures.append(f"cp:{n} m={m} deg {d}: got {got}, want {want}")
-    if time.time() - t0 >= 5.0:
-        failures.append(f"took {time.time() - t0:.1f}s >= 5s")
+    if time.perf_counter() - t0 >= 5.0:
+        failures.append(f"took {time.perf_counter() - t0:.1f}s >= 5s")
     if failures:
         return False, f"{len(failures)} cells differ, e.g. " + "; ".join(failures[:3])
     return True, "all 15 tables match"
@@ -206,7 +146,7 @@ def criterion_2() -> tuple[bool, str]:
     """Full-homology regime table for cp:2, m in 1..4, with the exact
     boundary radius when it exists; field coefficients give a line exactly
     at the boundary; under 10 seconds total."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = cp_model(2)
     failures = []
 
@@ -230,8 +170,8 @@ def criterion_2() -> tuple[bool, str]:
         if high is not None:
             want = "0" if m == 1 else f"Q_{m}"
             check(m, high, want)
-    if time.time() - t0 >= 10.0:
-        failures.append(f"took {time.time() - t0:.1f}s >= 10s")
+    if time.perf_counter() - t0 >= 10.0:
+        failures.append(f"took {time.perf_counter() - t0:.1f}s >= 10s")
     if failures:
         return False, "; ".join(failures[:4])
     return True, "regime table and field mode match"
@@ -258,8 +198,8 @@ def criterion_3() -> tuple[bool, str]:
 
 def criterion_4() -> tuple[bool, str]:
     """Classical Gysin recovery on surfaces: the zero-winding table on
-    degrees -1..2 equals the shifted cellular homology of the circle
-    bundle."""
+    degrees -1..2 equals the shifted homology of the circle bundle, in
+    closed form: Z, Z^2g + Z_m, Z^2g, Z."""
     failures = []
     for g in (1, 2):
         model = surface_model(g)
@@ -372,16 +312,16 @@ def criterion_8() -> tuple[bool, str]:
 
 def criterion_9() -> tuple[bool, str]:
     """Oracle equivalences: the engine's zero-winding homology, the lazy
-    cone of the cap, equals the homology of the complex that `rfc_w0`
-    assembles from the generators on every zoo instance, and the Smith form
-    agrees with the minor-gcd oracle on 500 random matrices."""
+    cone of the cap, equals the homology, by determinantal divisors, of the
+    complex that `rfc_w0` assembles from the generators on every zoo
+    instance, and the Smith form agrees with them on 500 random matrices."""
     failures = []
     zoo = [(cp_model(n), m) for n in (1, 2, 3) for m in range(1, 6)]
     zoo += [(surface_model(g), m) for g in (1, 2) for m in (1, 2, 3)]
     zoo += [(point_model(), m) for m in (1, 2)]
     for model, m in zoo:
         direct = rfh_w0_table(model, m, Fraction(1), (-5, 5))
-        oracle = homology_table(rfc_w0(model, m, (-6, 6)), range(-5, 6))
+        oracle = homology_by_minors(rfc_w0(model, m, (-6, 6)), range(-5, 6))
         for d in range(-5, 6):
             if direct[d] != oracle[d]:
                 failures.append(f"{model.name} m={m} deg {d}: "
@@ -393,14 +333,8 @@ def criterion_9() -> tuple[bool, str]:
         A = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(c)]
                                  for _ in range(r)], cols=c)
         factors = smith_normal_form(A).invariant_factors()
-        prod = 1
-        for k, f in enumerate(factors, start=1):
-            prod *= f
-            if prod != abs(minor_gcd(A, k)):
-                failures.append(f"random #{i}: SNF {factors} vs minor gcds")
-                break
-        if len(factors) < min(r, c) and minor_gcd(A, len(factors) + 1) != 0:
-            failures.append(f"random #{i}: rank mismatch")
+        if factors != minor_factors(A):
+            failures.append(f"random #{i}: SNF {factors} vs minor gcds {minor_factors(A)}")
     return (not failures), ("; ".join(failures[:3]) if failures else
                             "cone oracle and minor-gcd oracle agree")
 
@@ -456,10 +390,15 @@ CRITERIA = [
 
 
 def run_all() -> list[dict]:
+    """One record per criterion; one that raises an EngineError fails with
+    the error as its detail, and the rest still run."""
     results = []
     for cid, name, fn in CRITERIA:
-        t0 = time.time()
-        ok, detail = fn()
+        t0 = time.perf_counter()
+        try:
+            ok, detail = fn()
+        except EngineError as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         results.append({"id": cid, "name": name, "pass": ok,
-                        "detail": detail, "seconds": round(time.time() - t0, 3)})
+                        "detail": detail, "seconds": round(time.perf_counter() - t0, 3)})
     return results

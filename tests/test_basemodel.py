@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from rfhomology.basemodel import (BaseModel, build_fc, cap_map, cap_matrix,
+from rfhomology.basemodel import (BaseModel, cap_matrix,
                                   cap_stabilization, cp_model, load_model, model_from_spec, point_model,
                                   primitivity_report, surface_model)
 from rfhomology.chaincplx import homology_table
 from rfhomology.errors import DegreeOutOfRange, NotAChainMap, UnsupportedModel
 from rfhomology.exactlin import is_surjective_over_z
+from rfhomology.oracles import build_fc, cap_map
 
 
 def test_build_fc_torus_and_point():

@@ -6,11 +6,12 @@ from rfhomology.basemodel import cp_model, point_model, surface_model
 from rfhomology.chaincplx import (ChainMap, GradedComplex, HomologyBasis,
                                   LazyHomology, LongExactSequence, cone_les,
                                   exact_at, homology_table, induced_matrix,
-                                  mapping_cone, matrix_from_terms,
-                                  verify_boundary, verify_exactness)
+                                  matrix_from_terms, verify_boundary,
+                                  verify_exactness)
 from rfhomology.errors import DegreeOutOfRange, NotAChainMap, NotAComplex
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
                                  presentation_from_relations)
+from rfhomology.oracles import mapping_cone
 from rfhomology.rfh import gysin
 from rfhomology.selftest import random_complex_and_map
 

@@ -12,7 +12,9 @@ try:
 except ImportError:      # pragma: no cover
     jsonschema = None
 
+from rfhomology import selftest
 from rfhomology.cli import COMMAND_FLAGS, FLAGS, main
+from rfhomology.errors import NotAComplex
 
 
 GROUP_SCHEMA = {
@@ -199,6 +201,24 @@ def test_selftest_command_reports_faithfully(capsys):
     assert by_id[1] is False
     assert all(by_id[i] for i in range(2, 11))
     assert payload["pass"] is False and code == 1
+
+
+def test_selftest_reports_a_raising_criterion_as_its_failure(capsys, monkeypatch):
+    """A criterion that raises an engine error is that criterion's FAIL,
+    with the error as its detail; the others still run and the exit code
+    is 1, not the usage error 2."""
+    def raises():
+        raise NotAComplex("d_-1 . d_0 != 0")
+
+    criteria = [(cid, name, lambda: (True, "stub")) for cid, name, _ in selftest.CRITERIA]
+    criteria[4] = (5, criteria[4][1], raises)
+    monkeypatch.setattr(selftest, "CRITERIA", criteria)
+    code, out = run(capsys, "selftest", "--format", "json")
+    results = json.loads(out)["criteria"]
+    assert code == 1
+    assert [r["id"] for r in results] == list(range(1, 11))
+    assert [r["id"] for r in results if not r["pass"]] == [5]
+    assert "d_-1 . d_0 != 0" in results[4]["detail"]
 
 
 # -- fuzzed malformed input ----------------------------------------------------

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -10,12 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
-from rfhomology.chaincplx import LazyHomology, mapping_cone, matrix_from_terms
+from rfhomology.chaincplx import LazyHomology, matrix_from_terms
 from rfhomology.errors import NotAComplex, ShapeMismatch
-from rfhomology.exactlin import (IntMatrix, ZModulePresentation, _Elimination, det_bareiss,
+from rfhomology.exactlin import (IntMatrix, ZModulePresentation, _Elimination,
                                  invariant_factors, is_surjective_over_z,
-                                 kernel_basis, rank, rank_bareiss, rank_mod_p,
+                                 kernel_basis, rank, rank_mod_p,
                                  smith_normal_form, solve_matrix)
+from rfhomology.oracles import (det_bareiss, mapping_cone, minor_factors,
+                                minor_gcd, rank_bareiss)
 from rfhomology.selftest import random_complex_and_map
 
 
@@ -250,13 +252,6 @@ def test_snf_identity_and_diag():
 
 
 def test_snf_minor_gcd_oracle():
-    def minor_gcd(A, k):
-        g = 0
-        for ri in combinations(range(A.rows), k):
-            for ci in combinations(range(A.cols), k):
-                g = gcd(g, det_bareiss(A.submatrix(ri, ci)))
-        return g
-
     rng = random.Random(42)
     for _ in range(200):
         A = rand_matrix(rng, 4, 4)
@@ -267,6 +262,24 @@ def test_snf_minor_gcd_oracle():
             assert prod == abs(minor_gcd(A, k))
         if len(factors) < 4:
             assert minor_gcd(A, len(factors) + 1) == 0
+
+
+def test_minor_factors_match_sympy():
+    """The oracles' invariant factors, quotients of successive determinantal
+    divisors, equal sympy's Smith form over ZZ on seeded small matrices:
+    dense, sparse, of low rank, and of zero and empty shapes."""
+    rng = random.Random(2024)
+    cases = [IntMatrix.zero(r, c) for r in range(4) for c in range(4)]
+    for _ in range(300):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        density = rng.choice((0.3, 0.6, 1.0))
+        cases.append(IntMatrix.from_rows(
+            [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(c)]
+             for _ in range(r)], cols=c))
+        inner = rng.randint(1, 2)
+        cases.append(rand_matrix(rng, r, inner, lim=4) @ rand_matrix(rng, inner, c, lim=4))
+    for A in cases:
+        assert minor_factors(A) == sympy_invariant_factors(A), A
 
 
 def test_rank_two_methods_agree():

@@ -12,13 +12,12 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from rfhomology import chaincplx, exactlin, rfh
-from rfhomology.basemodel import (BaseModel, build_fc, cap_map,
-                                  cap_stabilization, cp_model, load_model,
-                                  point_model, surface_model)
+from rfhomology.basemodel import (BaseModel, cap_stabilization, cp_model,
+                                  load_model, point_model, surface_model)
 from rfhomology.chaincplx import (ChainMap, LazyCone, LazyHomology,
                                   cone_les, homology_table, induced_matrix,
-                                  mapping_cone, matrix_from_terms,
-                                  verify_boundary, verify_exactness)
+                                  matrix_from_terms, verify_boundary,
+                                  verify_exactness)
 from rfhomology.errors import (ConsecutiveIndexModel, DegreeOutOfRange,
                                EmptyWindow, NonPositiveTau, TruncationTooNarrow)
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
@@ -32,7 +31,8 @@ from rfhomology.rfh import (RFHGenerator, _cap_shortcuts, _field_quotient_dim,
                             gysin, orderability_report, primitive_partial_sum,
                             rfh_index, rfh_w0_table, transfer_failures,
                             winding)
-from rfhomology.selftest import random_complex_and_map, rfc_w0
+from rfhomology.oracles import build_fc, cap_map, mapping_cone, rfc_w0
+from rfhomology.selftest import random_complex_and_map
 
 CP2 = cp_model(2)
 
