@@ -159,8 +159,9 @@ class BaseModel:
             terms["top"].append(("bot", self.index_of["bot"], 0, 1))
         elif isinstance(self.cap, dict):
             mats = self.cap["degree_matrices"]
-            for label, idx in self.crit:
-                d = self.fh_degree(idx, 0)
+            # each degree of a critical point once, in `crit` order: its
+            # points at k = 0 are the sources of their columns
+            for d in dict.fromkeys(self.fh_degree(idx, 0) for _, idx in self.crit):
                 src = self.generators_in_degree(d)
                 tgt = self.generators_in_degree(d - 2)
                 if not tgt:
@@ -170,9 +171,12 @@ class BaseModel:
                 M = mats[d]
                 if (M.rows, M.cols) != (len(tgt), len(src)):
                     raise NotAChainMap(f"custom cap at degree {d} has the wrong shape")
-                col = src.index((label, 0))
-                terms[label].extend((tl, self.index_of[tl], tk, M.get(i, col))
-                                    for i, (tl, tk) in enumerate(tgt) if M.get(i, col))
+                for (label, k), col in zip(src, M.columns):
+                    if k != 0:
+                        continue
+                    for i, c in sorted(col.items()):
+                        tl, tk = tgt[i]
+                        terms[label].append((tl, self.index_of[tl], tk, c))
         elif self.cap != "zero":
             raise UnsupportedModel(f"unknown cap spec {self.cap!r}")
         for src, idx in self.crit:

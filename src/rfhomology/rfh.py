@@ -54,7 +54,9 @@ class RFHGenerator(NamedTuple):
     (the min, "check", otherwise).
 
     A named tuple: immutable, hashable, and ordered field by field in that
-    order.  It equals the plain 5-tuple of its fields."""
+    order.  It equals the plain 5-tuple of its fields.  The engine builds
+    it as `tuple.__new__(RFHGenerator, fields)`, which is what the class
+    call does, without the call's Python frame."""
 
     label: str
     morse_index: int
@@ -187,6 +189,7 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
 
     # index = slope*k - 2l + c, c = base degree at k = 0 + hat
     slope = -2 * (model.lambda_nu - m * nu)
+    new = tuple.__new__
     keyed = []
     for pos, (label, idx) in enumerate(model.crit):
         for hat in (False, True):
@@ -194,7 +197,7 @@ def enumerate_generators(model: BaseModel, m: int, tau: Fraction, *,
             fam = strips if degrees is None else strips + [
                 (slope, -2, degrees[0] - c, degrees[1] - c)]
             keyed += [(slope * k - 2 * l + c, k, l, hat, pos,
-                       RFHGenerator(label, idx, l, k, hat))
+                       new(RFHGenerator, (label, idx, l, k, hat)))
                       for k, l in _lattice_points(fam)]
     # the first five entries are unique, so generators are never compared
     keyed.sort()
@@ -242,23 +245,45 @@ def boundary_full(gen: RFHGenerator, model: BaseModel, m: int) -> dict[RFHGenera
     label, idx, cov, k, hat = gen
     if hat:
         return {}
+    new = tuple.__new__
     # d0
-    out = {RFHGenerator(label, idx, cov + 1, k, True): 1}
+    out = {new(RFHGenerator, (label, idx, cov + 1, k, True)): 1}
     # d2
     shift = m * model.nu
     for tlab, tidx, s, c in model.cap_terms[label]:
-        t = RFHGenerator(tlab, tidx, cov + shift * s, k + s, True)
+        t = new(RFHGenerator, (tlab, tidx, cov + shift * s, k + s, True))
         out[t] = out.get(t, 0) + m * c
-    return {g: c for g, c in out.items() if c != 0}
+    if 0 in out.values():
+        return {g: c for g, c in out.items() if c}
+    return out
 
 
 def boundary_full_chain(chain: Mapping[RFHGenerator, int], model: BaseModel,
                         m: int) -> dict[RFHGenerator, int]:
+    """d on a chain, in one pass: each check adds its d0 term and its d2
+    terms (as in `boundary_full`) to one sum, and hats are skipped.  A
+    non-empty chain needs index gaps, even if it holds only hats."""
+    if not chain:
+        return {}
+    if not model.index_gaps:
+        _require_index_gaps(model)
+    new = tuple.__new__
+    caps = model.cap_terms
+    shift = m * model.nu
     out: dict[RFHGenerator, int] = {}
-    for g, c in chain.items():
-        for t, ct in boundary_full(g, model, m).items():
-            out[t] = out.get(t, 0) + c * ct
-    return {g: c for g, c in out.items() if c != 0}
+    get = out.get
+    for (label, idx, cov, k, hat), c in chain.items():
+        if hat:
+            continue
+        t = new(RFHGenerator, (label, idx, cov + 1, k, True))
+        out[t] = get(t, 0) + c
+        mc = m * c
+        for tlab, tidx, s, ct in caps[label]:
+            t = new(RFHGenerator, (tlab, tidx, cov + shift * s, k + s, True))
+            out[t] = get(t, 0) + mc * ct
+    if 0 in out.values():
+        return {g: c for g, c in out.items() if c}
+    return out
 
 
 def _cap_monomial(model: BaseModel, m: int):
@@ -289,24 +314,25 @@ def primitive_partial_sum(model: BaseModel, m: int, target: RFHGenerator,
     fwd, inv = _cap_monomial(model, m)
     idx_of = model.index_of
     shift = m * model.nu
+    new = tuple.__new__
     x: dict[RFHGenerator, int] = {}
     need: tuple[RFHGenerator, int] = (target, 1)
     for _ in range(n_terms):
         h, c = need
         if direction == "lower":
-            p = RFHGenerator(h.label, h.morse_index, h.cov - 1, h.k, False)
+            p = new(RFHGenerator, (h.label, h.morse_index, h.cov - 1, h.k, False))
             x[p] = x.get(p, 0) + c
             t, s, cc = fwd[p.label]
-            extra = RFHGenerator(t, idx_of[t], p.cov + shift * s, p.k + s, True)
+            extra = new(RFHGenerator, (t, idx_of[t], p.cov + shift * s, p.k + s, True))
             need = (extra, -c * cc)
         elif direction == "upper":
             j, s, cc = inv[h.label]
             if abs(cc) != 1:
                 raise UnstabilizedTruncation(
                     "upper-direction primitives need unit cap coefficients (m = 1)")
-            p = RFHGenerator(j, idx_of[j], h.cov - shift * s, h.k - s, False)
+            p = new(RFHGenerator, (j, idx_of[j], h.cov - shift * s, h.k - s, False))
             x[p] = x.get(p, 0) + c * cc
-            extra = RFHGenerator(p.label, p.morse_index, p.cov + 1, p.k, True)
+            extra = new(RFHGenerator, (p.label, p.morse_index, p.cov + 1, p.k, True))
             need = (extra, -c * cc)
         else:
             raise ValueError(f"unknown direction {direction!r}")

@@ -105,6 +105,15 @@ def custom_cap_model():
 MODELS = [cp_model(1), cp_model(2), cp_model(3), point_model(), custom_cap_model()]
 
 
+def assert_generators(gens):
+    """Each element is an `RFHGenerator` and prints as one: a named tuple
+    equals the plain tuple of its fields, so `==` alone would not tell."""
+    for g in gens:
+        assert type(g) is RFHGenerator, (type(g), g)
+        label, _, cov, k, hat = g
+        assert str(g) == f"{'^' if hat else 'v'}({label}, l={cov}, k={k})", g
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -121,11 +130,13 @@ def test_full_boundary_matches_reference(model):
         for g in gens:
             d = boundary_full(g, model, m)
             assert d == parent_boundary_full(g, model, m), (model.name, m, g)
+            assert_generators(d)
             assert boundary_full_chain(d, model, m) \
                 == parent_boundary_full_chain(d, model, m) == {}, (model.name, m, g)
         chain = {g: rng.choice((-3, -1, 1, 2)) for g in rng.sample(gens, len(gens) // 3)}
-        assert boundary_full_chain(chain, model, m) \
-            == parent_boundary_full_chain(chain, model, m), (model.name, m)
+        dchain = boundary_full_chain(chain, model, m)
+        assert dchain == parent_boundary_full_chain(chain, model, m), (model.name, m)
+        assert_generators(dchain)
         for g in gens:
             if not g.hat:
                 continue
@@ -135,15 +146,43 @@ def test_full_boundary_matches_reference(model):
                     assert x == outcome(parent_primitive_partial_sum, model, m, g, N,
                                         direction), (model.name, m, g, N, direction)
                     if isinstance(x, dict):
-                        assert boundary_full_chain(x, model, m) \
-                            == parent_boundary_full_chain(x, model, m)
+                        dx = boundary_full_chain(x, model, m)
+                        assert dx == parent_boundary_full_chain(x, model, m)
+                        assert_generators(x)
+                        assert_generators(dx)
                         checked += 1
     # primitives exist on every permutation-pattern cap (the cp:n caps)
     assert checked > 0 or model.name in ("point", "custom")
 
 
 def test_full_boundary_needs_index_gaps():
+    """surface:1 has critical points of index 0, 1 and 2.  A generator, or
+    any non-empty chain, even one of hats only, raises; an empty chain
+    has the empty boundary."""
+    model = surface_model(1)
     g = RFHGenerator("bot", 0, 0, 0, False)
     for fn in (boundary_full, parent_boundary_full):
         with pytest.raises(ConsecutiveIndexModel):
-            fn(g, surface_model(1), 2)
+            fn(g, model, 2)
+    for fn in (boundary_full_chain, parent_boundary_full_chain):
+        assert fn({}, model, 2) == {}
+        with pytest.raises(ConsecutiveIndexModel):
+            fn({g._replace(hat=True): 1}, model, 2)
+
+
+def test_chain_boundary_drops_cancelled_terms():
+    """On `custom_cap_model` b -> a and b' -> -a, so the checks b and b' at
+    the same (l, k) have d2 terms that cancel: only their d0 terms are
+    left, in the reference's order, and no zero coefficient."""
+    model = custom_cap_model()
+    for m in (1, 2, 3):
+        for cov, k in ((0, 0), (-2, 1), (5, -3)):
+            chain = {RFHGenerator("b", 2, cov, k, False): 1,
+                     RFHGenerator("b'", 2, cov, k, False): 1}
+            got = boundary_full_chain(chain, model, m)
+            want = parent_boundary_full_chain(chain, model, m)
+            assert list(got.items()) == list(want.items()), (m, cov, k)
+            assert got == {RFHGenerator("b", 2, cov + 1, k, True): 1,
+                           RFHGenerator("b'", 2, cov + 1, k, True): 1}
+            assert 0 not in got.values()
+            assert_generators(got)

@@ -17,6 +17,7 @@ from rfhomology.basemodel import cp_model, point_model, surface_model
 from rfhomology.errors import EmptyWindow, TruncationTooNarrow
 from rfhomology.rfh import (RFHGenerator, action, enumerate_generators,
                             rfh_index, winding)
+from test_boundary_reference import assert_generators
 
 MODELS = [cp_model(1), cp_model(2), cp_model(3), surface_model(1),
           surface_model(2), point_model()]
@@ -255,6 +256,8 @@ def test_enumerate_agrees_with_reference():
 
         def key(g):
             return (rfh_index(g, model, m), g.k, g.cov, g.hat, pos[g.label])
+        if got is not None:
+            assert_generators(got)
         if want is not None:
             returned += 1
             assert got == sorted(want, key=key), (model.name, m, tau, kw)

@@ -33,6 +33,7 @@ from rfhomology.rfh import (RFHGenerator, _cap_shortcuts, _field_quotient_dim,
                             winding)
 from rfhomology.oracles import build_fc, cap_map, mapping_cone, rfc_w0
 from rfhomology.selftest import random_complex_and_map
+from test_boundary_reference import custom_cap_model
 
 CP2 = cp_model(2)
 
@@ -1179,3 +1180,35 @@ def test_cap_shortcuts_match_laurent_oracle():
             seen["neither"] += not nilpotent and not iso_over_z
     assert min(seen[key] for key in ("nilpotent mod p only", "nilpotent",
                                      "unit", "neither")) > 0, seen
+
+
+def parent_custom_cap_terms(model):
+    """The custom-cap path of `BaseModel.cap_terms` as it was, frozen as the
+    reference: both degrees' generators and the source column looked up
+    once per critical point (the shape checks are left out)."""
+    mats = model.cap["degree_matrices"]
+    terms = {label: [] for label, _ in model.crit}
+    for label, idx in model.crit:
+        d = model.fh_degree(idx, 0)
+        src = model.generators_in_degree(d)
+        tgt = model.generators_in_degree(d - 2)
+        if not tgt:
+            continue
+        M = mats[d]
+        col = src.index((label, 0))
+        terms[label].extend((tl, model.index_of[tl], tk, M.get(i, col))
+                            for i, (tl, tk) in enumerate(tgt) if M.get(i, col))
+    return {label: tuple(ts) for label, ts in terms.items()}
+
+
+def test_custom_cap_terms_match_reference():
+    """`cap_terms` reads each degree of a custom cap once; its terms, their
+    order included, are those of the per-critical-point reference."""
+    rng = random.Random(25)
+    models = [custom_cap_model()] + [random_custom_cap_model(rng, kind) for kind in
+                                     ("aspherical", "monotone", "permutation") * 17][:50]
+    terms = 0
+    for model in models:
+        assert model.cap_terms == parent_custom_cap_terms(model), model.crit
+        terms += sum(map(len, model.cap_terms.values()))
+    assert terms > 100, terms
