@@ -18,6 +18,10 @@ no matrix over the Novikov ring Z[t, t^-1] is built.
 Gradings follow the symmetric convention: a generator (q, k) sits in degree
 mu_{-f}(q) - dim/2 - 2*lambda*nu*k, and its action is -k*nu (critical values
 of f are normalized to 0, which keeps all window arithmetic rational).
+
+`cap_stabilization` has no caller in the package: only the tests read it.
+It stays until `full_rfh` computes its cells instead of pattern-matching
+them; then `full_rfh` either reads it or it goes.
 """
 
 from __future__ import annotations

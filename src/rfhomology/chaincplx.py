@@ -9,11 +9,14 @@ map, its cone and the three maps of the cone's sequence on homology, which
 the sequence reads, all keyed by the residue of the degree modulo a period.
 The projection onto the checks and the inclusion of the hats re-index the
 rows of a cycle basis; they are never built as matrices.  A finite complex
-has a window (lo, hi) of degrees and homology at interior degrees
-(`homology_table`); the cone's sequence at d reads the base in d-3..d+1, so
-`cone_les` reaches lo+3..hi-1.  `verify_exactness` decides each node once
-per distinct tuple of the objects it reads, so a periodic sequence is
-checked for the cost of one period.
+has a window (lo, hi) of degrees; the cone's sequence at d reads the base
+in d-3..d+1, so `cone_les` reaches lo+3..hi-1.  `verify_exactness` decides
+each node once per distinct tuple of the objects it reads, so a periodic
+sequence is checked for the cost of one period.
+
+`exact_at` has no caller in the package: it is the per-node reference, with
+eliminations of its own, that the tests and
+`scripts/random_exactness_sweep.py` compare `verify_exactness` with.
 """
 
 from __future__ import annotations
@@ -90,25 +93,6 @@ def matrix_from_terms(source: Sequence[Hashable], target: Sequence[Hashable],
                 col[i] = col.get(i, 0) + c
         columns.append({i: c for i, c in col.items() if c})
     return IntMatrix(len(target), len(source), tuple(columns))
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
-    ok: bool
-    first_failure: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_boundary(C: GradedComplex) -> BoundaryReport:
-    """Check d_{*-1} . d_* = 0 wherever both maps exist; reports the first
-    offending degree."""
-    lo, hi = C.degrees
-    for d in range(lo + 2, hi + 1):
-        if not (C.boundary_at(d - 1) @ C.boundary_at(d)).is_zero():
-            return BoundaryReport(False, d)
-    return BoundaryReport(True)
 
 
 @dataclass(frozen=True)
@@ -264,19 +248,6 @@ class LazyHomology:
             # K X = d_in, as im(d_in) lies in ker boundary(d)
             self._bases[d] = HomologyBasis(K, C, C @ d_in, self.group(d))
         return self._bases[d]
-
-
-def homology_table(C: GradedComplex, degrees: Iterable[int]) -> dict[int, ZModulePresentation]:
-    """H_d(C) for each degree d, by `LazyHomology.group`; a degree not
-    interior to C's window raises DegreeOutOfRange."""
-    lo, hi = C.degrees
-    h = LazyHomology(C.boundary_at)
-    table = {}
-    for d in degrees:
-        if not (lo < d < hi):
-            raise DegreeOutOfRange(f"degree {d} not interior to {C.degrees}")
-        table[d] = h.group(d)
-    return table
 
 
 def induced_matrix(phi: IntMatrix, src: HomologyBasis, tgt: HomologyBasis) -> IntMatrix:

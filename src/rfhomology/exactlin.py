@@ -24,24 +24,23 @@ right block could not afford.  Its callers:
 * `invariant_factors` (and through it `rank`, `rank_mod_p`,
   `is_surjective_over_z` and `presentation_from_relations`) counts the
   unit pivots and reads the remainder's diagonal; it builds no V.
-* `kernel_basis` reads V on the columns that became zero, plus V times the
-  remainder's kernel; `_Elimination.kernel` also gives the matching rows
-  of V^-1, a left inverse of that basis (I and I at once for a zero A).
 * `solve_matrix` substitutes forward in pivot order, solves the remainder
   by its Smith form and maps back by V; it is the one integer solve.
 * `chaincplx` keeps eliminations to share them.  `LazyHomology`, the one
   homology routine, reads a group off the invariant factors of the two
   boundaries at its degree, and a cycle basis off the kernel of the
   outgoing one with its left inverse, so the relations of a homology group
-  and the induced maps are products, not solves.  `verify_exactness`
+  and the induced maps are products, not solves.  `_Elimination.kernel`
+  reads that basis on V, the columns that became zero and V times the
+  remainder's kernel, and its left inverse on the matching rows of V^-1
+  (I and I at once for a zero A).  `verify_exactness`
   eliminates each distinct [map | relations of its target] once, for the
   kernel read at the map's source and the solve made at its target.
 
 `_smith` itself is dense, reduces rows and columns with
 minimal-absolute-value pivoting and carries U, V and V^-1; a zero or a
-1 x 1 input, the commonest remainders, returns at once.  Apart from the
-remainder it is reached only through `smith_normal_form`, the public
-decomposition and the oracle the tests compare against.
+1 x 1 input, the commonest remainders, returns at once.  It is reached
+only through the remainder.
 
 Field coefficients use the same elimination: the rank of A over F_p is the
 number of invariant factors of A that p does not divide (`rank_mod_p`).
@@ -187,18 +186,6 @@ class IntMatrix:
 _set_rows = IntMatrix.rows.__set__
 _set_cols = IntMatrix.cols.__set__
 _set_columns = IntMatrix.columns.__set__
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D in Smith normal form."""
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.D.diagonal() if d != 0)
 
 
 @dataclass(frozen=True)
@@ -356,15 +343,6 @@ def _smith(D: list[list[int]], n: int
 def _nonzero_diagonal(D: list[list[int]], n: int) -> list[int]:
     """The nonzero invariant factors of a Smith form D with n columns."""
     return [D[t][t] for t in range(min(len(D), n)) if D[t][t]]
-
-
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Diagonalize A over Z by unimodular row/column operations (see
-    `_smith`).  Zero-size matrices are allowed."""
-    U, D, V, _ = _smith(A.to_lists(), A.cols)
-    return SmithDecomposition(IntMatrix.from_rows(U, cols=A.rows),
-                              IntMatrix.from_rows(D, cols=A.cols),
-                              IntMatrix.from_rows(V, cols=A.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +573,7 @@ class _Elimination:
 
 
 def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
-    """The nonzero invariant factors of A, equal to
-    ``smith_normal_form(A).invariant_factors()``: one 1 per unit pivot of
+    """The nonzero invariant factors of A: one 1 per unit pivot of
     `_Elimination`, then the unit-free remainder's."""
     if not any(A.columns):
         return ()
@@ -611,12 +588,6 @@ def rank_mod_p(A: IntMatrix, p: int) -> int:
     """Rank of A over F_p: the invariant factors p does not divide, since U
     and V of the Smith form stay invertible mod p."""
     return sum(1 for d in invariant_factors(A) if d % p)
-
-
-def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Columns form a basis of ker(A) as a direct summand of Z^cols (see
-    `_Elimination.kernel`)."""
-    return _Elimination(A).kernel()[0]
 
 
 def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:

@@ -76,10 +76,6 @@ def winding(gen: RFHGenerator, model: BaseModel, m: int) -> int:
     return gen.cov - m * gen.k * model.nu
 
 
-def eta(gen: RFHGenerator, m: int) -> Fraction:
-    return -Fraction(gen.cov, m)
-
-
 def fh_index(gen: RFHGenerator, model: BaseModel) -> int:
     """Index of the projected generator in the base."""
     return model.fh_degree(gen.morse_index, gen.k)

@@ -7,10 +7,10 @@ import pytest
 from rfhomology.basemodel import (BaseModel, cap_matrix,
                                   cap_stabilization, cp_model, load_model, model_from_spec, point_model,
                                   primitivity_report, surface_model)
-from rfhomology.chaincplx import homology_table
 from rfhomology.errors import DegreeOutOfRange, NotAChainMap, UnsupportedModel
-from rfhomology.exactlin import is_surjective_over_z
+from rfhomology.exactlin import is_surjective_over_z, rank
 from rfhomology.oracles import build_fc, cap_map
+from test_chaincplx import groups
 
 
 def test_build_fc_torus_and_point():
@@ -93,8 +93,7 @@ def test_cap_injective_not_surjective_cpn():
             for d in range(-6, 7):
                 M = psi.at(d)
                 if M.cols:
-                    from rfhomology.exactlin import kernel_basis
-                    assert kernel_basis(M).cols == 0
+                    assert rank(M) == M.cols
                 if M.rows:
                     assert not is_surjective_over_z(M)
 
@@ -172,7 +171,7 @@ def test_custom_model_with_morse_differential():
             "primitiveOmega": False,
             "morseBoundary": {"1": [[1], [-1]]}}
     model = load_model(spec)
-    tbl = homology_table(build_fc(model, degrees=(-3, 3)), range(-1, 2))
+    tbl = groups(build_fc(model, degrees=(-3, 3)), range(-1, 2))
     assert str(tbl[-1]) == "Z"      # a, b with a - b killed by c
     assert str(tbl[0]) == "0"
     assert str(tbl[1]) == "Z"

@@ -5,8 +5,7 @@ import pytest
 from rfhomology.basemodel import cp_model, point_model, surface_model
 from rfhomology.chaincplx import (ChainMap, GradedComplex, HomologyBasis,
                                   LazyHomology, LongExactSequence, cone_les,
-                                  exact_at, homology_table, induced_matrix,
-                                  matrix_from_terms, verify_boundary,
+                                  exact_at, induced_matrix, matrix_from_terms,
                                   verify_exactness)
 from rfhomology.errors import DegreeOutOfRange, NotAChainMap, NotAComplex
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
@@ -23,13 +22,10 @@ def two_step(n1, n2):
                           2: IntMatrix.from_rows([[n2]])})
 
 
-def test_verify_boundary():
-    C = GradedComplex((0, 2), {0: ("a",), 1: ("b",), 2: ("c",)}, {})
-    assert verify_boundary(C).ok
-    bad = two_step(1, 1)
-    rep = verify_boundary(bad)
-    assert not rep.ok and rep.first_failure == 2
-    assert verify_boundary(two_step(1, 0)).ok
+def groups(C, degrees):
+    """H_d(C) at each of `degrees`, read by `LazyHomology.group`."""
+    h = LazyHomology(C.boundary_at)
+    return {d: h.group(d) for d in degrees}
 
 
 def test_mapping_cone_of_zero_is_direct_sum():
@@ -37,8 +33,8 @@ def test_mapping_cone_of_zero_is_direct_sum():
                       {1: IntMatrix.from_rows([[2], [0]])})
     zero = ChainMap(C, C, -2, {})
     cone = mapping_cone(zero)
-    tbl = homology_table(cone, range(0, 4))
-    direct = homology_table(C, range(0, 3))
+    tbl = groups(cone, range(0, 4))
+    direct = groups(C, range(0, 3))
     for d in range(1, 3):
         a, b = direct.get(d - 1), direct.get(d)
         got = tbl[d]
@@ -52,7 +48,7 @@ def test_mapping_cone_hand_example():
     C = GradedComplex((-1, 3), {0: ("a",), 2: ("b",)}, {})
     for m in (2, 3, 5):
         psi = ChainMap(C, C, -2, {2: IntMatrix.from_rows([[m]])})
-        tbl = homology_table(mapping_cone(psi), range(0, 4))
+        tbl = groups(mapping_cone(psi), range(0, 4))
         assert tbl[0] == ZModulePresentation(1, ())
         assert tbl[1] == ZModulePresentation(0, (m,))
         assert tbl[2] == ZModulePresentation(0, ())
@@ -119,7 +115,7 @@ def test_cone_of_isomorphism_acyclic():
     basis = {d: ("e",) for d in range(-6, 7, 2)}
     C = GradedComplex((-6, 6), basis, {})
     psi = ChainMap(C, C, -2, {d: IntMatrix.identity(1) for d in range(-4, 7, 2)})
-    tbl = homology_table(mapping_cone(psi), range(-3, 5))
+    tbl = groups(mapping_cone(psi), range(-3, 5))
     assert all(p.is_zero() for p in tbl.values())
 
 
@@ -130,18 +126,9 @@ def test_cone_two_periodicity():
     C = GradedComplex((-8, 8), basis, {})
     psi = ChainMap(C, C, -2, {d: IntMatrix.from_rows([[2, 1], [0, 3]])
                               for d in range(-6, 9) if d % 2 == 0})
-    tbl = homology_table(mapping_cone(psi), range(-4, 6))
+    tbl = groups(mapping_cone(psi), range(-4, 6))
     for d in range(-4, 4):
         assert tbl[d] == tbl[d + 2]
-
-
-def test_homology_table_degree_guard():
-    C = GradedComplex((0, 4), {d: ("x",) for d in range(5)}, {})
-    with pytest.raises(DegreeOutOfRange):
-        homology_table(C, [0])
-    with pytest.raises(DegreeOutOfRange):
-        homology_table(C, [4])
-    assert set(homology_table(C, [1, 2, 3])) == {1, 2, 3}
 
 
 def test_repeated_generator_is_rejected():
@@ -162,23 +149,23 @@ def test_matrix_from_terms_sums_and_truncates():
 
 def test_homology_table_rejects_non_complex():
     """The rank formula is only valid when d . d = 0, so `LazyHomology`
-    checks it for the table and for a cycle basis alike."""
+    checks it for a group and for a cycle basis alike."""
     C = GradedComplex((0, 3), {0: ("a",), 1: ("b",), 2: ("c",)},
                       {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[1]])})
     with pytest.raises(NotAComplex):
         LazyHomology(C.boundary_at).basis(1)
     with pytest.raises(NotAComplex):
-        homology_table(C, [1])
-    assert homology_table(C, [2]) == {2: ZModulePresentation(0, ())}
+        LazyHomology(C.boundary_at).group(1)
+    assert LazyHomology(C.boundary_at).group(2) == ZModulePresentation(0, ())
 
 
 def test_homology_table_matches_cycle_bases_on_random_complexes():
-    """The rank-only table equals the presentation built on cycle bases, on
-    200 seeded random complexes and the cones of their degree -2 maps; each
-    basis has coords @ cycles = I, and its relations are the incoming
-    boundary written in it.  The table and a basis's presentation are the
-    same `LazyHomology.group`; the independent check is the presentation
-    recomputed from the relations themselves by `presentation_from_relations`."""
+    """The rank-only groups of a fresh `LazyHomology`, which eliminate
+    without V, equal the presentations of the cycle bases, on 200 seeded
+    random complexes and the cones of their degree -2 maps; each basis has
+    coords @ cycles = I, and its relations are the incoming boundary
+    written in it.  The independent check is the presentation recomputed
+    from the relations themselves by `presentation_from_relations`."""
     rng = random.Random(4)
     for _ in range(200):
         C, phi = random_complex_and_map(rng)
@@ -186,7 +173,7 @@ def test_homology_table_matches_cycle_bases_on_random_complexes():
             lo, hi = K.degrees
             lazy = LazyHomology(K.boundary_at)
             bases = {d: lazy.basis(d) for d in range(lo + 1, hi)}
-            assert homology_table(K, bases) == {d: h.presentation for d, h in bases.items()}
+            assert groups(K, bases) == {d: h.presentation for d, h in bases.items()}
             for d, h in bases.items():
                 assert h.presentation == presentation_from_relations(h.cycles.cols, h.relations)
                 assert h.coords @ h.cycles == IntMatrix.identity(h.cycles.cols)

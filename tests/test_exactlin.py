@@ -13,9 +13,8 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_f
 from rfhomology.chaincplx import LazyHomology, matrix_from_terms
 from rfhomology.errors import NotAComplex, ShapeMismatch
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation, _Elimination,
-                                 invariant_factors, is_surjective_over_z,
-                                 kernel_basis, rank, rank_mod_p,
-                                 smith_normal_form, solve_matrix)
+                                 _smith, invariant_factors, is_surjective_over_z,
+                                 rank, rank_mod_p, solve_matrix)
 from rfhomology.oracles import (det_bareiss, mapping_cone, minor_factors,
                                 minor_gcd, rank_bareiss)
 from rfhomology.selftest import random_complex_and_map
@@ -35,6 +34,19 @@ def homology(d_out, d_in):
     return LazyHomology({0: d_out, 1: d_in}.__getitem__).group(0)
 
 
+def kernel(A):
+    """The kernel basis that the engine reads off `_Elimination`."""
+    return _Elimination(A).kernel()[0]
+
+
+def smith(A):
+    """The dense Smith form of all of A, (U, D, V, V^-1) with U A V = D, as
+    matrices: the path the engine takes on a unit-free remainder."""
+    U, D, V, Vinv = _smith(A.to_lists(), A.cols)
+    return (IntMatrix.from_rows(U, cols=A.rows), IntMatrix.from_rows(D, cols=A.cols),
+            IntMatrix.from_rows(V, cols=A.cols), IntMatrix.from_rows(Vinv, cols=A.cols))
+
+
 matrices = st.integers(0, 5).flatmap(
     lambda m: st.integers(0, 5).flatmap(
         lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
@@ -48,15 +60,19 @@ matrices = st.integers(0, 5).flatmap(
 @example(IntMatrix.from_rows([[0]]))
 @example(IntMatrix.from_rows([[5]]))
 def test_snf_invariants(A):
-    s = smith_normal_form(A)
-    assert (s.U @ A @ s.V).entries == s.D.entries
-    assert abs(det_bareiss(s.U)) == 1
-    assert abs(det_bareiss(s.V)) == 1
+    """`_smith` on all of A: U A V = D with U and V unimodular, V^-1 the
+    inverse of V (`_Elimination.kernel` reads its left inverse off it), and
+    D diagonal with a divisibility chain of nonnegative entries."""
+    U, D, V, Vinv = smith(A)
+    assert (U @ A @ V).entries == D.entries
+    assert abs(det_bareiss(U)) == 1
+    assert abs(det_bareiss(V)) == 1
+    assert V @ Vinv == Vinv @ V == IntMatrix.identity(A.cols)
     for i in range(A.rows):
         for j in range(A.cols):
             if i != j:
-                assert s.D.get(i, j) == 0
-    diag = list(s.D.diagonal())
+                assert D.get(i, j) == 0
+    diag = list(D.diagonal())
     assert all(d >= 0 for d in diag)
     nz = [d for d in diag if d != 0]
     assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
@@ -106,7 +122,7 @@ def test_sparse_storage_is_a_normal_form(A, data):
     assert (A == B) == ((A.rows, A.cols, lists) == (B.rows, B.cols, B.to_lists()))
     C = data.draw(kinded_matrices(rows=A.cols))
     assert (A @ C).to_lists() == (dense(A) @ dense(C)).tolist()
-    K = kernel_basis(A)
+    K = kernel(A)
     assert (A @ K).is_zero()            # every entry cancels
     rows = data.draw(st.lists(st.integers(0, A.rows - 1), unique=True)) if A.rows else []
     cols = data.draw(st.lists(st.integers(0, A.cols - 1))) if A.cols else []
@@ -188,10 +204,11 @@ def sympy_invariant_factors(A):
 @example(IntMatrix.zero(4, 0))
 @example(IntMatrix.from_rows([[2, 3]]))
 def test_invariant_factors_match_two_oracles(A):
-    """The sparse unit-pivot path equals the dense Smith form and sympy's."""
+    """The sparse unit-pivot path equals sympy's Smith form and the
+    quotients of the determinantal divisors."""
     got = invariant_factors(A)
-    assert got == smith_normal_form(A).invariant_factors()
     assert got == sympy_invariant_factors(A)
+    assert got == minor_factors(A)
 
 
 vectors = st.lists(st.integers(-9, 9), min_size=14, max_size=14)
@@ -204,19 +221,19 @@ vectors = st.lists(st.integers(-9, 9), min_size=14, max_size=14)
 @example(IntMatrix.from_rows([[1, 2, 3], [2, 0, 4]]), [1] * 14, [3, 1] * 7, [0, 1] * 7)
 def test_kernel_and_solve_on_kinded_matrices(A, x, y, b):
     """The sparse elimination against the dense Smith form.  The kernel
-    spans the lattice of the V-kernel of `smith_normal_form` (each basis
+    spans the lattice of the V-kernel of `_smith` on all of A (each basis
     solves into the other; both are saturated), coords is a left inverse
     of it, and the relations of a homology group solve K X = d_in.
     solve_matrix fails exactly when B leaves the column lattice of A:
     judged by the invariant factors of A and [A | B], which share no
     transforms.  The examples leave a unit-free remainder: alone, and
     after a unit pivot."""
-    K = kernel_basis(A)
+    K = kernel(A)
     assert (A @ K).is_zero()
     assert K.cols == A.cols - rank(A)
     assert invariant_factors(K) == (1,) * K.cols
-    s = smith_normal_form(A)
-    dense = s.V.submatrix(range(A.cols), range(len(s.invariant_factors()), A.cols))
+    _, D, V, _ = smith(A)
+    dense = V.submatrix(range(A.cols), range(sum(1 for d in D.diagonal() if d), A.cols))
     assert solve_matrix(K, dense) is not None and solve_matrix(dense, K) is not None
     # d_in with its columns in the kernel: K Y = d_in
     Y = IntMatrix.from_rows([y[2 * t:2 * t + 2] for t in range(K.cols)], cols=2)
@@ -237,18 +254,19 @@ def test_kernel_and_solve_on_kinded_matrices(A, x, y, b):
 
 @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 4), (4, 2)])
 def test_snf_of_zero_matrix_is_identity_transforms(m, n):
-    s = smith_normal_form(IntMatrix.zero(m, n))
-    assert (s.U.rows, s.U.cols, s.U.entries) == (m, m, IntMatrix.identity(m).entries)
-    assert (s.D.rows, s.D.cols, s.D.entries) == (m, n, IntMatrix.zero(m, n).entries)
-    assert (s.V.rows, s.V.cols, s.V.entries) == (n, n, IntMatrix.identity(n).entries)
+    U, D, V, Vinv = smith(IntMatrix.zero(m, n))
+    assert (U.rows, U.cols, U.entries) == (m, m, IntMatrix.identity(m).entries)
+    assert (D.rows, D.cols, D.entries) == (m, n, IntMatrix.zero(m, n).entries)
+    assert (V.rows, V.cols, V.entries) == (n, n, IntMatrix.identity(n).entries)
+    assert Vinv == IntMatrix.identity(n)
 
 
 def test_snf_identity_and_diag():
-    s = smith_normal_form(IntMatrix.identity(2))
-    assert s.D.entries == IntMatrix.identity(2).entries
-    s = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 0]]))
-    assert s.invariant_factors() == (2,)
-    assert s.D.get(1, 1) == 0
+    U, D, V, Vinv = smith(IntMatrix.identity(2))
+    assert D.entries == IntMatrix.identity(2).entries
+    assert V @ Vinv == IntMatrix.identity(2)
+    _, D, _, _ = smith(IntMatrix.from_rows([[2, 0], [0, 0]]))
+    assert D.diagonal() == (2, 0)
 
 
 def test_snf_minor_gcd_oracle():
@@ -293,7 +311,7 @@ def test_kernel_and_solve():
     rng = random.Random(11)
     for _ in range(200):
         A = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), lim=4)
-        K = kernel_basis(A)
+        K = kernel(A)
         assert (A @ K).is_zero()
         assert K.cols == A.cols - rank(A)
         x = [rng.randint(-3, 3) for _ in range(A.cols)]

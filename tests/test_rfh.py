@@ -15,8 +15,7 @@ from rfhomology import chaincplx, exactlin, rfh
 from rfhomology.basemodel import (BaseModel, cap_stabilization, cp_model,
                                   load_model, point_model, surface_model)
 from rfhomology.chaincplx import (ChainMap, LazyCone, LazyHomology,
-                                  cone_les, homology_table, induced_matrix,
-                                  matrix_from_terms, verify_boundary,
+                                  cone_les, induced_matrix, matrix_from_terms,
                                   verify_exactness)
 from rfhomology.errors import (ConsecutiveIndexModel, DegreeOutOfRange,
                                EmptyWindow, NonPositiveTau, TruncationTooNarrow)
@@ -27,13 +26,14 @@ from rfhomology.rfh import (RFHGenerator, _cap_shortcuts, _field_quotient_dim,
                             _field_total_betti, _SectorData, _transfer_maps,
                             action, base_action, boundary_full,
                             boundary_full_chain, delta_injectivity,
-                            enumerate_generators, eta, fh_index, full_rfh,
+                            enumerate_generators, fh_index, full_rfh,
                             gysin, orderability_report, primitive_partial_sum,
                             rfh_index, rfh_w0_table, transfer_failures,
                             winding)
 from rfhomology.oracles import build_fc, cap_map, mapping_cone, rfc_w0
 from rfhomology.selftest import random_complex_and_map
 from test_boundary_reference import custom_cap_model
+from test_chaincplx import groups
 
 CP2 = cp_model(2)
 
@@ -51,7 +51,6 @@ def test_cp2_index_formula():
             want = -2 * g.cov - 2 * (3 - m) * g.k + 2 * i - 2
             assert rfh_index(g, CP2, m) == want + (1 if g.hat else 0)
             assert winding(g, CP2, m) == g.cov - m * g.k
-            assert eta(g, m) == -Fraction(g.cov, m)
 
 
 def test_rfh_index_is_the_base_degree_less_twice_the_winding():
@@ -159,7 +158,6 @@ def test_winding_zero_relabeling():
             assert g.cov == m * g.k
             assert rfh_index(g, CP2, m) - (1 if g.hat else 0) == fh_index(g, CP2)
             assert action(g, CP2, m, tau) == (1 + tau) * base_action(g, CP2)
-            assert eta(g, m) == base_action(g, CP2)
 
 
 def test_winding_sector_shift_bijection():
@@ -219,9 +217,9 @@ def test_rfc_w0_equals_cone_oracle():
     zoo = [(cp_model(n), m) for n in (1, 2, 3) for m in (1, 2, 5)]
     zoo += [(surface_model(1), 2), (surface_model(2), 3), (point_model(), 1)]
     for model, m in zoo:
-        direct = homology_table(rfc_w0(model, m, (-5, 5)), range(-4, 5))
+        direct = groups(rfc_w0(model, m, (-5, 5)), range(-4, 5))
         cone = mapping_cone(cap_map(model, m, fc=build_fc(model, degrees=(-8, 7))))
-        oracle = homology_table(cone, range(-4, 5))
+        oracle = groups(cone, range(-4, 5))
         assert direct == oracle, (model.name, m)
 
 
@@ -247,10 +245,10 @@ def nonperfect_surface(g, rng):
 
 
 def test_homology_table_matches_cycle_bases_on_models():
-    """The rank-only table equals the presentation recomputed from the
-    relations of the cycle bases by `presentation_from_relations`, on the
-    zero-winding complexes and the Floer complexes of the built-in and
-    non-perfect models."""
+    """The rank-only groups of a fresh `LazyHomology` equal the
+    presentations recomputed from the relations of the cycle bases by
+    `presentation_from_relations`, on the zero-winding complexes and the
+    Floer complexes of the built-in and non-perfect models."""
     rng = random.Random(8)
     models = [cp_model(n) for n in (1, 2, 3)] + [surface_model(g) for g in range(1, 9)]
     models += [nonperfect_surface(g, rng) for g in (1, 2, 3, 5)]
@@ -261,7 +259,7 @@ def test_homology_table_matches_cycle_bases_on_models():
             degrees = range(-5, 6)
             lazy = LazyHomology(C.boundary_at)
             bases = {d: lazy.basis(d) for d in degrees}
-            assert homology_table(C, degrees) == {
+            assert groups(C, degrees) == {
                 d: presentation_from_relations(h.cycles.cols, h.relations)
                 for d, h in bases.items()}, model.name
 
@@ -269,7 +267,7 @@ def test_homology_table_matches_cycle_bases_on_models():
 def test_rfc_w0_boundary_squares_to_zero():
     for model, m in [(CP2, 2), (surface_model(1), 3)]:
         C = rfc_w0(model, m, (-6, 6))
-        assert verify_boundary(C).ok
+        assert all((C.boundary_at(d - 1) @ C.boundary_at(d)).is_zero() for d in range(-4, 7))
 
 
 def test_cp_tables_torsion_parity():
@@ -907,7 +905,7 @@ def test_sectors_match_the_windowed_complex():
             sect = _SectorData(model, m)
             for e in range(-10, 11):
                 fc = build_fc(model, (e - 2, e + 2))
-                assert sect.group(e) == homology_table(fc, [e])[e], (model.name, m, e)
+                assert sect.group(e) == groups(fc, [e])[e], (model.name, m, e)
                 fc = build_fc(model, (e - 3, e + 2))
                 h = LazyHomology(fc.boundary_at)
                 want = induced_matrix(cap_map(model, m, fc).at(e), h.basis(e), h.basis(e - 2))
@@ -918,7 +916,7 @@ def test_sectors_match_the_windowed_complex():
                 assert gysin(model, m, (lo, hi)) == want, (model.name, m, lo, hi)
                 wide = rfc_w0(model, m, (lo - 5, hi + 5))
                 assert rfh_w0_table(model, m, Fraction(1), (lo, hi)) == \
-                    homology_table(wide, range(lo, hi + 1)), (model.name, m, lo, hi)
+                    groups(wide, range(lo, hi + 1)), (model.name, m, lo, hi)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
