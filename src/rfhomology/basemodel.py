@@ -11,17 +11,13 @@ model serves every bundle degree m.
 
 The cap lowers the degree by 2, and a generator's degree fixes its sphere
 class, so every cap term's sphere shift is fixed by the two Morse indices.
-The pattern is therefore stored by source (`BaseModel.cap_terms`) and, for
-the tests on the whole cap, as one integer matrix at t = 1 (`cap_matrix`);
-no matrix over the Novikov ring Z[t, t^-1] is built.
+The pattern is therefore stored by source (`BaseModel.cap_terms`) and read
+one degree at a time (`BaseModel.cap_at`); no matrix over the Novikov ring
+Z[t, t^-1] is built.
 
 Gradings follow the symmetric convention: a generator (q, k) sits in degree
 mu_{-f}(q) - dim/2 - 2*lambda*nu*k, and its action is -k*nu (critical values
 of f are normalized to 0, which keeps all window arithmetic rational).
-
-`cap_stabilization` has no caller in the package: only the tests read it.
-It stays until `full_rfh` computes its cells instead of pattern-matching
-them; then `full_rfh` either reads it or it goes.
 """
 
 from __future__ import annotations
@@ -32,11 +28,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Optional, Union
 
 from .chaincplx import matrix_from_terms
 from .errors import NotAChainMap, UnsupportedModel
-from .exactlin import IntMatrix, rank
+from .exactlin import IntMatrix
 
 CapSpec = Union[str, dict]   # "cpn" | "surface" | "zero" | {"degree_matrices": {d: rows}}
 
@@ -294,10 +291,24 @@ def model_from_spec(spec: str) -> BaseModel:
     raise UnsupportedModel(f"unknown model spec {spec!r}")
 
 
+def _whole(values, field: str) -> None:
+    """Raise UnsupportedModel, naming the field, on a number among `values`
+    whose value is not an integer: int() would truncate 2.9 to 2."""
+    for x in filter(None, values):   # such a number is not 0
+        if isinstance(x, float) and not x.is_integer():
+            raise UnsupportedModel(f"{field} must be an integer, got {x!r}")
+
+
+def _matrix(rows, field: str) -> IntMatrix:
+    _whole(chain.from_iterable(rows), field)
+    return IntMatrix.from_rows(rows)
+
+
 def load_model(source) -> BaseModel:
     """Model file: {"dim", "nu", "lambda": "p/q", "cM", "crit": [{"label",
     "index"}...], "cap": "builtin:cpn"|"builtin:surface"|{...},
-    "primitiveOmega", optional "morseBoundary": {index: matrix}}."""
+    "primitiveOmega", optional "morseBoundary": {index: matrix}}.  Every
+    number but lambda is an integer; 2.0 reads as 2, and 2.5 is an error."""
     if isinstance(source, str):
         with open(source) as fh:
             obj = json.load(fh)
@@ -311,12 +322,15 @@ def load_model(source) -> BaseModel:
         cap = cap.split(":", 1)[1]
         cap = {"cpn": "cpn", "surface": "surface", "zero": "zero"}[cap]
     elif isinstance(cap, Mapping):
-        cap = {"degree_matrices": {int(d): IntMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
+        cap = {"degree_matrices": {int(d): _matrix(rows, f"cap entry at degree {d}")
                                    for d, rows in cap.items()}}
     morse = None
     if obj.get("morseBoundary"):
-        morse = {int(i): IntMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
+        morse = {int(i): _matrix(rows, f"morseBoundary entry at index {i}")
                  for i, rows in obj["morseBoundary"].items()}
+    for field, values in (("dim", [obj["dim"]]), ("nu", [obj["nu"]]), ("cM", [obj.get("cM")]),
+                          ("crit index", [c["index"] for c in obj["crit"]])):
+        _whole(values, field)
     return BaseModel(
         name=obj.get("name", "file"),
         dim=int(obj["dim"]),
@@ -328,44 +342,3 @@ def load_model(source) -> BaseModel:
         primitive_omega=bool(obj.get("primitiveOmega", False)),
         morse_boundary=morse,
     )
-
-
-# ---------------------------------------------------------------------------
-# Cap product
-# ---------------------------------------------------------------------------
-
-def cap_matrix(model: BaseModel, m: int) -> IntMatrix:
-    """The cap with -m[omega] on the critical-point basis at t = 1: entry
-    (target, source) is m times the unit pattern's coefficient.  Each term's
-    sphere shift is fixed by the two Morse indices (see `cap_terms`), so the
-    cap over the Novikov ring is D1 C D2 with D1, D2 diagonal powers of t:
-    its n-th power vanishes (also mod p) exactly when C^n does, its
-    determinant is a unit exactly when C is unimodular, and its powers have
-    the ranks of C's powers."""
-    labels = [label for label, _ in model.crit]
-    return matrix_from_terms(labels, labels, lambda src: [
-        (tgt, m * c) for tgt, _, _, c in model.cap_terms[src]])
-
-
-def cap_stabilization(model: BaseModel, m: int) -> tuple[int, int]:
-    """Smallest n with rank im(Psi^n) = rank im(Psi^{n+1}) over the Novikov
-    ring's fraction field, together with that stabilized rank; the ranks
-    are those of the powers of `cap_matrix`.  The answer is certified to
-    appear within the total Betti number."""
-    C = cap_matrix(model, m)
-    bound = len(model.crit)
-    power = IntMatrix.identity(C.rows)
-    prev_rank = None
-    for n in range(1, bound + 2):
-        power = power @ C
-        r = rank(power)
-        if prev_rank is not None and r == prev_rank:
-            return (n - 1, r)
-        prev_rank = r
-    # ranks strictly decrease until they stabilize, so this is unreachable
-    raise UnsupportedModel(f"cap image rank failed to stabilize within {bound + 1} powers")
-
-
-def primitivity_report(model: BaseModel, m: int) -> dict:
-    """c_1^E = -m[omega] is primitive iff m = 1 and [omega] is primitive."""
-    return {"primitive": m == 1 and model.primitive_omega}

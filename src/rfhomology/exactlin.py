@@ -21,9 +21,9 @@ surfaces hand it boundary and relation matrices with hundreds of rows and
 a few nonzeros per column, which a dense pivot scan over the whole lower
 right block could not afford.  Its callers:
 
-* `invariant_factors` (and through it `rank`, `rank_mod_p`,
-  `is_surjective_over_z` and `presentation_from_relations`) counts the
-  unit pivots and reads the remainder's diagonal; it builds no V.
+* `invariant_factors` (and through it `rank_mod_p` and
+  `presentation_from_relations`) counts the unit pivots and reads the
+  remainder's diagonal; it builds no V.
 * `solve_matrix` substitutes forward in pivot order, solves the remainder
   by its Smith form and maps back by V; it is the one integer solve.
 * `chaincplx` keeps eliminations to share them.  `LazyHomology`, the one
@@ -580,10 +580,6 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     return _Elimination(A, transform=False).invariant_factors()
 
 
-def rank(A: IntMatrix) -> int:
-    return len(invariant_factors(A))
-
-
 def rank_mod_p(A: IntMatrix, p: int) -> int:
     """Rank of A over F_p: the invariant factors p does not divide, since U
     and V of the Smith form stay invertible mod p."""
@@ -620,11 +616,3 @@ def presentation_from_relations(n_generators: int, relations: IntMatrix) -> ZMod
     factors = invariant_factors(relations)
     torsion = tuple(d for d in factors if d >= 2)
     return ZModulePresentation(n_generators - len(factors), torsion)
-
-
-def is_surjective_over_z(A: IntMatrix) -> bool:
-    """True iff coker(A) = 0, i.e. rank equals the row count and every
-    invariant factor is 1."""
-    factors = invariant_factors(A)
-    return len(factors) == A.rows and all(d == 1 for d in factors)
-

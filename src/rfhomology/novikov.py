@@ -9,9 +9,11 @@ tau*(lambda - m) against m.
 No arithmetic over the ring is needed.  The only matrix over it is the cap,
 and the cap lowers the degree by 2, so the power of t in each of its terms
 is fixed by the Morse indices of the two ends.  The cap is therefore
-D1 C D2 with C an integer matrix and D1, D2 diagonal powers of t, and its
-nilpotency, unimodularity and ranks are read off C
-(`basemodel.cap_matrix`).
+read one degree at a time, as the integer blocks psi(e) : C_e -> C_{e-2}
+of the lazy cone (`rfh._SectorData`), which repeat with the period
+2*lambda*nu; `full_rfh` reads its nilpotency and unimodularity off psi
+from the degrees of the critical points, one period, and no matrix of the
+whole cap is built.
 
 No element of the digit modules Q_m and Q~_m is built either: `full_rfh`
 names them as the answer of a rank-one sector whose cap is +-m, and that

@@ -31,15 +31,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, NamedTuple, Optional, Sequence
+from itertools import count, islice
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .basemodel import BaseModel, cap_matrix, primitivity_report
+from .basemodel import BaseModel
 from .chaincplx import (LazyCone, LongExactSequence, _cone_boundary, _cone_les,
                         _degree_range, _preimage_in_span)
 from .errors import (ConsecutiveIndexModel, EmptyWindow, NonPositiveTau,
                      TruncationTooNarrow, UnstabilizedTruncation)
-from .exactlin import (IntMatrix, ZModulePresentation, is_surjective_over_z,
-                       presentation_from_relations, rank_mod_p)
+from .exactlin import (IntMatrix, ZModulePresentation, presentation_from_relations,
+                       rank_mod_p)
 from .novikov import CompletionRegime, regime_for
 
 
@@ -428,7 +429,28 @@ class _SectorData(LazyCone):
     def __init__(self, model: BaseModel, m: int):
         super().__init__(model.boundary_at, lambda e: model.cap_at(e, m),
                          abs(2 * model.lambda_nu))
-        self.m = m
+        self.model, self.m = model, m
+
+    def cap_nilpotent(self, p: Optional[int]) -> bool:
+        """Whether the cap over the Novikov ring is nilpotent, over F_p when
+        p is given.  The keys of `BaseModel.degree_classes` are a degree of
+        each residue that holds a generator, once, and psi there is the
+        cap's block from those generators: the cap's i-th power vanishes
+        exactly when psi^i from every key does, which happens for some i up
+        to the number of critical points if at all."""
+        def vanishes(f: IntMatrix) -> bool:
+            # over F_p a cap divisible by p dies: nilpotency can only improve
+            return not any(c % p if p else c for col in f.columns for c in col.values())
+        n = len(self.model.crit)
+        return all(any(map(vanishes, islice(_psi_powers(self, e), n + 1)))
+                   for e in self.model.degree_classes)
+
+    def cap_unimodular(self) -> bool:
+        """Whether the cap is invertible over Z: its block psi from each key
+        of `BaseModel.degree_classes` is square with zero cokernel (an empty
+        C_{e-2} makes it not square)."""
+        return all(M.is_square() and presentation_from_relations(M.rows, M).is_zero()
+                   for M in map(self.psi, self.model.degree_classes))
 
 
 def _field_total_betti(sect: _SectorData, p: int) -> int:
@@ -439,16 +461,22 @@ def _field_total_betti(sect: _SectorData, p: int) -> int:
                for e in range(sect.period))
 
 
+def _psi_powers(sect: LazyCone, e: int) -> Iterator[IntMatrix]:
+    """psi^0 = I, psi^1, psi^2, ... from C_e, psi^i : C_e -> C_{e-2i} made
+    from psi^(i-1) by one more psi."""
+    f = IntMatrix.identity(sect.psi(e).cols)
+    for i in count():
+        yield f
+        f = sect.psi(e - 2 * i) @ f
+
+
 def _field_quotient_dim(sect: LazyCone, e: int, b: int, p: int) -> int:
     """dim over F_p of FH_e / ker(psi^b) = rank of the induced psi^b.  With
     f = psi^b : C_e -> C_t (t = e - 2b) a chain map, that rank is
     rank_p [[-d_{t+1}, f], [0, d_e]] - rank_p d_{t+1} - rank_p d_e, the
     block being the cone boundary of f (negated columns keep the rank)."""
-    d_in, d_out = sect.boundary(e - 2 * b + 1), sect.boundary(e)
-    f = IntMatrix.identity(d_out.cols)
-    for i in range(b):
-        f = sect.psi(e - 2 * i) @ f
-    return (rank_mod_p(_cone_boundary(d_in, f, d_out), p)
+    f = next(islice(_psi_powers(sect, e), b, None))
+    return (rank_mod_p(_cone_boundary(sect.boundary(e - 2 * b + 1), f, sect.boundary(e)), p)
             - sect.rank_mod(e - 2 * b + 1, p) - sect.rank_mod(e, p))
 
 
@@ -479,26 +507,6 @@ def _sector_blocks(sect: _SectorData, star: int, src: Sequence[int],
     return IntMatrix(R_tgt.rows, len(delta), tuple(delta)), R_tgt, layout(src)[1]
 
 
-def _cap_shortcuts(model: BaseModel, m: int, field: Optional[int]) -> tuple[bool, bool]:
-    """Whether the cap with -m[omega] over the Novikov ring is nilpotent
-    (over F_p when `field` is p) and whether it is invertible over Z.  Both
-    are read off its integer matrix C at t = 1 (see `cap_matrix`): the cap
-    is nilpotent exactly when C^n vanishes (mod p), n the number of critical
-    points, which holds as soon as a lower power does, and invertible
-    exactly when C is unimodular."""
-    def vanishes(M: IntMatrix) -> bool:
-        # over F_p a cap divisible by p dies: nilpotency can only improve
-        return not any(c % field if field else c for col in M.columns for c in col.values())
-
-    C = cap_matrix(model, m)
-    power = IntMatrix.identity(C.rows)
-    for _ in range(C.rows):
-        if vanishes(power):
-            break
-        power = power @ C
-    return vanishes(power), is_surjective_over_z(C)
-
-
 def parse_coeff(coeff: str) -> Optional[int]:
     """The coefficients "z" (None) or "fp:<p>" (the prime p), in any case;
     any other spec raises ValueError."""
@@ -525,14 +533,21 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
     sequence with middle map id + cap-shift on the regime-completed sum of
     base homologies.  A nilpotent cap makes id + cap-shift unipotent, so
     every cell is 0.  That decides every aspherical base: its cap lowers
-    the Morse index by 2 (see `BaseModel.cap_terms`), so it is nilpotent."""
+    the Morse index by 2 (see `BaseModel.cap_terms`), so it is nilpotent.
+    Nilpotency and unimodularity are read off psi of `_SectorData`, once
+    per call and only when the regime leaves the cells open."""
     tau = Fraction(tau)
     field = parse_coeff(coeff)
     regime = _regime(model, m, tau)
     dlo, dhi = _degree_range(degrees)
-    nilpotent, iso_over_z = _cap_shortcuts(model, m, field)
+    model.cap_terms   # a bad cap is an error in every regime, read or not
     period = model.c_min
     sect = _SectorData(model, m)
+    # these cases make every cell 0, whatever its degree.  A nilpotent cap:
+    # every class reduces to zero through x ~ -cap(x)
+    all_zero = (regime == CompletionRegime.ALL_LOWER or sect.cap_nilpotent(field)
+                or regime == CompletionRegime.ALL_UPPER
+                and (field is not None or sect.cap_unimodular()))
 
     @cache
     def field_betti() -> int:
@@ -545,11 +560,6 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
 
     def value_for(d: int) -> GroupValue:
         star = d + 1
-        if nilpotent or regime == CompletionRegime.ALL_LOWER:
-            # nilpotent: every class reduces to zero through x ~ -cap(x)
-            return GroupValue.zero()
-        if regime == CompletionRegime.ALL_UPPER and (field is not None or iso_over_z):
-            return GroupValue.zero()
         # a monotone base with a cap that is not nilpotent
         groups = {k: sect.group(star + 2 * k) for k in range(period)}
         if any(g.is_zero() for g in groups.values()):
@@ -589,7 +599,7 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
         }
         return GroupValue.relations_form(desc)
 
-    table = {d: value_for(d) for d in range(dlo, dhi + 1)}
+    table = {d: GroupValue.zero() if all_zero else value_for(d) for d in range(dlo, dhi + 1)}
     return FullRFHResult(model.name, m, tau, regime,
                          "z" if field is None else f"fp:{field}", table)
 
@@ -687,7 +697,7 @@ def orderability_report(model: BaseModel, m: int) -> dict:
     return {
         "rfh_w0_nonzero": nonzero,
         "cap_surjective": surjective,
-        "c1_primitive": primitivity_report(model, m)["primitive"],
+        "c1_primitive": m == 1 and model.primitive_omega,
         "orderable": True if nonzero else "unknown",
         "translated_points": True if nonzero else "unknown",
     }

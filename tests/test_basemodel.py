@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from rfhomology.basemodel import (BaseModel, cap_matrix,
-                                  cap_stabilization, cp_model, load_model, model_from_spec, point_model,
-                                  primitivity_report, surface_model)
+from rfhomology.basemodel import (BaseModel, cp_model, load_model, model_from_spec,
+                                  point_model, surface_model)
 from rfhomology.errors import DegreeOutOfRange, NotAChainMap, UnsupportedModel
-from rfhomology.exactlin import is_surjective_over_z, rank
+from rfhomology.exactlin import IntMatrix, invariant_factors, presentation_from_relations
 from rfhomology.oracles import build_fc, cap_map
+from rfhomology.rfh import orderability_report
 from test_chaincplx import groups
 
 
@@ -93,37 +93,40 @@ def test_cap_injective_not_surjective_cpn():
             for d in range(-6, 7):
                 M = psi.at(d)
                 if M.cols:
-                    assert rank(M) == M.cols
+                    assert len(invariant_factors(M)) == M.cols
                 if M.rows:
-                    assert not is_surjective_over_z(M)
+                    assert not presentation_from_relations(M.rows, M).is_zero()
 
 
 def test_cap_terms_and_matrix_of_builtin_caps():
     """cp:n's cap q_i -> q_{i-1} closes the cycle q_0 -> t q_n; the surface
-    cap sends top to bot; the cap matrix is m times the pattern at t = 1."""
-    assert cp_model(2).cap_terms == {"q0": (("q2", 4, 1, 1),),
-                                     "q1": (("q0", 0, 0, 1),),
-                                     "q2": (("q1", 2, 0, 1),)}
-    assert cap_matrix(cp_model(2), 3).to_lists() == [[0, 3, 0], [0, 0, 3], [3, 0, 0]]
+    cap sends top to bot; `cap_at` is m times the pattern in each degree,
+    the same one period (2*lambda*nu) up, and has no column or no row where
+    the degree or the one 2 below holds no generator."""
+    cp2 = cp_model(2)
+    assert cp2.cap_terms == {"q0": (("q2", 4, 1, 1),),
+                             "q1": (("q0", 0, 0, 1),),
+                             "q2": (("q1", 2, 0, 1),)}
+    # q0, q1, q2 sit in degrees -2, 0, 2, and q0 -> t q2 lands in degree -4
+    for e in (-2, 0, 2, 4, 6, 8):
+        assert cp2.cap_at(e, 3).to_lists() == [[3]]
+    assert all(cp2.cap_at(e, 3) == IntMatrix.zero(0, 0) for e in (-1, 1, 3))
     surface = surface_model(1)
     assert {src: ts for src, ts in surface.cap_terms.items() if ts} == \
         {"top": (("bot", 0, 0, 1),)}
-    assert cap_matrix(surface, 2).to_lists() == [[0, 0, 0, 2]] + [[0] * 4] * 3
-    assert cap_matrix(point_model(), 5).to_lists() == [[0]]
-
-
-def test_cap_stabilization():
-    assert cap_stabilization(cp_model(2), 1) == (1, 3)
-    assert cap_stabilization(cp_model(2), 4) == (1, 3)
-    assert cap_stabilization(cp_model(3), 2) == (1, 4)
-    assert cap_stabilization(surface_model(1), 3) == (2, 0)
-    assert cap_stabilization(point_model(), 1) == (1, 0)
+    # bot, a1 and a2, top sit in degrees -1, 0, 1
+    assert surface.cap_at(1, 2).to_lists() == [[2]]
+    assert surface.cap_at(0, 2) == IntMatrix.zero(0, 2)
+    assert surface.cap_at(-1, 2) == IntMatrix.zero(0, 1)
+    assert surface.cap_at(3, 2) == IntMatrix.zero(1, 0)
+    assert point_model().cap_at(0, 5) == IntMatrix.zero(0, 1)
 
 
 def test_primitivity():
-    assert primitivity_report(cp_model(2), 2) == {"primitive": False}
-    assert primitivity_report(cp_model(2), 1) == {"primitive": True}
-    assert primitivity_report(point_model(), 1) == {"primitive": False}
+    """c_1 of the bundle is primitive iff m = 1 and [omega] is primitive."""
+    assert orderability_report(cp_model(2), 2)["c1_primitive"] is False
+    assert orderability_report(cp_model(2), 1)["c1_primitive"] is True
+    assert orderability_report(point_model(), 1)["c1_primitive"] is False
 
 
 def test_monotonicity_validation():
@@ -208,4 +211,4 @@ def test_custom_cap_input_checks(cap, message):
     with pytest.raises(NotAChainMap, match=message):
         model.cap_terms
     with pytest.raises(NotAChainMap, match=message):
-        cap_matrix(model, 1)
+        model.cap_at(1, 1)

@@ -340,6 +340,59 @@ def test_bad_custom_cap_is_a_usage_error(tmp_path, cap, message, command):
     assert message in err
 
 
+MONOTONE_MODEL = {"dim": 2, "nu": 1, "lambda": "2", "cM": 2,
+                  "crit": [{"label": "q0", "index": 0}, {"label": "q1", "index": 2}],
+                  "cap": {"1": [[3]], "-1": [[3]]}, "primitiveOmega": True}
+# int() truncates each of these numbers to a model that is valid
+NON_INTEGER_MODELS = {
+    "dim": ({**SMALL_MODEL, "dim": 2.5}, "dim must be an integer, got 2.5"),
+    "nu": ({**MONOTONE_MODEL, "nu": 1.5}, "nu must be an integer, got 1.5"),
+    "cM": ({**MONOTONE_MODEL, "cM": 2.5}, "cM must be an integer, got 2.5"),
+    "index": ({**SMALL_MODEL, "crit": [{"label": "bot", "index": 0},
+                                       {"label": "e", "index": 1},
+                                       {"label": "top", "index": 2.7}]},
+              "crit index must be an integer, got 2.7"),
+    "morseBoundary": ({**SMALL_MODEL, "morseBoundary": {"1": [[0.5]]}},
+                      "morseBoundary entry at index 1 must be an integer, got 0.5"),
+    "cap": ({**SMALL_MODEL, "cap": {"1": [[0.5]]}},
+            "cap entry at degree 1 must be an integer, got 0.5"),
+    # JSON's Infinity used to escape as an OverflowError with a traceback
+    "morseBoundary-infinity": ({**SMALL_MODEL, "morseBoundary": {"2": [[float("inf")]]}},
+                               "morseBoundary entry at index 2 must be an integer, got inf"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_INTEGER_MODELS))
+def test_non_integer_number_in_a_model_file_is_a_usage_error(tmp_path, field):
+    """A model-file number whose value is not an integer used to be
+    truncated by int(): `rfh-w0` read [[0.5]] as 0 and exited 0.  Now it
+    exits 2 with one line naming the field, and so does an infinite one."""
+    spec, message = NON_INTEGER_MODELS[field]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    argv = ["rfh-w0", "--model", f"file:{path}"]
+    code, err = run_quietly(argv)
+    assert_usage_error(argv, code, err)
+    assert err == f"error: argument --model: bad model 'file:{path}': {message}\n"
+
+
+def test_whole_numbers_written_as_floats_stay_accepted(tmp_path, capsys):
+    """2.0 in a model file reads as 2, in every field that holds an integer."""
+    pairs = [(MONOTONE_MODEL, {**MONOTONE_MODEL, "dim": 2.0, "nu": 1.0, "cM": 2.0,
+                               "crit": [{"label": "q0", "index": 0.0},
+                                        {"label": "q1", "index": 2.0}],
+                               "cap": {"1": [[3.0]], "-1": [[3.0]]}}),
+             (SMALL_MODEL, {**SMALL_MODEL, "morseBoundary": {"1": [[0.0]], "2": [[0.0]]},
+                            "cap": {"1": [[1.0]]}})]
+    for spec, floats in pairs:
+        outs = []
+        for model in (spec, floats):
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(model))
+            outs.append(run(capsys, "rfh-w0", "--model", f"file:{path}", "--format", "json"))
+        assert outs[0][0] == 0 and outs[1] == outs[0], outs
+
+
 @pytest.mark.parametrize("command", [c for c in COMMANDS if "--model" in COMMAND_FLAGS[c]])
 def test_zero_lambda_nu_model_is_a_usage_error(tmp_path, command):
     """A monotone model with lambda*nu = 0 in dimension 0 used to crash
@@ -400,13 +453,28 @@ OFF_DEGREE_CAP_MODELS = {
 def test_cap_term_not_lowering_the_degree_by_2_is_a_usage_error(tmp_path, command, name):
     """A built-in cap pattern on critical points it does not fit has a term
     that does not lower the degree by 2.  `cap_at` used to drop such a term
-    while `cap_matrix` kept it, so `rfh-full` read a cap that is not
-    nilpotent off a cap that is zero, and exited 0.  Now every command
-    that reads the model exits 2 with one line naming the term."""
+    while a whole-cap matrix at t = 1, since deleted, kept it, so `rfh-full`
+    read a cap that is not nilpotent off a cap that is zero, and exited 0.
+    Now every command that reads the model exits 2 with one line naming
+    the term."""
     spec, term = OFF_DEGREE_CAP_MODELS[name]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(spec))
     argv = [command, "--model", f"file:{path}"]
+    code, err = run_quietly(argv)
+    assert_usage_error(argv, code, err)
+    assert err == f"error: cap term {term} does not lower the degree by 2\n"
+
+
+@pytest.mark.parametrize("tau", ["1/2", "1", "2"])
+def test_off_degree_cap_is_rejected_by_rfh_full_in_every_regime(tmp_path, tau):
+    """At m = 1 these radii give the lower, finite and upper regime.  No cell
+    of the lower regime reads the cap, so only the check on the model
+    catches the term there."""
+    spec, term = OFF_DEGREE_CAP_MODELS["cpn-index-gap-1"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    argv = ["rfh-full", "--model", f"file:{path}", "--tau", tau]
     code, err = run_quietly(argv)
     assert_usage_error(argv, code, err)
     assert err == f"error: cap term {term} does not lower the degree by 2\n"

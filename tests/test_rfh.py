@@ -12,17 +12,17 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from rfhomology import chaincplx, exactlin, rfh
-from rfhomology.basemodel import (BaseModel, cap_stabilization, cp_model,
-                                  load_model, point_model, surface_model)
+from rfhomology.basemodel import (BaseModel, cp_model, load_model, point_model,
+                                  surface_model)
 from rfhomology.chaincplx import (ChainMap, LazyCone, LazyHomology,
                                   cone_les, induced_matrix, matrix_from_terms,
                                   verify_exactness)
 from rfhomology.errors import (ConsecutiveIndexModel, DegreeOutOfRange,
                                EmptyWindow, NonPositiveTau, TruncationTooNarrow)
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
-                                 presentation_from_relations, rank)
+                                 presentation_from_relations)
 from rfhomology.novikov import CompletionRegime, regime_for
-from rfhomology.rfh import (RFHGenerator, _cap_shortcuts, _field_quotient_dim,
+from rfhomology.rfh import (RFHGenerator, _field_quotient_dim,
                             _field_total_betti, _SectorData, _transfer_maps,
                             action, base_action, boundary_full,
                             boundary_full_chain, delta_injectivity,
@@ -779,7 +779,7 @@ def test_full_rfh_aspherical_zero():
     for coeff, p in (("z", None), ("fp:2", 2), ("fp:3", 3), ("fp:5", 5)):
         for model in models:
             for m in (1, 2, 3):
-                assert _cap_shortcuts(model, m, p)[0], (model.name, m, coeff)
+                assert _SectorData(model, m).cap_nilpotent(p), (model.name, m, coeff)
                 for tau in (Fraction(1, 3), Fraction(2)):
                     res = full_rfh(model, m, tau, (-5, 5), coeff)
                     assert res.regime == CompletionRegime.FINITE
@@ -1143,41 +1143,58 @@ def laurent_cap(model, m):
     return L
 
 
-def rank_over_qq_t(L):
-    return DomainMatrix.from_Matrix(L).convert_to(sympy.QQ.frac_field(T)).rank()
-
-
 def test_cap_shortcuts_match_laurent_oracle():
     """Each cap term's sphere shift is fixed by the degrees of its ends, so
-    nilpotency (over Z and mod p), the unit determinant and the image-rank
-    stabilization of the cap over the Novikov ring are those of one integer
-    matrix.  Checked against sympy's L**n, det and rank over QQ(t) on
-    seeded custom-cap models."""
+    psi of `_SectorData` at the degrees of the critical points holds the
+    whole cap over the Novikov ring: its nilpotency (over Z and mod p) and
+    its unit determinant.  Checked against sympy's L**n and det on seeded
+    custom-cap models, cp:1..4, surface:1..3, the point and non-perfect
+    surfaces."""
     rng = random.Random(12)
+    models = [random_custom_cap_model(rng, kind)
+              for kind in ("aspherical", "monotone", "permutation") * 20]
+    models += [cp_model(n) for n in (1, 2, 3, 4)] + [surface_model(g) for g in (1, 2, 3)]
+    models += [point_model()] + [nonperfect_surface(g, random.Random(16)) for g in (1, 2, 3)]
     seen = Counter()
-    for kind in ("aspherical", "monotone", "permutation") * 20:
-        model = random_custom_cap_model(rng, kind)
+    for model in models:
         n = len(model.crit)
         for m in (1, 2, 3):
             L = laurent_cap(model, m)
             coeffs = [c for e in (L**n).applyfunc(sympy.expand)
                       for c in e.as_coefficients_dict().values()]
             det = list(sympy.expand(L.det()).as_coefficients_dict().values())
-            nilpotent, iso_over_z = _cap_shortcuts(model, m, None)
-            assert nilpotent == all(c == 0 for c in coeffs)
-            assert iso_over_z == (det in ([1], [-1]))
+            sect = _SectorData(model, m)
+            nilpotent, iso_over_z = sect.cap_nilpotent(None), sect.cap_unimodular()
+            assert nilpotent == all(c == 0 for c in coeffs), (model.name, m)
+            assert iso_over_z == (det in ([1], [-1])), (model.name, m)
             for p in (2, 3, 5):
                 nil_p = all(c % p == 0 for c in coeffs)
-                assert _cap_shortcuts(model, m, p)[0] == nil_p
+                assert sect.cap_nilpotent(p) == nil_p, (model.name, m, p)
                 seen["nilpotent mod p only"] += nil_p and not nilpotent
-            ranks = [rank_over_qq_t(L**k) for k in range(1, n + 2)]
-            stable = next(k for k in range(1, n + 1) if ranks[k] == ranks[k - 1])
-            assert cap_stabilization(model, m) == (stable, ranks[stable])
             seen["nilpotent"] += nilpotent
             seen["unit"] += iso_over_z
             seen["neither"] += not nilpotent and not iso_over_z
     assert min(seen[key] for key in ("nilpotent mod p only", "nilpotent",
                                      "unit", "neither")) > 0, seen
+
+
+def test_full_rfh_reads_no_cap_in_the_lower_regime(monkeypatch):
+    """In the ALL_LOWER regime every cell is 0 before the cap is read, so
+    `full_rfh` never calls `BaseModel.cap_at` there; in the upper regime
+    its unimodularity read does."""
+    calls = Counter()
+    cap_at = BaseModel.cap_at
+
+    def counting(self, degree, m):
+        calls[degree] += 1
+        return cap_at(self, degree, m)
+    monkeypatch.setattr(BaseModel, "cap_at", counting)
+    res = full_rfh(cp_model(2), 1, Fraction(1, 4), (-6, 6))
+    assert res.regime == CompletionRegime.ALL_LOWER
+    assert all(v.kind == "zero" for v in res.table.values())
+    assert not calls
+    res = full_rfh(cp_model(2), 1, Fraction(1), (-6, 6))
+    assert res.regime == CompletionRegime.ALL_UPPER and calls
 
 
 def parent_custom_cap_terms(model):
