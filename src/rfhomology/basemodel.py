@@ -291,16 +291,21 @@ def model_from_spec(spec: str) -> BaseModel:
     raise UnsupportedModel(f"unknown model spec {spec!r}")
 
 
-def _whole(values, field: str) -> None:
-    """Raise UnsupportedModel, naming the field, on a number among `values`
-    whose value is not an integer: int() would truncate 2.9 to 2."""
-    for x in filter(None, values):   # such a number is not 0
-        if isinstance(x, float) and not x.is_integer():
-            raise UnsupportedModel(f"{field} must be an integer, got {x!r}")
+def _whole(rows, field: str) -> None:
+    """Raise UnsupportedModel, naming the field, on an entry of `rows` that
+    is a JSON true or false, or a number that is not an integer: int() would
+    read true as 1 and truncate 2.9 to 2."""
+    kinds = set(map(type, chain.from_iterable(rows)))   # one pass in C
+    if bool in kinds or float in kinds:
+        for x in chain.from_iterable(rows):
+            if isinstance(x, bool):
+                raise UnsupportedModel(f"{field} must be an integer, got {json.dumps(x)}")
+            if isinstance(x, float) and not x.is_integer():
+                raise UnsupportedModel(f"{field} must be an integer, got {x!r}")
 
 
 def _matrix(rows, field: str) -> IntMatrix:
-    _whole(chain.from_iterable(rows), field)
+    _whole(rows, field)
     return IntMatrix.from_rows(rows)
 
 
@@ -330,7 +335,7 @@ def load_model(source) -> BaseModel:
                  for i, rows in obj["morseBoundary"].items()}
     for field, values in (("dim", [obj["dim"]]), ("nu", [obj["nu"]]), ("cM", [obj.get("cM")]),
                           ("crit index", [c["index"] for c in obj["crit"]])):
-        _whole(values, field)
+        _whole([values], field)
     return BaseModel(
         name=obj.get("name", "file"),
         dim=int(obj["dim"]),

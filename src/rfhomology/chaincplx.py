@@ -326,12 +326,13 @@ def exact_at(incoming: IntMatrix, node: HomologyBasis,
     # image of the composite must die in the next group
     if solve_matrix(rel_next, outgoing @ incoming) is None:
         return False
-    return _preimage_in_span(outgoing, rel_next, incoming.hstack(node.relations))
+    return _preimage_in_span(outgoing, rel_next, lambda: incoming.hstack(node.relations))
 
 
-def _preimage_in_span(f: IntMatrix, R: IntMatrix, S: IntMatrix) -> bool:
-    """Every integer x with f x in colspan(R) lies in colspan(S)."""
-    return _kernel_part_in_span(_Elimination(f.hstack(R)), f.cols, lambda: _Elimination(S))
+def _preimage_in_span(f: IntMatrix, R: IntMatrix, S: Callable[[], IntMatrix]) -> bool:
+    """Every integer x with f x in colspan(R) lies in colspan(S()); S is
+    called only if some such x is not zero."""
+    return _kernel_part_in_span(_Elimination(f.hstack(R)), f.cols, lambda: _Elimination(S()))
 
 
 def _kernel_part_in_span(fR: _Elimination, n: int,

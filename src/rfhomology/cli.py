@@ -93,10 +93,9 @@ FLAGS = {
     "--format": dict(dest="fmt", default="md", choices=("md", "json")),
 }
 
-_BASE = ("--model", "--m", "--tau", "--degrees", "--format")
 COMMAND_FLAGS = {
-    "rfh-w0": _BASE,
-    "rfh-full": _BASE + ("--coeff",),
+    "rfh-w0": ("--model", "--m", "--degrees", "--format"),
+    "rfh-full": ("--model", "--m", "--tau", "--degrees", "--coeff", "--format"),
     "gysin": ("--model", "--m", "--degrees", "--format"),
     "transfer": ("--model", "--m", "--degrees", "--format"),
     "orderability": ("--model", "--m", "--format"),
@@ -169,7 +168,8 @@ def emit(payload: dict, fmt: str, md_text: str) -> None:
 def cmd_rfh_w0(args: argparse.Namespace) -> int:
     model = args.model
     lo, hi = args.degrees
-    table = rfh_w0_table(model, args.m, args.tau, args.degrees)
+    # RFH^w0 does not depend on the radius, so the command takes no --tau
+    table = rfh_w0_table(model, args.m, Fraction(1), args.degrees)
     payload = {
         "command": "rfh-w0", "model": model.name, "m": args.m,
         "degrees": [lo, hi],

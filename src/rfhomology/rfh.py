@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .basemodel import BaseModel
 from .chaincplx import (LazyCone, LongExactSequence, _cone_boundary, _cone_les,
@@ -480,12 +480,14 @@ def _field_quotient_dim(sect: LazyCone, e: int, b: int, p: int) -> int:
             - sect.rank_mod(e - 2 * b + 1, p) - sect.rank_mod(e, p))
 
 
-def _sector_blocks(sect: _SectorData, star: int, src: Sequence[int],
-                   tgt: Sequence[int]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def _sector_blocks(sect: _SectorData, star: int, src: Sequence[int], tgt: Sequence[int]
+                   ) -> tuple[IntMatrix, IntMatrix, Callable[[], IntMatrix]]:
     """id + cap-shift from the sum of the sectors `src` into the sum of the
-    sectors `tgt`, cap terms landing outside `tgt` dropped, and the torsion
-    relations of `tgt` and of `src`, each as columns on the rows of its sum.
-    Sector k is the base homology in degree star + 2k, on its cycle basis."""
+    sectors `tgt`, cap terms landing outside `tgt` dropped, the torsion
+    relations of `tgt` as columns on the rows of its sum, and a function
+    that lays out those of `src` on the rows of theirs, for a caller that
+    may not read them.  Sector k is the base homology in degree star + 2k,
+    on its cycle basis."""
     bases = {k: sect.basis(star + 2 * k) for k in (*src, *tgt)}
 
     def layout(sectors):
@@ -498,13 +500,14 @@ def _sector_blocks(sect: _SectorData, star: int, src: Sequence[int],
     row_off, R_tgt = layout(tgt)
     delta = []
     for k in src:
-        M = sect.psi_induced(star + 2 * k) if k - 1 in row_off else None
-        for j in range(bases[k].cycles.cols):
+        n = bases[k].cycles.cols
+        M = sect.psi_induced(star + 2 * k) if n and k - 1 in row_off else None
+        for j in range(n):
             col = {row_off[k] + j: 1}
             if M is not None:
                 col.update((row_off[k - 1] + i, x) for i, x in M.columns[j].items())
             delta.append(col)
-    return IntMatrix(R_tgt.rows, len(delta), tuple(delta)), R_tgt, layout(src)[1]
+    return IntMatrix(R_tgt.rows, len(delta), tuple(delta)), R_tgt, lambda: layout(src)[1]
 
 
 def parse_coeff(coeff: str) -> Optional[int]:
@@ -535,7 +538,10 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
     every cell is 0.  That decides every aspherical base: its cap lowers
     the Morse index by 2 (see `BaseModel.cap_terms`), so it is nilpotent.
     Nilpotency and unimodularity are read off psi of `_SectorData`, once
-    per call and only when the regime leaves the cells open."""
+    per call and only when the regime leaves the cells open.  The sectors
+    of the cell at d repeat with the residue of d + 1 modulo the period of
+    `_SectorData`, so each residue is decided once; a `relations` cell
+    names the degrees of its sectors and is built for each d."""
     tau = Fraction(tau)
     field = parse_coeff(coeff)
     regime = _regime(model, m, tau)
@@ -553,11 +559,6 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
     def field_betti() -> int:
         return _field_total_betti(sect, field)
 
-    @cache
-    def field_quotient_dim(r: int) -> int:
-        # the boundaries and caps at e and e + period are the same matrices
-        return _field_quotient_dim(sect, r, field_betti(), field)
-
     def value_for(d: int) -> GroupValue:
         star = d + 1
         # a monotone base with a cap that is not nilpotent
@@ -569,7 +570,7 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
             # ALL_LOWER and ALL_UPPER have returned, so the regime is FINITE:
             # dim FH_star / ker(psi^b) over F_p, b the total F_p Betti number
             return GroupValue.of(ZModulePresentation(
-                field_quotient_dim(sect.residue(star)), ()))
+                _field_quotient_dim(sect, star, field_betti(), field), ()))
         # pattern detection: rank-one torsion-free sectors, cap = +-m
         pattern = True
         for k in range(period):
@@ -599,7 +600,18 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
         }
         return GroupValue.relations_form(desc)
 
-    table = {d: GroupValue.zero() if all_zero else value_for(d) for d in range(dlo, dhi + 1)}
+    cells: dict[int, GroupValue] = {}
+
+    def cell(d: int) -> GroupValue:
+        r = sect.residue(d + 1)
+        if r in cells:
+            return cells[r]
+        v = value_for(d)
+        if v.kind != "relations":
+            cells[r] = v
+        return v
+
+    table = {d: GroupValue.zero() if all_zero else cell(d) for d in range(dlo, dhi + 1)}
     return FullRFHResult(model.name, m, tau, regime,
                          "z" if field is None else f"fp:{field}", table)
 
@@ -616,7 +628,10 @@ def delta_injectivity(model: BaseModel, m: int, tau: Fraction,
     escaping cap terms are not silently dropped.  Degrees of one residue
     modulo the period of `_SectorData` read the same sectors, so their
     `_sector_blocks` are the same matrices: each residue is decided once
-    and its verdict copied to the other degrees."""
+    and its verdict copied to the other degrees.  A residue whose input
+    sectors star + 2k, |k| <= k_range, hold no cycle has no input, so it is
+    injective without blocks; the input relations are laid out only when
+    a kernel vector has to be solved against them."""
     if k_range < 1:
         raise TruncationTooNarrow("need k_range >= 1")
     tau = Fraction(tau)
@@ -630,9 +645,13 @@ def delta_injectivity(model: BaseModel, m: int, tau: Fraction,
     for star in range(dlo, dhi + 1):
         r = sect.residue(star)
         if r not in verdicts:
-            delta, R_out, R_in = _sector_blocks(sect, star, in_sectors, out_sectors)
-            # group-level kernel: delta(x) in output relations => x in input relations
-            verdicts[r] = _preimage_in_span(delta, R_out, R_in)
+            inputs = {sect.residue(star + 2 * k) for k in in_sectors}
+            if any(sect.basis(e).cycles.cols for e in inputs):
+                delta, R_out, R_in = _sector_blocks(sect, star, in_sectors, out_sectors)
+                # group-level kernel: delta(x) in output relations => x in input relations
+                verdicts[r] = _preimage_in_span(delta, R_out, R_in)
+            else:
+                verdicts[r] = True
         results[star] = verdicts[r]
     return {"regime": regime.value, "k_range": k_range,
             "degrees": results, "all": all(results.values())}

@@ -151,8 +151,8 @@ def test_cp2_demo(capsys):
 
 def test_usage_errors(capsys):
     assert main(["rfh-w0", "--model", "nosuch:1"]) == 2
-    assert main(["rfh-w0", "--tau", "0"]) == 2
-    assert main(["rfh-w0", "--tau", "-3"]) == 2
+    assert main(["rfh-full", "--tau", "0"]) == 2
+    assert main(["rfh-full", "--tau", "-3"]) == 2
     assert main(["rfh-w0", "--m", "0"]) == 2
     assert main(["rfh-w0", "--degrees", "9..1"]) == 2
     assert main(["nosuchcommand"]) == 2
@@ -170,6 +170,7 @@ def test_usage_errors(capsys):
     ["cp2-demo", "--model", "cp:2"],
     ["cp2-demo", "--truncation", "1"],
     ["orderability", "--degrees", "-2..2"],
+    ["rfh-w0", "--tau", "2"],
     ["gysin", "--tau", "2"],
     ["transfer", "--tau", "2"],
     ["orderability", "--tau", "2"],
@@ -343,7 +344,7 @@ def test_bad_custom_cap_is_a_usage_error(tmp_path, cap, message, command):
 MONOTONE_MODEL = {"dim": 2, "nu": 1, "lambda": "2", "cM": 2,
                   "crit": [{"label": "q0", "index": 0}, {"label": "q1", "index": 2}],
                   "cap": {"1": [[3]], "-1": [[3]]}, "primitiveOmega": True}
-# int() truncates each of these numbers to a model that is valid
+# int() truncates each of these values to a model that is valid
 NON_INTEGER_MODELS = {
     "dim": ({**SMALL_MODEL, "dim": 2.5}, "dim must be an integer, got 2.5"),
     "nu": ({**MONOTONE_MODEL, "nu": 1.5}, "nu must be an integer, got 1.5"),
@@ -359,6 +360,21 @@ NON_INTEGER_MODELS = {
     # JSON's Infinity used to escape as an OverflowError with a traceback
     "morseBoundary-infinity": ({**SMALL_MODEL, "morseBoundary": {"2": [[float("inf")]]}},
                                "morseBoundary entry at index 2 must be an integer, got inf"),
+    # int() reads JSON's true as 1 and false as 0
+    "dim-bool": ({"dim": False, "nu": 0, "lambda": "0", "cM": None,
+                  "crit": [{"label": "pt", "index": 0}], "cap": "builtin:zero"},
+                 "dim must be an integer, got false"),
+    "nu-bool": ({**MONOTONE_MODEL, "nu": True}, "nu must be an integer, got true"),
+    "cM-bool": ({**MONOTONE_MODEL, "lambda": "-1", "cM": True, "cap": "builtin:zero"},
+                "cM must be an integer, got true"),
+    "index-bool": ({**SMALL_MODEL, "crit": [{"label": "bot", "index": False},
+                                            {"label": "e", "index": True},
+                                            {"label": "top", "index": 2}]},
+                   "crit index must be an integer, got false"),
+    "morseBoundary-bool": ({**SMALL_MODEL, "morseBoundary": {"1": [[True]]}},
+                           "morseBoundary entry at index 1 must be an integer, got true"),
+    "cap-bool": ({**SMALL_MODEL, "cap": {"1": [[False]]}},
+                 "cap entry at degree 1 must be an integer, got false"),
 }
 
 
@@ -366,7 +382,8 @@ NON_INTEGER_MODELS = {
 def test_non_integer_number_in_a_model_file_is_a_usage_error(tmp_path, field):
     """A model-file number whose value is not an integer used to be
     truncated by int(): `rfh-w0` read [[0.5]] as 0 and exited 0.  Now it
-    exits 2 with one line naming the field, and so does an infinite one."""
+    exits 2 with one line naming the field, and so do an infinite one and
+    a JSON true or false, which int() read as 1 or 0."""
     spec, message = NON_INTEGER_MODELS[field]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(spec))

@@ -758,6 +758,28 @@ def test_full_rfh_field_cells_once_per_residue(monkeypatch):
     assert sum(v.kind != "zero" for v in res.table.values()) == 600
 
 
+def test_full_rfh_cells_once_per_residue(monkeypatch):
+    """A cell that is not a `relations` form depends on d only through the
+    residue of d + 1 modulo the period |2*lambda*nu| = 8 of cp:3, so over Z
+    in the finite regime three periods read as many groups as one (100
+    against 36 when each degree was decided on its own)."""
+    calls = []
+    group = LazyHomology.group
+
+    def counted(self, d):
+        calls.append(d)
+        return group(self, d)
+    monkeypatch.setattr(LazyHomology, "group", counted)
+    counts = []
+    for degrees in ((-4, 3), (-12, 11)):
+        calls.clear()
+        res = full_rfh(cp_model(3), 2, Fraction(1), degrees)
+        assert res.regime == CompletionRegime.FINITE
+        assert sum(v.kind != "zero" for v in res.table.values()) == len(res.table) // 2
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
 def test_full_rfh_cp1_parity():
     """For the projective line the nonzero sectors sit in odd base degrees,
     so the full homology lives in even total degrees."""
@@ -862,10 +884,12 @@ def test_monotone_base_repeats_with_the_sector_period():
 def test_delta_injectivity_eliminations_do_not_grow_with_k_range(monkeypatch):
     """`delta_injectivity` decides one degree per residue modulo the period
     (6 for cp:2) and builds each sector once per residue, so its
-    `_Elimination` count is the same at every k_range (12: six sector bases
-    and six verdicts; 36 / 60 / 92 / 284 when each degree was read on its
-    own) and `_sector_blocks` runs at most once per residue.  A
-    deterministic guard on the ladder of growing truncations."""
+    `_Elimination` count is the same at every k_range: 9, six sector bases
+    and three verdicts (12 when the three odd residues, whose sectors hold
+    no cycle, were eliminated too; 36 / 60 / 92 / 284 when each degree was
+    read on its own).  `_sector_blocks` runs only at the first degree of
+    each even residue.  A deterministic guard on the ladder of growing
+    truncations."""
     made, stars = [], []
     init, blocks = exactlin._Elimination.__init__, rfh._sector_blocks
 
@@ -884,9 +908,57 @@ def test_delta_injectivity_eliminations_do_not_grow_with_k_range(monkeypatch):
         stars.clear()
         rep = delta_injectivity(CP2, 2, Fraction(2), k_range, (-6, 6))
         assert rep["all"] and len(rep["degrees"]) == 13
-        assert len(stars) <= 6, (k_range, stars)
+        assert stars == [-6, -4, -2], (k_range, stars)
         counts[k_range] = len(made)
-    assert counts == {2: 12, 8: 12, 16: 12, 64: 12}, counts
+    assert counts == {2: 9, 8: 9, 16: 9, 64: 9}, counts
+
+
+def test_delta_injectivity_matches_the_blocks_at_every_degree(monkeypatch):
+    """`delta_injectivity` decides a residue without blocks when its input
+    sectors hold no cycle, and lays out the input relations only when a
+    kernel vector is solved against them.  Its verdicts equal those of
+    `_sector_blocks` and `_preimage_in_span` at every degree, with the input
+    relations laid out beforehand, and it builds blocks for exactly the
+    residues where those blocks have columns: on monotone bases (torsion
+    sectors and a `relations` cap among them) and aspherical ones, where
+    each degree is a residue of its own and the sectors with cycles are few.
+    The torsion model reads its input relations."""
+    blocks = rfh._sector_blocks
+    read, built = [], []
+
+    def counted(sect, star, src, tgt):
+        built.append(star)
+        delta, R_out, R_in = blocks(sect, star, src, tgt)
+
+        def lay_out():
+            read.append(star)
+            return R_in()
+        return delta, R_out, lay_out
+    monkeypatch.setattr(rfh, "_sector_blocks", counted)
+    torsion = load_model(MONOTONE_TORSION_MODEL)
+    models = [cp_model(n) for n in (1, 2, 3)] + [surface_model(g) for g in (1, 2)]
+    models += [point_model(), torsion,
+               load_model(os.path.join(os.path.dirname(__file__), "golden",
+                                       "relations_model.json"))]
+    for model in models:
+        read.clear()
+        for m in (1, 2, 3):
+            for k_range in (1, 2, 4):
+                built.clear()
+                rep = delta_injectivity(model, m, Fraction(1), k_range, (-5, 5))
+                sect = _SectorData(model, m)
+                with_columns = set()
+                for star in range(-5, 6):
+                    delta, R_out, R_in = blocks(sect, star, range(-k_range, k_range + 1),
+                                                range(-k_range - 1, k_range + 1))
+                    R = R_in()
+                    want = chaincplx._preimage_in_span(delta, R_out, lambda: R)
+                    assert rep["degrees"][star] == want, (model.name, m, k_range, star)
+                    if delta.cols:
+                        with_columns.add(sect.residue(star))
+                assert {sect.residue(star) for star in built} == with_columns, \
+                    (model.name, m, k_range, built)
+        assert bool(read) == (model is torsion), (model.name, read)
 
 
 def test_sectors_match_the_windowed_complex():
