@@ -313,7 +313,8 @@ def load_model(source) -> BaseModel:
     """Model file: {"dim", "nu", "lambda": "p/q", "cM", "crit": [{"label",
     "index"}...], "cap": "builtin:cpn"|"builtin:surface"|{...},
     "primitiveOmega", optional "morseBoundary": {index: matrix}}.  Every
-    number but lambda is an integer; 2.0 reads as 2, and 2.5 is an error."""
+    number but lambda is an integer; 2.0 reads as 2, and 2.5 is an error.
+    primitiveOmega is a JSON true or false, false when absent."""
     if isinstance(source, str):
         with open(source) as fh:
             obj = json.load(fh)
@@ -336,6 +337,11 @@ def load_model(source) -> BaseModel:
     for field, values in (("dim", [obj["dim"]]), ("nu", [obj["nu"]]), ("cM", [obj.get("cM")]),
                           ("crit index", [c["index"] for c in obj["crit"]])):
         _whole([values], field)
+    primitive = obj.get("primitiveOmega", False)
+    if not isinstance(primitive, bool):
+        # bool() would read the string "false" as true
+        raise UnsupportedModel(
+            f"primitiveOmega must be true or false, got {json.dumps(primitive)}")
     return BaseModel(
         name=obj.get("name", "file"),
         dim=int(obj["dim"]),
@@ -344,6 +350,6 @@ def load_model(source) -> BaseModel:
         c_min=(int(obj["cM"]) if obj.get("cM") is not None else None),
         crit=tuple((c["label"], int(c["index"])) for c in obj["crit"]),
         cap=cap,
-        primitive_omega=bool(obj.get("primitiveOmega", False)),
+        primitive_omega=primitive,
         morse_boundary=morse,
     )

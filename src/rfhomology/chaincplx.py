@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import DegreeOutOfRange, NotAChainMap, NotAComplex
-from .exactlin import (IntMatrix, ZModulePresentation, _Elimination,
-                       invariant_factors, solve_matrix)
+from .exactlin import IntMatrix, ZModulePresentation, _Elimination, solve_matrix
 
 
 def _degree_range(degrees: tuple[int, int]) -> tuple[int, int]:
@@ -188,21 +187,20 @@ class LazyHomology:
     plus Z_t for every invariant factor t >= 2 of boundary(d+1), since
     ker boundary(d) is a direct summand of C_d.
 
-    `group(d)` reads only those invariant factors (`factors`), off an
-    elimination already made for that degree or else by `invariant_factors`,
-    which builds no V.  `basis(d)` presents H_d on a cycle basis K with
-    coordinates C (C K = I), both read off the elimination (with V) of
-    boundary(d), and relations X = C boundary(d+1); it eliminates a nonzero
-    boundary(d+1) with V too, for the torsion now and the cycles of
-    basis(d+1) later.  Each boundary is built once and eliminated at most
-    once with V.  A complex whose boundaries repeat with a `period` is built
-    and read at `residue(d)`, d modulo the period (period 0: d itself)."""
+    `group(d)` reads only those invariant factors (`factors`), off the
+    elimination of each of the two boundaries; a zero boundary has none and
+    is not eliminated.  `basis(d)` presents H_d on a cycle basis K with
+    coordinates C (C K = I), both read off the elimination of boundary(d),
+    and relations X = C boundary(d+1).  Each boundary is built once and
+    eliminated at most once, and that one elimination serves the torsion
+    of H_{d-1}, the rank in both groups and the cycles of H_d.  A complex
+    whose boundaries repeat with a `period` is built and read at
+    `residue(d)`, d modulo the period (period 0: d itself)."""
 
     def __init__(self, boundary: Callable[[int], IntMatrix], period: int = 0):
         self.boundary = _Memo(boundary, period)
         self.period = period
         self._eliminations: dict[int, _Elimination] = {}
-        self._factors: dict[int, tuple[int, ...]] = {}
         self._groups: dict[int, ZModulePresentation] = {}
         self._bases: dict[int, HomologyBasis] = {}
 
@@ -212,16 +210,14 @@ class LazyHomology:
     def _elimination(self, d: int) -> _Elimination:
         d = self.residue(d)
         if d not in self._eliminations:
-            elim = self._eliminations[d] = _Elimination(self.boundary(d))
-            self._factors[d] = elim.invariant_factors()
+            self._eliminations[d] = _Elimination(self.boundary(d))
         return self._eliminations[d]
 
     def factors(self, d: int) -> tuple[int, ...]:
         """The invariant factors of boundary(d), ones included."""
-        d = self.residue(d)
-        if d not in self._factors:
-            self._factors[d] = invariant_factors(self.boundary(d))
-        return self._factors[d]
+        if not any(self.boundary(d).columns):
+            return ()
+        return self._elimination(d).invariant_factors()
 
     def rank_mod(self, d: int, p: int) -> int:
         """The rank of boundary(d) over F_p: its invariant factors prime to p."""
@@ -242,8 +238,6 @@ class LazyHomology:
         d = self.residue(d)
         if d not in self._bases:
             d_in = self.boundary(d + 1)
-            if any(d_in.columns):
-                self._elimination(d + 1)
             K, C = self._elimination(d).kernel()
             # K X = d_in, as im(d_in) lies in ker boundary(d)
             self._bases[d] = HomologyBasis(K, C, C @ d_in, self.group(d))

@@ -6,11 +6,13 @@ floating point anywhere in this module.
 
 `IntMatrix` stores its nonzeros by column (row -> entry) and never a zero.
 Boundary matrices of the complexes here are large and nearly empty, with
-mostly +-1 entries, so products, stacking and equality cost O(nnz);
-`entries` is a dense row-major view for tests and display.  The engine
-builds tens of thousands of tiny ones per sequence, many of them with no
-rows or no columns, so `IntMatrix` is a slots class, and a product with no
-rows, no columns or an empty inner dimension is the zero matrix at once.
+mostly +-1 entries, so products, stacking and equality cost O(nnz).  The
+engine builds tens of thousands of tiny ones per sequence, many of them
+with no rows or no columns, so `IntMatrix` is a slots class, and a product
+with no rows, no columns or an empty inner dimension is the zero matrix at
+once.  `entries` has no caller in the package: it is the flat row-major
+view on which the tests and the benchmark's tracer compare and count
+entries.
 
 One sparse elimination, `_Elimination`, serves every engine caller.  It
 works on the columns of `IntMatrix`: while a +-1 entry is left, the one of
@@ -23,7 +25,8 @@ right block could not afford.  Its callers:
 
 * `invariant_factors` (and through it `rank_mod_p` and
   `presentation_from_relations`) counts the unit pivots and reads the
-  remainder's diagonal; it builds no V.
+  remainder's diagonal.  The elimination carries V for every caller, so
+  there is one way to eliminate a matrix, whatever is read off it.
 * `solve_matrix` substitutes forward in pivot order, solves the remainder
   by its Smith form and maps back by V; it is the one integer solve.
 * `chaincplx` keeps eliminations to share them.  `LazyHomology`, the one
@@ -136,9 +139,6 @@ class IntMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.get(i, i) for i in range(min(self.rows, self.cols)))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -405,10 +405,9 @@ class _Elimination:
     Each column operation col_k -= f col_j is undone by the row operation
     row_j += f row_k on V^-1, which only ever writes the row of the pivot j.
     The rows of V^-1 on the non-pivot columns therefore stay unit rows, and
-    the only V^-1 that is kept is R's, from `_smith`.
-
-    Without `transform` nothing but the invariant factors is wanted: V is
-    not built, and neither are R's transforms used.
+    the only V^-1 that is kept is R's, from `_smith`.  V is always built,
+    so that one elimination of a matrix serves its invariant factors, its
+    kernel and its solves alike.
     """
 
     rest: Sequence[int] = ()                # the columns of R ...
@@ -417,7 +416,7 @@ class _Elimination:
     rest_factors: Sequence[int] = ()        # R's nonzero invariant factors
     pivot_order: Optional[dict[int, int]] = None   # pivot row -> position
 
-    def __init__(self, A: IntMatrix, transform: bool = True):
+    def __init__(self, A: IntMatrix):
         self.n = A.cols
         # (row, column, unit, column of A V) per pivot, in pivot order
         self.pivots: list[tuple[int, int, int, dict[int, int]]] = []
@@ -451,7 +450,7 @@ class _Elimination:
             for i in pcol:
                 row_cols[i].discard(q)
             others = row_cols.pop(p)
-            vq = V.get(q, {q: 1}) if transform else None
+            vq = V.get(q, {q: 1})
             for k in others:
                 col = cols[k]
                 f = col.pop(p) * u
@@ -467,8 +466,7 @@ class _Elimination:
                         del col[i]
                         row_cols[i].discard(k)
                 unit_free.discard(k)
-                if transform:
-                    _axpy(V.setdefault(k, {k: 1}), -f, vq)
+                _axpy(V.setdefault(k, {k: 1}), -f, vq)
                 if not col:
                     del cols[k]
                 elif len(col) == 1:
@@ -577,7 +575,7 @@ def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
     `_Elimination`, then the unit-free remainder's."""
     if not any(A.columns):
         return ()
-    return _Elimination(A, transform=False).invariant_factors()
+    return _Elimination(A).invariant_factors()
 
 
 def rank_mod_p(A: IntMatrix, p: int) -> int:

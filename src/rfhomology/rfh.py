@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import count, islice
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -64,9 +63,6 @@ class RFHGenerator(NamedTuple):
     cov: int          # covering number l of the fiber orbit
     k: int            # sphere class coordinate
     hat: bool         # max (hat) or min (check) of the fiberwise Morse function
-
-    def flag(self) -> str:
-        return "hat" if self.hat else "check"
 
     def __str__(self) -> str:
         mark = "^" if self.hat else "v"
@@ -431,18 +427,16 @@ class _SectorData(LazyCone):
                          abs(2 * model.lambda_nu))
         self.model, self.m = model, m
 
-    def cap_nilpotent(self, p: Optional[int]) -> bool:
-        """Whether the cap over the Novikov ring is nilpotent, over F_p when
-        p is given.  The keys of `BaseModel.degree_classes` are a degree of
-        each residue that holds a generator, once, and psi there is the
-        cap's block from those generators: the cap's i-th power vanishes
-        exactly when psi^i from every key does, which happens for some i up
-        to the number of critical points if at all."""
-        def vanishes(f: IntMatrix) -> bool:
-            # over F_p a cap divisible by p dies: nilpotency can only improve
-            return not any(c % p if p else c for col in f.columns for c in col.values())
+    def cap_nilpotent(self) -> bool:
+        """Whether the cap over the Novikov ring is nilpotent, over Z.  The
+        keys of `BaseModel.degree_classes` are a degree of each residue that
+        holds a generator, once, and psi there is the cap's block from those
+        generators: the cap's i-th power vanishes exactly when psi^i from
+        every key does, which happens for some i up to the number of
+        critical points if at all.  A cap that dies mod p only is left to
+        the field rule of `full_rfh`, whose power of psi is then zero mod p."""
         n = len(self.model.crit)
-        return all(any(map(vanishes, islice(_psi_powers(self, e), n + 1)))
+        return all(any(f.is_zero() for f in islice(_psi_powers(self, e), n + 1))
                    for e in self.model.degree_classes)
 
     def cap_unimodular(self) -> bool:
@@ -451,14 +445,6 @@ class _SectorData(LazyCone):
         C_{e-2} makes it not square)."""
         return all(M.is_square() and presentation_from_relations(M.rows, M).is_zero()
                    for M in map(self.psi, self.model.degree_classes))
-
-
-def _field_total_betti(sect: _SectorData, p: int) -> int:
-    """Total F_p Betti number of a monotone base: the sum of n_e - rank_p d_e
-    - rank_p d_{e+1} over one period of e, which holds one copy of the Morse
-    complex (the boundary keeps the sphere class)."""
-    return sum(sect.boundary(e).cols - sect.rank_mod(e, p) - sect.rank_mod(e + 1, p)
-               for e in range(sect.period))
 
 
 def _psi_powers(sect: LazyCone, e: int) -> Iterator[IntMatrix]:
@@ -551,13 +537,9 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
     sect = _SectorData(model, m)
     # these cases make every cell 0, whatever its degree.  A nilpotent cap:
     # every class reduces to zero through x ~ -cap(x)
-    all_zero = (regime == CompletionRegime.ALL_LOWER or sect.cap_nilpotent(field)
+    all_zero = (regime == CompletionRegime.ALL_LOWER or sect.cap_nilpotent()
                 or regime == CompletionRegime.ALL_UPPER
                 and (field is not None or sect.cap_unimodular()))
-
-    @cache
-    def field_betti() -> int:
-        return _field_total_betti(sect, field)
 
     def value_for(d: int) -> GroupValue:
         star = d + 1
@@ -568,9 +550,12 @@ def full_rfh(model: BaseModel, m: int, tau: Fraction,
             return GroupValue.zero()
         if field is not None:
             # ALL_LOWER and ALL_UPPER have returned, so the regime is FINITE:
-            # dim FH_star / ker(psi^b) over F_p, b the total F_p Betti number
+            # dim FH_star / ker(psi^b) over F_p for a b at which ker psi^b is
+            # stable.  psi acts on one period of F_p homology, of dimension
+            # B <= len(crit) (a period holds each critical point once), and
+            # by Fitting's lemma ker psi^b is stable for every b >= B
             return GroupValue.of(ZModulePresentation(
-                _field_quotient_dim(sect, star, field_betti(), field), ()))
+                _field_quotient_dim(sect, star, len(model.crit), field), ()))
         # pattern detection: rank-one torsion-free sectors, cap = +-m
         pattern = True
         for k in range(period):

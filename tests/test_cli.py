@@ -375,6 +375,11 @@ NON_INTEGER_MODELS = {
                            "morseBoundary entry at index 1 must be an integer, got true"),
     "cap-bool": ({**SMALL_MODEL, "cap": {"1": [[False]]}},
                  "cap entry at degree 1 must be an integer, got false"),
+    # bool() reads the string "false" as true, and any number as a flag
+    "primitiveOmega-string": ({**SMALL_MODEL, "primitiveOmega": "false"},
+                              'primitiveOmega must be true or false, got "false"'),
+    "primitiveOmega-number": ({**SMALL_MODEL, "primitiveOmega": 1},
+                              "primitiveOmega must be true or false, got 1"),
 }
 
 
@@ -382,8 +387,9 @@ NON_INTEGER_MODELS = {
 def test_non_integer_number_in_a_model_file_is_a_usage_error(tmp_path, field):
     """A model-file number whose value is not an integer used to be
     truncated by int(): `rfh-w0` read [[0.5]] as 0 and exited 0.  Now it
-    exits 2 with one line naming the field, and so do an infinite one and
-    a JSON true or false, which int() read as 1 or 0."""
+    exits 2 with one line naming the field, and so do an infinite one, a
+    JSON true or false, which int() read as 1 or 0, and a primitiveOmega
+    that is not a JSON true or false, which bool() read as a flag."""
     spec, message = NON_INTEGER_MODELS[field]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(spec))
@@ -391,6 +397,20 @@ def test_non_integer_number_in_a_model_file_is_a_usage_error(tmp_path, field):
     code, err = run_quietly(argv)
     assert_usage_error(argv, code, err)
     assert err == f"error: argument --model: bad model 'file:{path}': {message}\n"
+
+
+def test_primitive_omega_reads_only_a_json_boolean(tmp_path, capsys):
+    """`orderability --m 1` reports c1_primitive as the file's JSON true or
+    false, and false without the key.  Any other value is a usage error
+    (`NON_INTEGER_MODELS`); the string "false" used to read as true."""
+    path = tmp_path / "model.json"
+    argv = ["orderability", "--model", f"file:{path}", "--m", "1", "--format", "json"]
+    absent = {key: v for key, v in SMALL_MODEL.items() if key != "primitiveOmega"}
+    for spec, want in (({**absent, "primitiveOmega": True}, True),
+                       ({**absent, "primitiveOmega": False}, False), (absent, False)):
+        path.write_text(json.dumps(spec))
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["c1_primitive"] is want, (spec, out)
 
 
 def test_whole_numbers_written_as_floats_stay_accepted(tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_snf_invariants(A):
         for j in range(A.cols):
             if i != j:
                 assert D.get(i, j) == 0
-    diag = list(D.diagonal())
+    diag = [D.get(i, i) for i in range(min(A.rows, A.cols))]
     assert all(d >= 0 for d in diag)
     nz = [d for d in diag if d != 0]
     assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
@@ -233,7 +233,8 @@ def test_kernel_and_solve_on_kinded_matrices(A, x, y, b):
     assert K.cols == A.cols - len(invariant_factors(A))
     assert invariant_factors(K) == (1,) * K.cols
     _, D, V, _ = smith(A)
-    dense = V.submatrix(range(A.cols), range(sum(1 for d in D.diagonal() if d), A.cols))
+    rank = sum(1 for i in range(min(A.rows, A.cols)) if D.get(i, i))
+    dense = V.submatrix(range(A.cols), range(rank, A.cols))
     assert solve_matrix(K, dense) is not None and solve_matrix(dense, K) is not None
     # d_in with its columns in the kernel: K Y = d_in
     Y = IntMatrix.from_rows([y[2 * t:2 * t + 2] for t in range(K.cols)], cols=2)
@@ -266,7 +267,7 @@ def test_snf_identity_and_diag():
     assert D.entries == IntMatrix.identity(2).entries
     assert V @ Vinv == IntMatrix.identity(2)
     _, D, _, _ = smith(IntMatrix.from_rows([[2, 0], [0, 0]]))
-    assert D.diagonal() == (2, 0)
+    assert (D.get(0, 0), D.get(1, 1)) == (2, 0)
 
 
 def test_snf_minor_gcd_oracle():

@@ -2,10 +2,12 @@
 
 The files under tests/golden/ hold the markdown and `--format json` stdout
 of every README example except `selftest` (whose JSON carries timings), and
-of one `rfh-full` run that takes the `relations` fallback, and of one
+of one `rfh-full` run that takes the `relations` fallback, of one
 `gysin` run far from degree 0, where no node may depend on a degree
-window.  They pin the rendering and the argument parsing: a change to
-either shows up here.
+window, and of two F_p `rfh-full` runs on a model with a cancelling pair
+of critical points, whose total F_3 Betti number is below its number of
+critical points.  They pin the rendering and the argument parsing: a
+change to either shows up here.
 """
 
 import os
@@ -31,6 +33,15 @@ CASES = {
     "rfh-full-relations": ["rfh-full", "--model",
                            "file:" + os.path.join(GOLDEN, "relations_model.json"),
                            "--m", "1", "--tau", "10", "--degrees", "0..1"],
+    # cp:1 with a pair d y = 2 x and its cap on q0, q1 only: over F_2 the
+    # pair survives in FH and the cap kills it; over F_3 it cancels, and
+    # psi is powered to 4 critical points where F_3 homology has dimension 2
+    "rfh-full-paired-fp2": ["rfh-full", "--model",
+                            "file:" + os.path.join(GOLDEN, "paired_model.json"),
+                            "--m", "1", "--tau", "1", "--degrees", "-4..4", "--coeff", "fp:2"],
+    "rfh-full-paired-fp3": ["rfh-full", "--model",
+                            "file:" + os.path.join(GOLDEN, "paired_model.json"),
+                            "--m", "1", "--tau", "1", "--degrees", "-4..4", "--coeff", "fp:3"],
 }
 
 

@@ -118,6 +118,28 @@ def _public_definitions(tree: ast.Module):
         yield from ((name, node) for name in names if not name.startswith("_"))
 
 
+def _public_methods(tree: ast.Module):
+    """(name, node) for each public method or property of a top-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            yield from ((node.name, node) for node in cls.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+
+
+def _reads_attribute(tree: ast.Module, name: str, skip: ast.AST) -> bool:
+    """Whether `tree`, outside the subtree `skip`, reads an attribute `name`
+    of anything."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
 def _reads(tree: ast.Module, module: str, name: str, inside: bool, skip: ast.AST) -> bool:
     """Whether `tree` (`module` itself if `inside`), outside the subtree
     `skip`, reads `module`.`name`: as a bare name inside the module or
@@ -149,12 +171,16 @@ def _reads(tree: ast.Module, module: str, name: str, inside: bool, skip: ast.AST
 @pytest.mark.parametrize("module", SURFACE_MODULES)
 def test_every_public_engine_name_has_a_reader_or_a_reason(module):
     """Each public top-level name of the module is read somewhere in the
-    package outside its own definition; the names that are not are exactly
-    those its docstring gives a reason for, as "`name` has no caller"."""
+    package outside its own definition, and so is each public method or
+    property of its classes, as an attribute of anything; the names that
+    are not are exactly those its docstring gives a reason for, as "`name`
+    has no caller"."""
     package = os.path.dirname(oracles.__file__)
     trees = {f[:-3]: _tree(f[:-3]) for f in sorted(os.listdir(package)) if f.endswith(".py")}
     unread = {name for name, node in _public_definitions(trees[module])
               if not any(_reads(tree, module, name, other == module, node)
                          for other, tree in trees.items())}
+    unread |= {name for name, node in _public_methods(trees[module])
+               if not any(_reads_attribute(tree, name, node) for tree in trees.values())}
     reasons = set(re.findall(r"`(\w+)` has no caller", ast.get_docstring(trees[module])))
     assert unread == reasons, module

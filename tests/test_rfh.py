@@ -23,7 +23,7 @@ from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
                                  presentation_from_relations)
 from rfhomology.novikov import CompletionRegime, regime_for
 from rfhomology.rfh import (RFHGenerator, _field_quotient_dim,
-                            _field_total_betti, _SectorData, _transfer_maps,
+                            _SectorData, _transfer_maps,
                             action, base_action, boundary_full,
                             boundary_full_chain, delta_injectivity,
                             enumerate_generators, fh_index, full_rfh,
@@ -87,10 +87,10 @@ def test_generator_value_semantics():
         assert g == (g.label, g.morse_index, g.cov, g.k, g.hat)
         assert hash(g) == hash((g.label, g.morse_index, g.cov, g.k, g.hat))
     g = RFHGenerator("q1", 2, -3, 1, True)
-    assert str(g) == "^(q1, l=-3, k=1)" and g.flag() == "hat"
+    assert str(g) == "^(q1, l=-3, k=1)" and g.hat is True
     assert repr(g) == "RFHGenerator(label='q1', morse_index=2, cov=-3, k=1, hat=True)"
     v = RFHGenerator("q0", 0, 4, -2, False)
-    assert str(v) == "v(q0, l=4, k=-2)" and v.flag() == "check"
+    assert str(v) == "v(q0, l=4, k=-2)" and v.hat is False
     for field in ("label", "morse_index", "cov", "k", "hat"):
         with pytest.raises(AttributeError):
             setattr(g, field, 0)
@@ -375,23 +375,22 @@ def test_gysin_dense_remainder_does_not_grow_with_the_surface(monkeypatch):
     the dense Smith form is the unit-free remainder only, whose count and
     largest shape stay put as g doubles (five 1 x 1 inputs, the cap's 2s).
     The `_Elimination` constructions are pinned too: 25 per checked Gysin
-    sequence, all with V, as each boundary is eliminated once for its
-    cycles and the torsion below; one without V for `rfh_w0_table`, which
-    needs invariant factors only; 474 for criterion 5's Gysin zoo, all
-    with V, as a monotone base and its cone are read once per residue.
-    The exactness check skips nodes without cycles and decides each
-    distinct node once (31 and 846 before it did).
+    sequence, as each boundary is eliminated once for its cycles and the
+    torsion below; one for `rfh_w0_table`, which reads invariant factors
+    only; 474 for criterion 5's Gysin zoo, as a monotone base and its cone
+    are read once per residue.  The exactness check skips nodes without
+    cycles and decides each distinct node once (31 and 846 before it did).
     A deterministic guard on the complexity, unlike a timing."""
-    shapes, made = [], []       # made: one `transform` flag per construction
+    shapes, made = [], []       # made: one entry per construction
     smith, init = exactlin._smith, exactlin._Elimination.__init__
 
     def record(D, n):
         shapes.append((len(D), n))
         return smith(D, n)
 
-    def count(self, A, transform=True):
-        made.append(transform)
-        init(self, A, transform)
+    def count(self, A):
+        made.append(1)
+        init(self, A)
     monkeypatch.setattr(exactlin, "_smith", record)
     monkeypatch.setattr(exactlin._Elimination, "__init__", count)
     stats = {}
@@ -400,10 +399,10 @@ def test_gysin_dense_remainder_does_not_grow_with_the_surface(monkeypatch):
         made.clear()
         assert verify_exactness(gysin(surface_model(g), 2, (-2, 3))).ok
         stats[g] = (len(shapes), max(shapes, default=(0, 0)))
-        assert made == [True] * 25, (g, len(made), made.count(True))
+        assert len(made) == 25, (g, len(made))
         made.clear()
         rfh_w0_table(surface_model(g), 3, Fraction(1), (-1, 2))
-        assert made == [False], (g, made)
+        assert len(made) == 1, (g, len(made))
     assert stats[8] == stats[16] == stats[32], stats
     assert stats[8][1] <= (1, 1), stats
     made.clear()
@@ -413,7 +412,7 @@ def test_gysin_dense_remainder_does_not_grow_with_the_surface(monkeypatch):
     for g in (1, 2):
         for m in (1, 2, 3):
             assert verify_exactness(gysin(surface_model(g), m, (-1, 2))).ok
-    assert made == [True] * 474, (len(made), made.count(True))
+    assert len(made) == 474, len(made)
 
 
 def test_gysin_eliminations_do_not_grow_with_the_degree_range(monkeypatch):
@@ -424,9 +423,9 @@ def test_gysin_eliminations_do_not_grow_with_the_degree_range(monkeypatch):
     made = []
     init = exactlin._Elimination.__init__
 
-    def count(self, A, transform=True):
-        made.append(transform)
-        init(self, A, transform)
+    def count(self, A):
+        made.append(1)
+        init(self, A)
     monkeypatch.setattr(exactlin._Elimination, "__init__", count)
     counts = {}
     for lo, hi in ((-5, 5), (-50, 50), (95, 105)):
@@ -473,9 +472,9 @@ def test_exactness_check_eliminations_do_not_grow_with_the_degree_range(monkeypa
     made = []
     init = exactlin._Elimination.__init__
 
-    def count(self, A, transform=True):
-        made.append(transform)
-        init(self, A, transform)
+    def count(self, A):
+        made.append(1)
+        init(self, A)
     monkeypatch.setattr(exactlin._Elimination, "__init__", count)
     counts = {}
     for lo, hi in ((-50, 50), (-400, 400), (95, 105)):
@@ -697,47 +696,73 @@ def test_field_quotient_dim_matches_cycle_bases():
                         induced_rank_on_cycles(sect, e, b, p), (e, b, p)
 
 
-def test_field_total_betti_sees_torsion():
-    """d x = 2 a kills x and a over F_3 and F_5 but not over F_2."""
-    sect = _SectorData(load_model(MONOTONE_TORSION_MODEL), 1)
-    assert _field_total_betti(sect, 2) == 3
-    assert _field_total_betti(sect, 3) == 1
-    assert _field_total_betti(sect, 5) == 1
+def paired_model(rng, n):
+    """cp:n with one to three cancelling pairs of critical points, d y = c x
+    for x of odd index and y one above, c in {+-1, +-2, 3}, and the cp:n
+    cap q_i -> q_{i-1} (q_0 -> t q_n) with a seeded coefficient on each
+    term; x and y map to 0, so the cap commutes with d."""
+    crit = [(f"q{i}", 2 * i) for i in range(n + 1)]
+    pairs = []
+    for t in range(rng.randint(1, 3)):
+        j = rng.randrange(1, 2 * n, 2)
+        pairs.append((f"x{t}", f"y{t}", j, rng.choice((1, -1, 2, -2, 3))))
+        crit += [(f"x{t}", j), (f"y{t}", j + 1)]
+    rng.shuffle(crit)
+    at = {idx: [label for label, i in crit if i == idx] for _, idx in crit}
+    morse = {}
+    for x, y, j, c in pairs:
+        rows = morse.setdefault(j + 1, [[0] * len(at[j + 1]) for _ in at[j]])
+        rows[at[j].index(x)][at[j + 1].index(y)] = c
+    base = BaseModel(f"cp:{n}+pairs", 2 * n, 1, Fraction(n + 1), n + 1, tuple(crit),
+                     "zero", True, {i: IntMatrix.from_rows(r) for i, r in morse.items()})
+    coeff = {f"q{i}": rng.choice((1, 1, -1, 2, 3)) for i in range(n + 1)}
+    mats = {}
+    for label, idx in crit:
+        d = base.fh_degree(idx, 0)
+        src, tgt = base.generators_in_degree(d), base.generators_in_degree(d - 2)
+        rows = [[0] * len(src) for _ in tgt]
+        for j, (q, k) in enumerate(src):
+            if q in coeff:
+                i = int(q[1:])
+                rows[tgt.index((f"q{(i - 1) % (n + 1)}", k + (i == 0)))][j] = coeff[q]
+        mats[d] = IntMatrix.from_rows(rows, cols=len(src))
+    return replace(base, cap={"degree_matrices": mats})
 
 
-def test_field_total_betti_counts_each_critical_point_once():
-    """With 2*lambda*nu = dim the degrees -dim/2..dim/2 meet the points of
-    index 0 and 4 twice (sphere classes 0 and +-1); one period of
-    2*lambda*nu degrees meets each point once.  The zero Morse matrix
-    has no invariant factor, so every generator of the period counts."""
-    model = load_model({"dim": 4, "nu": 1, "lambda": "2", "cM": 2, "cap": "zero",
-                        "crit": [{"label": "a", "index": 0}, {"label": "x", "index": 1},
-                                 {"label": "c", "index": 4}],
-                        "morseBoundary": {"1": [[0]]}})
-    for p in (2, 3, 5):
-        assert _field_total_betti(_SectorData(model, 1), p) == 3
-
-
-def test_full_rfh_computes_field_betti_once(monkeypatch):
-    """The total F_p Betti number depends only on the model and p, so
-    full_rfh computes it at most once, and not at all when no cell needs
-    it."""
-    calls = []
-
-    def counted(sect, p):
-        calls.append(p)
-        return _field_total_betti(sect, p)
-
-    monkeypatch.setattr(rfh, "_field_total_betti", counted)
-    res = full_rfh(CP2, 2, Fraction(2), (-4, 4), "fp:5")     # FINITE regime
-    assert calls == [5]
-    assert sum(v.kind != "zero" for v in res.table.values()) > 1
-    calls.clear()
-    model = nonperfect_surface(3, random.Random(5))
-    full_rfh(model, 2, Fraction(1), (-8, 8), "fp:3")    # aspherical: nilpotent cap
-    full_rfh(model, 2, Fraction(1), (-8, 8), "z")
-    full_rfh(CP2, 2, Fraction(1), (-4, 4), "fp:3")    # ALL_LOWER: every cell 0
-    assert calls == []
+def test_full_rfh_field_cells_match_the_total_betti_power():
+    """In the finite regime an F_p cell is the rank of psi^b on H_star for
+    any b at which ker psi^b is stable.  `full_rfh` powers psi to the number
+    of critical points; this reference powers it to the total F_p Betti
+    number B of one period (Fitting's lemma for psi on a space of
+    dimension B), with sympy's ranks over GF(p), on seeded cp:n models with
+    cancelling pairs, where the two powers differ, and on the golden
+    paired model.  A cap nilpotent over Z makes every cell 0."""
+    rng = random.Random(29)
+    models = [paired_model(rng, rng.randint(1, 3)) for _ in range(24)]
+    models.append(load_model(os.path.join(os.path.dirname(__file__), "golden",
+                                          "paired_model.json")))
+    seen = Counter()
+    for model in models:
+        for m in range(1, int(model.lam)):
+            tau = Fraction(m) / (model.lam - m)
+            sect = _SectorData(model, m)
+            period, nilpotent = sect.period, sect.cap_nilpotent()
+            for p in (2, 3, 5):
+                betti = sum(sect.boundary(e).cols - fp_matrix(sect.boundary(e), p).rank()
+                            - fp_matrix(sect.boundary(e + 1), p).rank()
+                            for e in range(period))
+                res = full_rfh(model, m, tau, (-period, period), f"fp:{p}")
+                assert res.regime == CompletionRegime.FINITE
+                for d, v in res.table.items():
+                    star = d + 1
+                    want = 0 if nilpotent or any(
+                        sect.group(star + 2 * k).is_zero() for k in range(model.c_min)) \
+                        else induced_rank_on_cycles(sect, star, betti, p)
+                    got = 0 if v.kind == "zero" else v.presentation.free_rank
+                    assert got == want, (model.crit, m, p, d)
+                    seen["nonzero"] += got > 0
+                seen["fewer Betti than points"] += betti < len(model.crit)
+    assert seen["nonzero"] > 0 and seen["fewer Betti than points"] > 0, seen
 
 
 def test_full_rfh_field_cells_once_per_residue(monkeypatch):
@@ -798,10 +823,10 @@ def test_full_rfh_aspherical_zero():
     models = [surface_model(g) for g in (1, 2, 3)] + [point_model(), load_model(TORSION_MODEL)]
     models += [nonperfect_surface(g, rng) for g in (1, 2, 3)]
     models += [random_custom_cap_model(rng, "aspherical") for _ in range(12)]
-    for coeff, p in (("z", None), ("fp:2", 2), ("fp:3", 3), ("fp:5", 5)):
-        for model in models:
-            for m in (1, 2, 3):
-                assert _SectorData(model, m).cap_nilpotent(p), (model.name, m, coeff)
+    for model in models:
+        for m in (1, 2, 3):
+            assert _SectorData(model, m).cap_nilpotent(), (model.name, m)
+            for coeff in ("z", "fp:2", "fp:3", "fp:5"):
                 for tau in (Fraction(1, 3), Fraction(2)):
                     res = full_rfh(model, m, tau, (-5, 5), coeff)
                     assert res.regime == CompletionRegime.FINITE
@@ -893,9 +918,9 @@ def test_delta_injectivity_eliminations_do_not_grow_with_k_range(monkeypatch):
     made, stars = [], []
     init, blocks = exactlin._Elimination.__init__, rfh._sector_blocks
 
-    def count(self, A, transform=True):
-        made.append(transform)
-        init(self, A, transform)
+    def count(self, A):
+        made.append(1)
+        init(self, A)
 
     def count_blocks(sect, star, src, tgt):
         stars.append(star)
@@ -1218,10 +1243,11 @@ def laurent_cap(model, m):
 def test_cap_shortcuts_match_laurent_oracle():
     """Each cap term's sphere shift is fixed by the degrees of its ends, so
     psi of `_SectorData` at the degrees of the critical points holds the
-    whole cap over the Novikov ring: its nilpotency (over Z and mod p) and
-    its unit determinant.  Checked against sympy's L**n and det on seeded
+    whole cap over the Novikov ring: its nilpotency over Z and its unit
+    determinant.  Checked against sympy's L**n and det on seeded
     custom-cap models, cp:1..4, surface:1..3, the point and non-perfect
-    surfaces."""
+    surfaces.  A cap nilpotent mod p only is left to the field rule, and
+    every F_p cell of the finite regime is 0 there."""
     rng = random.Random(12)
     models = [random_custom_cap_model(rng, kind)
               for kind in ("aspherical", "monotone", "permutation") * 20]
@@ -1236,18 +1262,26 @@ def test_cap_shortcuts_match_laurent_oracle():
                       for c in e.as_coefficients_dict().values()]
             det = list(sympy.expand(L.det()).as_coefficients_dict().values())
             sect = _SectorData(model, m)
-            nilpotent, iso_over_z = sect.cap_nilpotent(None), sect.cap_unimodular()
+            nilpotent, iso_over_z = sect.cap_nilpotent(), sect.cap_unimodular()
             assert nilpotent == all(c == 0 for c in coeffs), (model.name, m)
             assert iso_over_z == (det in ([1], [-1])), (model.name, m)
             for p in (2, 3, 5):
-                nil_p = all(c % p == 0 for c in coeffs)
-                assert sect.cap_nilpotent(p) == nil_p, (model.name, m, p)
-                seen["nilpotent mod p only"] += nil_p and not nilpotent
+                if nilpotent or any(c % p for c in coeffs):
+                    continue
+                seen["nilpotent mod p only"] += 1
+                if model.lam > m:        # the finite regime exists
+                    period = sect.period
+                    res = full_rfh(model, m, Fraction(m) / (model.lam - m),
+                                   (-period - 1, period + 1), f"fp:{p}")
+                    assert res.regime == CompletionRegime.FINITE
+                    assert all(v.kind == "zero" for v in res.table.values()), \
+                        (model.name, m, p)
+                    seen["finite mod p only"] += 1
             seen["nilpotent"] += nilpotent
             seen["unit"] += iso_over_z
             seen["neither"] += not nilpotent and not iso_over_z
-    assert min(seen[key] for key in ("nilpotent mod p only", "nilpotent",
-                                     "unit", "neither")) > 0, seen
+    assert min(seen[key] for key in ("nilpotent mod p only", "finite mod p only",
+                                     "nilpotent", "unit", "neither")) > 0, seen
 
 
 def test_full_rfh_reads_no_cap_in_the_lower_regime(monkeypatch):
