@@ -1,22 +1,29 @@
 """Command-line front end emitting homology tables and verification reports
 as markdown or JSON.
 
+    rfh <command> [--flag value | --flag=value] ...
+
 Subcommands: rfh-w0, rfh-full, gysin, transfer, orderability, cp2-demo,
-selftest; each accepts only the flags it reads (COMMAND_FLAGS).  Exit codes:
-0 ok, 1 verification failure, 2 usage error, reported as one `error:` line
-on stderr.
+selftest; each accepts only the flags it reads (COMMAND_FLAGS), and FLAGS
+gives each flag its converter, default and help.  A flag is spelled in full
+or as a unique prefix of one of the subcommand's flags (`--m` is exact,
+`--mo` is `--model`).  Its value is the token after it, even one beginning
+with `-`, or the text after `=`.  A repeated flag keeps its last value, but
+every value given is converted.  `-h`/`--help`, alone or after a
+subcommand, prints the usage on stdout and exits 0.  The line is read left
+to right, and its first fault is the usage error.  Exit codes: 0 ok,
+1 verification failure, 2 usage error, reported as one `error:` line on
+stderr.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
-from . import selftest as selftest_mod
 from .basemodel import BaseModel, cp_model, model_from_spec
 from .chaincplx import verify_exactness
 from .errors import EngineError
@@ -33,7 +40,7 @@ def _model(spec: str) -> BaseModel:
     try:
         return model_from_spec(spec)
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, EngineError) as exc:
-        raise argparse.ArgumentTypeError(f"bad model {spec!r}: {exc}") from exc
+        raise ValueError(f"bad model {spec!r}: {exc}") from exc
 
 
 def _bundle_degree(text: str) -> int:
@@ -42,7 +49,7 @@ def _bundle_degree(text: str) -> int:
     except ValueError:
         m = 0
     if m < 1:
-        raise argparse.ArgumentTypeError(f"m must be an integer >= 1, got {text!r}")
+        raise ValueError(f"m must be an integer >= 1, got {text!r}")
     return m
 
 
@@ -52,7 +59,7 @@ def _radius(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         tau = Fraction(0)
     if tau <= 0:
-        raise argparse.ArgumentTypeError(f"tau must be a positive rational, got {text!r}")
+        raise ValueError(f"tau must be a positive rational, got {text!r}")
     return tau
 
 
@@ -60,9 +67,9 @@ def _range(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(x) for x in text.split(".."))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected lo..hi, got {text!r}") from None
+        raise ValueError(f"expected lo..hi, got {text!r}") from None
     if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return lo, hi
 
 
@@ -70,27 +77,30 @@ def _window(text: str) -> tuple[Fraction, Fraction]:
     try:
         a, b = (Fraction(x) for x in text.split(".."))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a..b, got {text!r}") from None
+        raise ValueError(f"expected a..b, got {text!r}") from None
     return a, b
 
 
 def _coeff(text: str) -> str:
-    try:
-        parse_coeff(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    parse_coeff(text)
     return text.lower()
 
 
+def _format(text: str) -> str:
+    if text not in ("md", "json"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'md', 'json')")
+    return text
+
+
+# flag: (converter, default before conversion, help)
 FLAGS = {
-    "--model": dict(type=_model, default="cp:2",
-                    help="cp:<n> | surface:<g> | point | file:<path>"),
-    "--m": dict(type=_bundle_degree, default=1, help="bundle degree m >= 1"),
-    "--tau": dict(type=_radius, default="1", help="radius as p/q or integer"),
-    "--degrees": dict(type=_range, default="-8..8", help="lo..hi"),
-    "--window": dict(type=_window, default=None, help="action window a..b"),
-    "--coeff": dict(type=_coeff, default="z", help="z | fp:<prime>"),
-    "--format": dict(dest="fmt", default="md", choices=("md", "json")),
+    "--model": (_model, "cp:2", "cp:<n> | surface:<g> | point | file:<path>"),
+    "--m": (_bundle_degree, "1", "bundle degree m >= 1"),
+    "--tau": (_radius, "1", "radius as p/q or integer"),
+    "--degrees": (_range, "-8..8", "lo..hi"),
+    "--window": (_window, None, "action window a..b"),
+    "--coeff": (_coeff, "z", "z | fp:<prime>"),
+    "--format": (_format, "md", "md | json"),
 }
 
 COMMAND_FLAGS = {
@@ -104,43 +114,74 @@ COMMAND_FLAGS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
+class _UsageError(Exception):
+    """A malformed command line; `main` prints it as one `error:` line."""
 
 
-def _preprocess(argv: list[str]) -> list[str]:
-    """Glue option values that begin with a minus sign (like ``-6..6``)
-    onto their flag so argparse does not mistake them for options."""
-    out: list[str] = []
-    it = iter(argv)
-    value_flags = {"--degrees", "--window", "--tau", "--m"}
-    for tok in it:
-        if tok in value_flags:
-            try:
-                nxt = next(it)
-            except StopIteration:
-                out.append(tok)
-                break
-            out.append(f"{tok}={nxt}")
-        else:
-            out.append(tok)
-    return out
+def _usage(command: Optional[str]) -> str:
+    """The help of `command`, or of `rfh` itself when it is None."""
+    if command is None:
+        return "\n".join(
+            ["usage: rfh <command> [--flag value ...]", "",
+             "Exact Rabinowitz Floer homology of negative line bundles", "",
+             "commands and their flags (rfh <command> -h explains them):"]
+            + [f"  {name:<13} {' '.join(flags)}" for name, flags in COMMAND_FLAGS.items()])
+    lines = [f"usage: rfh {command} [--flag value ...]", ""]
+    for flag in COMMAND_FLAGS[command]:
+        _, default, text = FLAGS[flag]
+        lines.append(f"  {flag:<10} {text}" + (f" (default {default})" if default else ""))
+    return "\n".join(lines)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process on first use;
-    `main` reuses it, since parsing leaves no state on it."""
-    parser = _Parser(
-        prog="rfh",
-        description="Exact Rabinowitz Floer homology of negative line bundles")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in COMMAND_FLAGS.items():
-        p = sub.add_parser(name)
-        for flag in flags:
-            p.add_argument(flag, **FLAGS[flag])
-    return parser
+def _flag(token: str, names: tuple[str, ...]) -> Optional[str]:
+    """The name in `names` that `token` spells in full or as a unique
+    prefix (`-h` spells `--help`); None when it spells none."""
+    if token in names:
+        return token
+    if token == "-h":
+        return "--help"
+    if len(token) <= 2 or not token.startswith("--"):
+        return None
+    matches = [name for name in names if name.startswith(token)]
+    return matches[0] if len(matches) == 1 else None
+
+
+def _convert(flag: str, text: str):
+    try:
+        return FLAGS[flag][0](text)
+    except ValueError as exc:
+        raise _UsageError(f"argument {flag}: {exc}") from None
+
+
+def _parse(argv: list[str]) -> tuple[Optional[str], Optional[SimpleNamespace]]:
+    """The command and its converted flags (`--format` as `format`), or the
+    command (None at the top level) and None when the line asks for help."""
+    command = argv[0] if argv else None
+    if command not in COMMAND_FLAGS:
+        if command and _flag(command, ("--help",)):
+            return None, None
+        raise _UsageError(f"expected a command ({', '.join(COMMAND_FLAGS)})"
+                          + (f", got {command!r}" if command else ""))
+    names = COMMAND_FLAGS[command] + ("--help",)
+    given: dict = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        flag = _flag(name, names)
+        if flag is None or (flag == "--help" and eq):
+            raise _UsageError(f"unrecognized argument {token!r}")
+        if flag == "--help":
+            return command, None
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise _UsageError(f"argument {flag}: expected one argument")
+        given[flag] = _convert(flag, value)
+    for flag in COMMAND_FLAGS[command]:
+        if flag not in given:
+            default = FLAGS[flag][1]
+            given[flag] = None if default is None else _convert(flag, default)
+    return command, SimpleNamespace(**{flag[2:]: v for flag, v in given.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -154,99 +195,101 @@ def _md_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out)
 
 
-def emit(payload: dict, fmt: str, md_text: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print(md_text)
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each renders only the format it prints
 # ---------------------------------------------------------------------------
 
-def cmd_rfh_w0(args: argparse.Namespace) -> int:
+def cmd_rfh_w0(args: SimpleNamespace) -> int:
     model = args.model
     lo, hi = args.degrees
     # RFH^w0 does not depend on the radius, so the command takes no --tau
     table = rfh_w0_table(model, args.m, Fraction(1), args.degrees)
-    payload = {
-        "command": "rfh-w0", "model": model.name, "m": args.m,
-        "degrees": [lo, hi],
-        "table": [{"degree": d, "group": GroupValue.of(table[d]).to_json()}
-                  for d in range(lo, hi + 1)],
-    }
-    rows = [[d, str(table[d])] for d in range(lo, hi + 1)]
-    md = (f"RFH^w0({model.name}, m={args.m}) on degrees {lo}..{hi}\n\n"
-          + _md_table(["degree", "group"], rows))
-    emit(payload, args.fmt, md)
+    if args.format == "json":
+        _print_json({
+            "command": "rfh-w0", "model": model.name, "m": args.m,
+            "degrees": [lo, hi],
+            "table": [{"degree": d, "group": GroupValue.of(table[d]).to_json()}
+                      for d in range(lo, hi + 1)],
+        })
+    else:
+        rows = [[d, str(table[d])] for d in range(lo, hi + 1)]
+        print(f"RFH^w0({model.name}, m={args.m}) on degrees {lo}..{hi}\n\n"
+              + _md_table(["degree", "group"], rows))
     return 0
 
 
-def cmd_rfh_full(args: argparse.Namespace) -> int:
+def cmd_rfh_full(args: SimpleNamespace) -> int:
     model = args.model
     lo, hi = args.degrees
     result = full_rfh(model, args.m, args.tau, args.degrees, args.coeff)
-    payload = {"command": "rfh-full", **result.to_json(),
-               "degrees": [lo, hi]}
-    rows = [[d, result.table[d].render(result.coeff)]
-            for d in range(lo, hi + 1)]
-    md = (f"RFH({model.name}, m={args.m}, tau={args.tau}, coeff={result.coeff}) "
-          f"regime={result.regime.value}\n\n"
-          + _md_table(["degree", "group"], rows))
-    emit(payload, args.fmt, md)
+    if args.format == "json":
+        _print_json({"command": "rfh-full", **result.to_json(),
+                     "degrees": [lo, hi]})
+    else:
+        rows = [[d, result.table[d].render(result.coeff)]
+                for d in range(lo, hi + 1)]
+        print(f"RFH({model.name}, m={args.m}, tau={args.tau}, coeff={result.coeff}) "
+              f"regime={result.regime.value}\n\n"
+              + _md_table(["degree", "group"], rows))
     return 0
 
 
-def cmd_gysin(args: argparse.Namespace) -> int:
+def cmd_gysin(args: SimpleNamespace) -> int:
     model = args.model
     les = gysin(model, args.m, args.degrees)
     report = verify_exactness(les)
-    payload = {
-        "command": "gysin", "model": model.name, "m": args.m,
-        "degrees": list(args.degrees),
-        "nodes": [{"label": n.label,
-                   "group": GroupValue.of(n.presentation).to_json()}
-                  for n in les.nodes],
-        "exact": bool(report.ok),
-        "failures": report.failures(),
-    }
-    rows = [[n.label, str(n.presentation),
-             ("ok" if (n.label, True) in report.nodes else
-              ("FAIL" if (n.label, False) in report.nodes else "-"))]
-            for n in les.nodes]
-    md = (f"Floer Gysin sequence for {model.name}, m={args.m}: "
-          f"{'all interior nodes exact' if report.ok else 'EXACTNESS FAILURE'}\n\n"
-          + _md_table(["node", "group", "exact"], rows))
-    emit(payload, args.fmt, md)
+    if args.format == "json":
+        _print_json({
+            "command": "gysin", "model": model.name, "m": args.m,
+            "degrees": list(args.degrees),
+            "nodes": [{"label": n.label,
+                       "group": GroupValue.of(n.presentation).to_json()}
+                      for n in les.nodes],
+            "exact": bool(report.ok),
+            "failures": report.failures(),
+        })
+    else:
+        rows = [[n.label, str(n.presentation),
+                 ("ok" if (n.label, True) in report.nodes else
+                  ("FAIL" if (n.label, False) in report.nodes else "-"))]
+                for n in les.nodes]
+        print(f"Floer Gysin sequence for {model.name}, m={args.m}: "
+              f"{'all interior nodes exact' if report.ok else 'EXACTNESS FAILURE'}\n\n"
+              + _md_table(["node", "group", "exact"], rows))
     return 0 if report.ok else 1
 
 
-def cmd_transfer(args: argparse.Namespace) -> int:
+def cmd_transfer(args: SimpleNamespace) -> int:
     model = args.model
     ok = not transfer_failures(model, args.m, args.degrees)
-    payload = {"command": "transfer", "model": model.name, "m": args.m,
-               "degrees": list(args.degrees),
-               "identity": f"P.T = T.P = {args.m}.id", "pass": ok}
-    md = f"transfer/projection on {model.name}: P.T = T.P = {args.m}.id: " + \
-        ("PASS" if ok else "FAIL")
-    emit(payload, args.fmt, md)
+    if args.format == "json":
+        _print_json({"command": "transfer", "model": model.name, "m": args.m,
+                     "degrees": list(args.degrees),
+                     "identity": f"P.T = T.P = {args.m}.id", "pass": ok})
+    else:
+        print(f"transfer/projection on {model.name}: P.T = T.P = {args.m}.id: "
+              + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 
 
-def cmd_orderability(args: argparse.Namespace) -> int:
+def cmd_orderability(args: SimpleNamespace) -> int:
     model = args.model
     rep = orderability_report(model, args.m)
-    payload = {"command": "orderability", "model": model.name, "m": args.m, **rep}
-    verdict = rep["orderable"]
-    md = (f"{model.name}, m={args.m}: RFH^w0 "
-          + ("nonzero" if rep["rfh_w0_nonzero"] else "= 0")
-          + f"; orderability: {verdict}; translated points: {rep['translated_points']}")
-    emit(payload, args.fmt, md)
+    if args.format == "json":
+        _print_json({"command": "orderability", "model": model.name, "m": args.m, **rep})
+    else:
+        print(f"{model.name}, m={args.m}: RFH^w0 "
+              + ("nonzero" if rep["rfh_w0_nonzero"] else "= 0")
+              + f"; orderability: {rep['orderable']}; "
+              f"translated points: {rep['translated_points']}")
     return 0
 
 
-def cmd_cp2_demo(args: argparse.Namespace) -> int:
+def cmd_cp2_demo(args: SimpleNamespace) -> int:
     model = cp_model(2)
     m = args.m
     k_bound = 2
@@ -262,31 +305,36 @@ def cmd_cp2_demo(args: argparse.Namespace) -> int:
             text = " + ".join(f"{c}*{t}" if c != 1 else str(t)
                               for t, c in sorted(terms.items(), key=lambda x: str(x[0])))
             bdy_rows.append([str(g), text if text else "0"])
-    payload = {
-        "command": "cp2-demo", "m": m, "tau": str(args.tau),
-        "generators": [{"generator": r[0], "index": r[1], "winding": r[2],
-                        "action": r[3]} for r in gen_rows],
-        "boundary": [{"generator": r[0], "image": r[1]} for r in bdy_rows],
-    }
-    md = (f"generators of the full complex for cp:2, m={m}, tau={args.tau} "
-          f"(|k| <= {k_bound}, |l| <= 3)\n\n"
-          + _md_table(["generator", "index", "winding", "action"], gen_rows)
-          + "\n\nboundary images of the minima\n\n"
-          + _md_table(["generator", "d(generator)"], bdy_rows))
-    emit(payload, args.fmt, md)
+    if args.format == "json":
+        _print_json({
+            "command": "cp2-demo", "m": m, "tau": str(args.tau),
+            "generators": [{"generator": r[0], "index": r[1], "winding": r[2],
+                            "action": r[3]} for r in gen_rows],
+            "boundary": [{"generator": r[0], "image": r[1]} for r in bdy_rows],
+        })
+    else:
+        print(f"generators of the full complex for cp:2, m={m}, tau={args.tau} "
+              f"(|k| <= {k_bound}, |l| <= 3)\n\n"
+              + _md_table(["generator", "index", "winding", "action"], gen_rows)
+              + "\n\nboundary images of the minima\n\n"
+              + _md_table(["generator", "d(generator)"], bdy_rows))
     return 0
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    results = selftest_mod.run_all()
+def cmd_selftest(args: SimpleNamespace) -> int:
+    # imported here, so that no other command pays for the criteria and oracles
+    from . import selftest
+
+    results = selftest.run_all()
     ok = all(r["pass"] for r in results)
-    payload = {"command": "selftest", "criteria": results, "pass": ok}
-    lines = [f"criterion {r['id']:>2} [{'PASS' if r['pass'] else 'FAIL'}] "
-             f"{r['name']}" + ("" if r["pass"] else f" -- {r['detail']}")
-             for r in results]
-    md = "\n".join(lines) + ("\n\nall criteria passed" if ok
-                             else "\n\nFAILURES present")
-    emit(payload, args.fmt, md)
+    if args.format == "json":
+        _print_json({"command": "selftest", "criteria": results, "pass": ok})
+    else:
+        lines = [f"criterion {r['id']:>2} [{'PASS' if r['pass'] else 'FAIL'}] "
+                 f"{r['name']}" + ("" if r["pass"] else f" -- {r['detail']}")
+                 for r in results]
+        print("\n".join(lines) + ("\n\nall criteria passed" if ok
+                                  else "\n\nFAILURES present"))
     return 0 if ok else 1
 
 
@@ -302,18 +350,13 @@ COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        parser = build_parser()
-        args = parser.parse_args(_preprocess(list(argv)))
-        # argparse drops a value that is exactly "--" and leaves [] unconverted
-        if any(isinstance(v, list) for v in vars(args).values()):
-            parser.error("an option value may not be '--'")
-        return COMMANDS[args.command](args)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    except EngineError as exc:
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_usage(command))
+            return 0
+        return COMMANDS[command](args)
+    except (_UsageError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +176,10 @@ def test_usage_errors(capsys):
     ["gysin", "--tau", "2"],
     ["transfer", "--tau", "2"],
     ["orderability", "--tau", "2"],
+    ["rfh-w0", "--model"],                          # a trailing flag without a value
+    ["rfh-w0", "cp:2"],                             # a stray positional argument
+    [],                                             # no subcommand
+    ["rfh-w0", "--model", "nosuch:1", "--model", "cp:1"],   # a bad value, then a good one
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     """Malformed or unread arguments exit 2 with one `error:` line and no
@@ -190,6 +196,51 @@ def test_negative_degree_token(capsys):
                     "--degrees", "-2..2")
     assert code == 0
     assert "| -2 |" in out
+
+
+def test_abbreviated_flag_takes_a_negative_value(capsys):
+    """`--deg -1..1` used to be a usage error ("expected one argument"),
+    though `--deg 0..1` worked: only a flag's full name took a value that
+    begins with a minus sign."""
+    assert run(capsys, "rfh-w0", "--deg", "-1..1", "--model", "cp:1") == \
+        run(capsys, "rfh-w0", "--degrees", "-1..1", "--model", "cp:1")
+
+
+# each pair of command lines spells the same request
+SAME_REQUEST = {
+    "flag=value": (["rfh-w0", "--model", "cp:1", "--degrees", "-2..2"],
+                   ["rfh-w0", "--model=cp:1", "--degrees=-2..2"]),
+    "negative window": (["cp2-demo", "--window", "-3..-1"],
+                        ["cp2-demo", "--window=-3..-1"]),
+    "repeated flag": (["rfh-w0", "--m", "2"], ["rfh-w0", "--m", "3", "--m", "2"]),
+    "unique prefix": (["rfh-w0", "--model", "cp:1"], ["rfh-w0", "--mo", "cp:1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_REQUEST))
+def test_spellings_of_one_request_agree(capsys, name):
+    first, second = SAME_REQUEST[name]
+    code, out = run(capsys, *first)
+    assert code == 0 and out
+    assert run(capsys, *second) == (code, out)
+
+
+def test_negative_window_is_applied(capsys):
+    """Every generator `cp2-demo --window -3..-1` lists has action in the window."""
+    code, out = run(capsys, "cp2-demo", "--window", "-3..-1", "--format", "json")
+    actions = [Fraction(g["action"]) for g in json.loads(out)["generators"]]
+    assert code == 0 and actions and all(-3 <= a <= -1 for a in actions)
+
+
+@pytest.mark.parametrize("command", [None] + sorted(COMMAND_FLAGS))
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_0_and_names_every_flag(capsys, command, flag):
+    """Help, alone or after a subcommand, goes to stdout and names every
+    subcommand, or every flag of the subcommand."""
+    code, out = run(capsys, *([flag] if command is None else [command, flag]))
+    names = COMMAND_FLAGS if command is None else COMMAND_FLAGS[command]
+    assert code == 0
+    assert all(re.search(re.escape(name) + r"\b", out) for name in names), out
 
 
 def test_selftest_command_reports_faithfully(capsys):
