@@ -293,7 +293,12 @@ def criterion_7() -> tuple[bool, str]:
 
 def criterion_8() -> tuple[bool, str]:
     """Trivial kernel of id + cap-shift on |k| <= 8 truncations for cp:2,
-    m in 1..3, radii sampled in every regime that occurs."""
+    m in 1..3, radii sampled in every regime that occurs.  The kernel is
+    trivial for every induced cap that is well defined on homology (the
+    derivation in `delta_injectivity`), so this certifies that hypothesis
+    and the recorded derivation, not the cap's values: criterion 2 reads
+    those through the cells of `full_rfh`, and criterion 9 through the
+    cone of the cap against `rfc_w0`."""
     model = cp_model(2)
     samples = {1: (Fraction(1, 4), Fraction(1, 2), Fraction(3)),
                2: (Fraction(1), Fraction(2), Fraction(5)),

@@ -182,16 +182,18 @@ def test_custom_model_with_morse_differential():
     assert all(psi.at(d).is_zero() for d in range(-3, 4))
 
 
+NOT_A_CHAIN_MAP_CAP = {"dim": 4, "nu": 0, "lambda": "0", "cM": None,
+                       "crit": [{"label": "a", "index": 0}, {"label": "b", "index": 1},
+                                {"label": "x", "index": 3}, {"label": "c", "index": 4}],
+                       "cap": {"1": [[1]]},     # x -> b, but d(b) = 2a while d(x) = 0
+                       "primitiveOmega": False,
+                       "morseBoundary": {"1": [[2]], "4": [[5]]}}
+
+
 def test_custom_cap_validation():
     """A custom cap that fails to commute with the Morse differential is
     rejected."""
-    spec = {"dim": 4, "nu": 0, "lambda": "0", "cM": None,
-            "crit": [{"label": "a", "index": 0}, {"label": "b", "index": 1},
-                     {"label": "x", "index": 3}, {"label": "c", "index": 4}],
-            "cap": {"1": [[1]]},     # x -> b, but d(b) = 2a while d(x) = 0
-            "primitiveOmega": False,
-            "morseBoundary": {"1": [[2]], "4": [[5]]}}
-    model = load_model(spec)
+    model = load_model(NOT_A_CHAIN_MAP_CAP)
     with pytest.raises(NotAChainMap, match="does not commute with boundaries at degree 1$"):
         cap_map(model, 1, build_fc(model, degrees=(-4, 4)))
 

@@ -18,7 +18,8 @@ from rfhomology.chaincplx import (ChainMap, LazyCone, LazyHomology,
                                   cone_les, induced_matrix, matrix_from_terms,
                                   verify_exactness)
 from rfhomology.errors import (ConsecutiveIndexModel, DegreeOutOfRange,
-                               EmptyWindow, NonPositiveTau, TruncationTooNarrow)
+                               EmptyWindow, NonPositiveTau, NotAChainMap,
+                               TruncationTooNarrow)
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
                                  presentation_from_relations)
 from rfhomology.novikov import CompletionRegime, regime_for
@@ -32,6 +33,7 @@ from rfhomology.rfh import (RFHGenerator, _field_quotient_dim,
                             winding)
 from rfhomology.oracles import build_fc, cap_map, mapping_cone, rfc_w0
 from rfhomology.selftest import random_complex_and_map
+from test_basemodel import NOT_A_CHAIN_MAP_CAP
 from test_boundary_reference import custom_cap_model
 from test_chaincplx import groups
 
@@ -907,83 +909,118 @@ def test_monotone_base_repeats_with_the_sector_period():
 
 
 def test_delta_injectivity_eliminations_do_not_grow_with_k_range(monkeypatch):
-    """`delta_injectivity` decides one degree per residue modulo the period
-    (6 for cp:2) and builds each sector once per residue, so its
-    `_Elimination` count is the same at every k_range: 9, six sector bases
-    and three verdicts (12 when the three odd residues, whose sectors hold
-    no cycle, were eliminated too; 36 / 60 / 92 / 284 when each degree was
-    read on its own).  `_sector_blocks` runs only at the first degree of
-    each even residue.  A deterministic guard on the ladder of growing
-    truncations."""
-    made, stars = [], []
-    init, blocks = exactlin._Elimination.__init__, rfh._sector_blocks
+    """`delta_injectivity` checks its hypothesis once per key of
+    `degree_classes` and builds no truncation, so its `_Elimination` count
+    is the same at every k_range up to 10**6: 3, the cycle bases of the
+    three residues of cp:2 that hold a generator.  A deterministic guard on
+    the ladder of growing truncations."""
+    made = []
+    init = exactlin._Elimination.__init__
 
     def count(self, A):
         made.append(1)
         init(self, A)
-
-    def count_blocks(sect, star, src, tgt):
-        stars.append(star)
-        return blocks(sect, star, src, tgt)
     monkeypatch.setattr(exactlin._Elimination, "__init__", count)
-    monkeypatch.setattr(rfh, "_sector_blocks", count_blocks)
     counts = {}
-    for k_range in (2, 8, 16, 64):
+    for k_range in (2, 8, 16, 64, 1024, 10**6):
         made.clear()
-        stars.clear()
         rep = delta_injectivity(CP2, 2, Fraction(2), k_range, (-6, 6))
         assert rep["all"] and len(rep["degrees"]) == 13
-        assert stars == [-6, -4, -2], (k_range, stars)
         counts[k_range] = len(made)
-    assert counts == {2: 9, 8: 9, 16: 9, 64: 9}, counts
+    assert set(counts.values()) == {3}, counts
 
 
-def test_delta_injectivity_matches_the_blocks_at_every_degree(monkeypatch):
-    """`delta_injectivity` decides a residue without blocks when its input
-    sectors hold no cycle, and lays out the input relations only when a
-    kernel vector is solved against them.  Its verdicts equal those of
-    `_sector_blocks` and `_preimage_in_span` at every degree, with the input
-    relations laid out beforehand, and it builds blocks for exactly the
-    residues where those blocks have columns: on monotone bases (torsion
-    sectors and a `relations` cap among them) and aspherical ones, where
-    each degree is a residue of its own and the sectors with cycles are few.
-    The torsion model reads its input relations."""
-    blocks = rfh._sector_blocks
-    read, built = [], []
+def sector_blocks(sect, star, src, tgt, c=1):
+    """The truncation reference: id + c*cap-shift from the sum of the
+    sectors `src` into the sum of the sectors `tgt`, cap terms landing
+    outside `tgt` dropped, the torsion relations of `tgt` as columns on the
+    rows of its sum, and a function that lays out those of `src` on the
+    rows of theirs.  Sector k is the base homology in degree star + 2k, on
+    its cycle basis."""
+    bases = {k: sect.basis(star + 2 * k) for k in (*src, *tgt)}
 
-    def counted(sect, star, src, tgt):
-        built.append(star)
-        delta, R_out, R_in = blocks(sect, star, src, tgt)
+    def layout(sectors):
+        off, rel, total = {}, [], 0
+        for k in sectors:
+            off[k] = total
+            rel += ({total + i: x for i, x in col.items()} for col in bases[k].relations.columns)
+            total += bases[k].cycles.cols
+        return off, IntMatrix(total, len(rel), tuple(rel))
+    row_off, R_tgt = layout(tgt)
+    delta = []
+    for k in src:
+        n = bases[k].cycles.cols
+        M = sect.psi_induced(star + 2 * k).scale(c) if n and k - 1 in row_off else None
+        for j in range(n):
+            col = {row_off[k] + j: 1}
+            if M is not None:
+                col.update((row_off[k - 1] + i, x) for i, x in M.columns[j].items())
+            delta.append(col)
+    return IntMatrix(R_tgt.rows, len(delta), tuple(delta)), R_tgt, lambda: layout(src)[1]
 
-        def lay_out():
-            read.append(star)
-            return R_in()
-        return delta, R_out, lay_out
-    monkeypatch.setattr(rfh, "_sector_blocks", counted)
-    torsion = load_model(MONOTONE_TORSION_MODEL)
+
+def truncation_injective(sect, star, k_range, c=1):
+    """Whether id + c*cap-shift on the input sectors -k_range..k_range,
+    into the output sectors down to the overflow sector -k_range - 1, has
+    trivial kernel on homology: every x whose image lies in the output
+    relations lies in the input relations."""
+    delta, R_out, R_in = sector_blocks(sect, star, range(-k_range, k_range + 1),
+                                       range(-k_range - 1, k_range + 1), c)
+    return chaincplx._preimage_in_span(delta, R_out, R_in)
+
+
+def test_delta_injectivity_matches_the_blocks_at_every_degree():
+    """`delta_injectivity` checks only that psi is well defined on
+    homology.  Its verdicts equal those of the truncation reference,
+    `sector_blocks` and `_preimage_in_span`, at every degree: on the zoo,
+    the model files `relations_model.json` and `paired_model.json`, the
+    monotone torsion model and seeded custom caps, at k_range 1, 2 and 4.
+    The theorem behind it holds for any induced cap, so the reference
+    verdicts do not move when psi is replaced by 0 or by -5 psi."""
+    golden = os.path.join(os.path.dirname(__file__), "golden")
     models = [cp_model(n) for n in (1, 2, 3)] + [surface_model(g) for g in (1, 2)]
-    models += [point_model(), torsion,
-               load_model(os.path.join(os.path.dirname(__file__), "golden",
-                                       "relations_model.json"))]
+    models += [point_model(), load_model(MONOTONE_TORSION_MODEL),
+               load_model(os.path.join(golden, "relations_model.json")),
+               load_model(os.path.join(golden, "paired_model.json"))]
+    rng = random.Random(31)
+    models += [random_custom_cap_model(rng, kind)
+               for kind in ("aspherical", "monotone", "permutation") * 4]
     for model in models:
-        read.clear()
         for m in (1, 2, 3):
+            sect = _SectorData(model, m)
             for k_range in (1, 2, 4):
-                built.clear()
                 rep = delta_injectivity(model, m, Fraction(1), k_range, (-5, 5))
-                sect = _SectorData(model, m)
-                with_columns = set()
                 for star in range(-5, 6):
-                    delta, R_out, R_in = blocks(sect, star, range(-k_range, k_range + 1),
-                                                range(-k_range - 1, k_range + 1))
-                    R = R_in()
-                    want = chaincplx._preimage_in_span(delta, R_out, lambda: R)
+                    want = truncation_injective(sect, star, k_range)
                     assert rep["degrees"][star] == want, (model.name, m, k_range, star)
-                    if delta.cols:
-                        with_columns.add(sect.residue(star))
-                assert {sect.residue(star) for star in built} == with_columns, \
-                    (model.name, m, k_range, built)
-        assert bool(read) == (model is torsion), (model.name, read)
+                    for c in (0, -5):
+                        assert truncation_injective(sect, star, k_range, c) == want, \
+                            (model.name, m, k_range, star, c)
+
+
+@pytest.mark.parametrize("spec", [NOT_A_CHAIN_MAP_CAP, {
+    **MONOTONE_TORSION_MODEL, "cap": {"-1": [[1]], "1": [[0]]}}],
+    ids=["aspherical", "monotone"])
+def test_delta_injectivity_raises_on_a_cap_that_is_not_a_chain_map(spec):
+    """A cap that does not commute with the Morse differential raises
+    NotAChainMap: the aspherical model of `test_custom_cap_validation`, and
+    the monotone torsion model with a -> c while d(x) = 2a and d(c) = 0."""
+    with pytest.raises(NotAChainMap, match="does not commute with boundaries"):
+        delta_injectivity(load_model(spec), 1, Fraction(1), 4, (-3, 3))
+
+
+def test_delta_injectivity_raises_on_a_cap_that_moves_a_relation(monkeypatch):
+    """An induced cap that sends a relation to a non-relation raises
+    NotAChainMap: psi with every entry 1 takes the relation 2a of the Z_2
+    sector of the monotone torsion model to 2c in a free sector."""
+    psi_induced = _SectorData.psi_induced
+
+    def ones(self, e):
+        M = psi_induced(self, e)
+        return IntMatrix.from_rows([[1] * M.cols for _ in range(M.rows)], cols=M.cols)
+    monkeypatch.setattr(_SectorData, "psi_induced", ones)
+    with pytest.raises(NotAChainMap, match="to a non-boundary"):
+        delta_injectivity(load_model(MONOTONE_TORSION_MODEL), 1, Fraction(1), 4, (-3, 3))
 
 
 def test_sectors_match_the_windowed_complex():
