@@ -335,7 +335,7 @@ def _kernel_part_in_span(fR: _Elimination, n: int,
     that `fR` eliminated, [f | R] with f of n columns, are solved against
     the matrix that S() eliminates; S is called only if one is nonzero."""
     parts = [p for p in ({i: x for i, x in col.items() if i < n}
-                         for col in fR.kernel()[0].columns) if p]
+                         for col in fR.kernel_columns()) if p]
     if not parts:
         return True
     elim = S()

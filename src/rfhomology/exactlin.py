@@ -8,11 +8,16 @@ floating point anywhere in this module.
 Boundary matrices of the complexes here are large and nearly empty, with
 mostly +-1 entries, so products, stacking and equality cost O(nnz).  The
 engine builds tens of thousands of tiny ones per sequence, many of them
-with no rows or no columns, so `IntMatrix` is a slots class, and a product
-with no rows, no columns or an empty inner dimension is the zero matrix at
-once.  `entries` has no caller in the package: it is the flat row-major
-view on which the tests and the benchmark's tracer compare and count
-entries.
+with no rows or no columns, so `IntMatrix` is a slots class and does not
+build what it already knows.  Every zero matrix shares one read-only empty
+column, and zero and identity matrices with both sides at most
+`_INTERN_MAX` are interned, the identities with read-only unit columns
+(larger ones are built per call and not kept).  A product with no rows, no columns or an empty inner
+dimension is the zero matrix at once, a product with an interned identity
+is the other operand, and `hstack` with a side without columns is the
+other side.  `entries` has no caller in the package: it is the flat
+row-major view on which the tests and the benchmark's tracer compare and
+count entries.
 
 One sparse elimination, `_Elimination`, serves every engine caller.  It
 works on the columns of `IntMatrix`: while a +-1 entry is left, the one of
@@ -38,12 +43,14 @@ right block could not afford.  Its callers:
   remainder's kernel, and its left inverse on the matching rows of V^-1
   (I and I at once for a zero A).  `verify_exactness`
   eliminates each distinct [map | relations of its target] once, for the
-  kernel read at the map's source and the solve made at its target.
+  kernel read at the map's source (its columns alone, `kernel_columns`)
+  and the solve made at its target.
 
 `_smith` itself is dense, reduces rows and columns with
-minimal-absolute-value pivoting and carries U, V and V^-1; a zero or a
-1 x 1 input, the commonest remainders, returns at once.  It is reached
-only through the remainder.
+minimal-absolute-value pivoting and carries U, V and V^-1.  The commonest
+remainders are taken in closed form: a zero or a 1 x 1 input returns at
+once, and a single row or column is one extended-gcd sweep,
+`_smith_line`.  It is reached only through the remainder.
 
 Field coefficients use the same elimination: the rank of A over F_p is the
 number of invariant factors of A that p does not divide (`rank_mod_p`).
@@ -52,8 +59,10 @@ There is no elimination over a field.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import ShapeMismatch
@@ -65,14 +74,17 @@ class IntMatrix:
     is entry-wise equality.  `entries` is a dense row-major view.
 
     A slots class: the three fields are set once, by `__init__` after the
-    shape checks, and assigning one raises; like a dict it is unhashable."""
+    shape checks, and assigning one raises; like a dict it is unhashable.
+    `zero` and `identity` of shapes with both sides at most `_INTERN_MAX`
+    are one shared matrix each, with read-only columns; every zero matrix
+    shares one read-only empty column."""
 
     __slots__ = ("rows", "cols", "columns")
     rows: int
     cols: int
-    columns: tuple[dict[int, int], ...]
+    columns: tuple[Mapping[int, int], ...]
 
-    def __init__(self, rows: int, cols: int, columns: tuple[dict[int, int], ...]):
+    def __init__(self, rows: int, cols: int, columns: tuple[Mapping[int, int], ...]):
         if rows < 0 or cols < 0:
             raise ShapeMismatch(f"negative shape {rows}x{cols}")
         if len(columns) != cols:
@@ -112,11 +124,22 @@ class IntMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple([{} for _ in range(cols)]))
+        Z = _zeros.get((rows, cols))
+        if Z is None:
+            Z = cls(rows, cols, (_EMPTY,) * cols)
+            if rows <= _INTERN_MAX and cols <= _INTERN_MAX:
+                _zeros[rows, cols] = Z
+        return Z
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple({j: 1} for j in range(n)))
+        I = _identities.get(n)
+        if I is None:
+            if n > _INTERN_MAX:
+                return cls(n, n, tuple({j: 1} for j in range(n)))
+            I = _identities[n] = cls(n, n, tuple(MappingProxyType({j: 1})
+                                                 for j in range(n)))
+        return I
 
     # -- access ------------------------------------------------------------
 
@@ -154,6 +177,10 @@ class IntMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         if not (self.rows and self.cols and other.cols):
             return IntMatrix.zero(self.rows, other.cols)
+        if _identities.get(self.cols) is other:
+            return self
+        if _identities.get(self.rows) is self:
+            return other
         out = []
         for col in other.columns:
             acc: dict[int, int] = {}
@@ -166,6 +193,10 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
+        if not other.cols:
+            return self
+        if not self.cols:
+            return other
         return IntMatrix(self.rows, self.cols + other.cols, self.columns + other.columns)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
@@ -186,6 +217,15 @@ class IntMatrix:
 _set_rows = IntMatrix.rows.__set__
 _set_cols = IntMatrix.cols.__set__
 _set_columns = IntMatrix.columns.__set__
+
+# the read-only column of every zero matrix, and the interned zero and
+# identity matrices: at most (_INTERN_MAX + 1)^2 zeros and _INTERN_MAX + 1
+# identities, the shapes with both sides at most _INTERN_MAX, which is
+# where the engine's products and eliminations are most numerous
+_EMPTY: Mapping[int, int] = MappingProxyType({})
+_INTERN_MAX = 32
+_zeros: dict[tuple[int, int], IntMatrix] = {}
+_identities: dict[int, IntMatrix] = {}
 
 
 @dataclass(frozen=True)
@@ -251,6 +291,62 @@ def _identity_rows(n: int) -> list[list[int]]:
     return rows
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s a + t b = g; (|a|, +-1, 0)
+    when a divides b."""
+    if a and not b % a:
+        return (a, 1, 0) if a > 0 else (-a, -1, 0)
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _smith_line(D: list[list[int]], n: int
+                ) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[list[int]]]:
+    """`_smith` of a single row or a single column a, not zero, in one
+    extended-gcd sweep: W, unimodular, with a W = (g, 0, ..., 0), is built
+    from the identity by folding each nonzero a_j into the first entry g
+    (Kannan and Bachem's unimodular two-column step).  With s g + t a_j = h
+    and (p, q) = (g, a_j) / h, columns 0 and j of W become s c_0 + t c_j
+    and p c_j - q c_0, and rows 0 and j of W^-1 become p r_0 + q r_j and
+    s r_j - t r_0.  A row is (1, D, W, W^-1), a column (W^T, D, 1, 1)."""
+    row = len(D) == 1
+    a = D[0] if row else [r[0] for r in D]
+    k = len(a)
+    W = _identity_rows(k)
+    Winv = _identity_rows(k) if row else None
+    g = a[0]
+    for j in range(1, k):
+        x = a[j]
+        if not x:
+            continue
+        h, s, t = _xgcd(g, x)
+        p, q = g // h, x // h
+        for r in W:
+            r[0], r[j] = s * r[0] + t * r[j], p * r[j] - q * r[0]
+        if row:
+            r0, rj = Winv[0], Winv[j]
+            Winv[0] = [p * u + q * v for u, v in zip(r0, rj)]
+            Winv[j] = [s * v - t * u for u, v in zip(r0, rj)]
+        g = h
+    if g < 0:                           # a lone negative first entry
+        g = -g
+        W[0][0] = -1
+        if row:
+            Winv[0][0] = -1
+    if row:
+        D[0] = [g] + [0] * (n - 1)
+        return [[1]], D, W, Winv
+    D[0][0] = g
+    for r in D[1:]:
+        r[0] = 0
+    return [list(c) for c in zip(*W)], D, [[1]], [[1]]
+
+
 def _smith(D: list[list[int]], n: int
            ) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[list[int]]]:
     """The dense Smith form: diagonalizes the m x n matrix whose rows are D
@@ -260,8 +356,10 @@ def _smith(D: list[list[int]], n: int
     Pivots are chosen with minimal absolute value; after diagonalization the
     divisibility chain is repaired by the usual column-addition trick.  Each
     column operation on V is mirrored by its inverse, a row operation on
-    V^-1.  An all-zero input returns I, 0, I, I at once, and a 1 x 1 input
-    [[a]] returns [[-1]] if a < 0 else [[1]], then [[|a|]], [[1]], [[1]].
+    V^-1.  An all-zero input returns I, 0, I, I at once, a 1 x 1 input
+    [[a]] returns [[-1]] if a < 0 else [[1]], then [[|a|]], [[1]], [[1]],
+    and any other single row or column is one extended-gcd sweep,
+    `_smith_line`.
     """
     m = len(D)
     if m == n == 1:
@@ -269,11 +367,13 @@ def _smith(D: list[list[int]], n: int
             D[0][0] = -D[0][0]
             return [[-1]], D, [[1]], [[1]]
         return [[1]], D, [[1]], [[1]]
+    if not any(map(any, D)):
+        return _identity_rows(m), D, _identity_rows(n), _identity_rows(n)
+    if m == 1 or n == 1:
+        return _smith_line(D, n)
     U = _identity_rows(m)
     V = _identity_rows(n)
     Vinv = _identity_rows(n)
-    if not any(map(any, D)):
-        return U, D, V, Vinv
 
     def reduce_at(t: int) -> None:
         """Clear row and column t, assuming some nonzero entry exists in
@@ -490,6 +590,27 @@ class _Elimination:
     def _v(self, j: int) -> dict[int, int]:
         return self.V.get(j, {j: 1})
 
+    def _kernel_columns(self) -> tuple[list[int], list[dict[int, int]]]:
+        """The zero non-pivot columns of A V, and the columns of K: V on
+        those, then V times the kernel columns of R's Smith form."""
+        done = {q for _, q, _, _ in self.pivots}
+        rest = set(self.rest)
+        zero = [j for j in range(self.n) if j not in done and j not in rest]
+        K = [dict(self._v(j)) for j in zero]
+        if len(self.rest_factors) < len(self.rest):
+            VR = self.smith[2]
+            for s in range(len(self.rest_factors), len(self.rest)):
+                x: dict[int, int] = {}
+                for c, j in enumerate(self.rest):
+                    if VR[c][s]:
+                        _axpy(x, VR[c][s], self._v(j))
+                K.append(x)
+        return zero, K
+
+    def kernel_columns(self) -> list[dict[int, int]]:
+        """The columns of `kernel`'s K, without its coordinates."""
+        return self._kernel_columns()[1]
+
     def kernel(self) -> tuple[IntMatrix, IntMatrix]:
         """A basis K of ker(A) as a direct summand, and coordinates C with
         C K = I: the zero non-pivot columns of A V, then V times the
@@ -500,24 +621,15 @@ class _Elimination:
         if not self.pivots and not self.rest:   # A = 0: K = C = I
             I = IntMatrix.identity(n)
             return I, I
-        done = {q for _, q, _, _ in self.pivots}
-        rest = set(self.rest)
-        zero = [j for j in range(n) if j not in done and j not in rest]
-        K = [dict(self._v(j)) for j in zero]
+        zero, K = self._kernel_columns()
         coords: list[dict[int, int]] = [{} for _ in range(n)]
         for t, j in enumerate(zero):
             coords[j][t] = 1
-        if len(self.rest_factors) < len(self.rest):
-            _, _, VR, VRinv = self.smith
-            for s in range(len(self.rest_factors), len(self.rest)):
-                t = len(K)
-                x: dict[int, int] = {}
-                for c, j in enumerate(self.rest):
-                    if VR[c][s]:
-                        _axpy(x, VR[c][s], self._v(j))
-                    if VRinv[s][c]:
-                        coords[j][t] = VRinv[s][c]
-                K.append(x)
+        VRinv = self.smith[3] if self.smith else ()
+        for t, s in enumerate(range(len(self.rest_factors), len(self.rest)), len(zero)):
+            for c, j in enumerate(self.rest):
+                if VRinv[s][c]:
+                    coords[j][t] = VRinv[s][c]
         return (IntMatrix(n, len(K), tuple(K)),
                 IntMatrix(len(K), n, tuple(coords)))
 

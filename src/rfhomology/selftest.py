@@ -27,9 +27,13 @@ from .rfh import (RFHGenerator, action, base_action, boundary_full,
 
 def random_complex_and_map(rng: random.Random, lo: int = -4, hi: int = 5
                            ) -> tuple[GradedComplex, ChainMap]:
-    """A random bounded complex (ranks <= 5 per degree, entries in [-3, 3])
-    with a random degree -2 self chain map, produced by assembling
-    elementary two-term pieces and conjugating by unimodular matrices."""
+    """A random bounded complex with a random degree -2 self chain map: 3
+    to 7 pieces, each a single generator or a two-term piece Z -n-> Z with
+    n in 1..4, so at most 7 generators in a degree; the map joins pieces
+    two degrees apart with coefficients in {1, -1, 2, -3} (times the
+    pieces' n when both are two-term), and then every degree is conjugated
+    by a product of up to six elementary operations with factors in
+    {+-1, +-2}, which makes entries in the hundreds possible."""
     pieces = []
     for _ in range(rng.randint(3, 7)):
         d = rng.randint(lo + 2, hi - 1)

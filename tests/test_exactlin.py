@@ -10,10 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
+from rfhomology import exactlin
 from rfhomology.chaincplx import LazyHomology, matrix_from_terms
 from rfhomology.errors import NotAComplex, ShapeMismatch
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation, _Elimination,
-                                 _smith, invariant_factors, presentation_from_relations,
+                                 _smith, _xgcd, invariant_factors, presentation_from_relations,
                                  rank_mod_p, solve_matrix)
 from rfhomology.oracles import (det_bareiss, mapping_cone, minor_factors,
                                 minor_gcd, rank_bareiss)
@@ -54,12 +55,7 @@ matrices = st.integers(0, 5).flatmap(
             lambda rows: IntMatrix.from_rows(rows, cols=n))))
 
 
-@settings(max_examples=200, deadline=None)
-@given(matrices)
-@example(IntMatrix.from_rows([[-3]]))
-@example(IntMatrix.from_rows([[0]]))
-@example(IntMatrix.from_rows([[5]]))
-def test_snf_invariants(A):
+def assert_smith_form(A):
     """`_smith` on all of A: U A V = D with U and V unimodular, V^-1 the
     inverse of V (`_Elimination.kernel` reads its left inverse off it), and
     D diagonal with a divisibility chain of nonnegative entries."""
@@ -78,6 +74,70 @@ def test_snf_invariants(A):
     assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
     # zeros trail the nonzero invariant factors
     assert diag[:len(nz)] == nz
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices)
+@example(IntMatrix.from_rows([[-3]]))
+@example(IntMatrix.from_rows([[0]]))
+@example(IntMatrix.from_rows([[5]]))
+def test_snf_invariants(A):
+    assert_smith_form(A)
+
+
+lines = st.lists(st.one_of(st.just(0), st.integers(-50, 50)), min_size=1, max_size=6).flatmap(
+    lambda a: st.sampled_from((IntMatrix.from_rows([a]),
+                               IntMatrix.from_rows([[x] for x in a], cols=1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines)
+@example(IntMatrix.from_rows([[0, -6, 0, 4, 9]]))
+@example(IntMatrix.from_rows([[-7], [0], [0]]))
+@example(IntMatrix.from_rows([[6, 4, -15, 10]]))
+def test_snf_of_a_single_row_or_column(A):
+    """The one extended-gcd sweep of `_smith_line` (every input here but
+    1 x 1 takes it) is a Smith form, and the engine's invariant factors
+    equal the determinantal divisors' quotients."""
+    assert_smith_form(A)
+    assert invariant_factors(A) == minor_factors(A)
+
+
+def test_xgcd_is_a_bezout_identity():
+    """g = gcd(a, b) >= 0 with s a + t b = g, and a column addition alone
+    (s = +-1, t = 0) when a divides b."""
+    for a, b in product(range(-13, 14), repeat=2):
+        g, s, t = _xgcd(a, b)
+        assert g == gcd(a, b) and s * a + t * b == g
+        if a and b % a == 0:
+            assert (abs(s), t) == (1, 0)
+
+
+@pytest.mark.parametrize("rows, b, solvable", [
+    ([[2, 3]], [[7]], True),
+    ([[2], [3]], [[-4], [-6]], True),
+    ([[2], [3]], [[1], [0]], False),
+    ([[4, 6, 9]], [[1]], True),
+    ([[4, 6, 10]], [[3]], False),
+    ([[0, 6, -4], [0, 0, 0]], [[2], [0]], True),
+])
+def test_kernel_and_solve_on_a_line_remainder(rows, b, solvable):
+    """No unit entry, so the whole matrix is the remainder and goes to
+    `_smith_line`: the kernel is saturated, of the right rank, killed by A,
+    with C K = I, and `solve` finds x with A x = b exactly when there is
+    one."""
+    A, B = IntMatrix.from_rows(rows), IntMatrix.from_rows(b)
+    elim = _Elimination(A)
+    assert elim.rest and not elim.pivots
+    K, C = elim.kernel()
+    assert (A @ K).is_zero() and C @ K == IntMatrix.identity(K.cols)
+    assert K.cols == A.cols - len(minor_factors(A))
+    assert invariant_factors(K) == (1,) * K.cols
+    assert elim.kernel_columns() == list(K.columns)
+    x = elim.solve(B.columns[0])
+    assert (x is not None) == solvable
+    if solvable:
+        assert A @ IntMatrix(A.cols, 1, (x,)) == B
 
 
 ENTRY_KINDS = {
@@ -168,6 +228,64 @@ def test_products_with_empty_shapes_match_a_dense_reference():
         got = A @ B
         assert (got.rows, got.cols) == (m, n) and stores_no_zero(got)
         assert got.to_lists() == want
+
+
+@st.composite
+def operands(draw, rows, cols):
+    """A rows x cols matrix: zero, the identity when square, or small
+    entries with zeros common."""
+    kinds = ["zero", "entries"] + (["identity"] if rows == cols else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return IntMatrix.zero(rows, cols)
+    if kind == "identity":
+        return IntMatrix.identity(rows)
+    flat = draw(st.lists(st.integers(-2, 2), min_size=rows * cols, max_size=rows * cols))
+    return IntMatrix.from_rows([flat[i * cols:(i + 1) * cols] for i in range(rows)],
+                               cols=cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_interned_operands_give_the_dense_answer(data):
+    """Products and hstack with zero, identity and column-free operands,
+    which return an operand or an interned zero, equal the dense answer
+    read off `to_lists`."""
+    m, k, n, c = (data.draw(st.integers(0, 4)) for _ in range(4))
+    A, B = data.draw(operands(m, k)), data.draw(operands(k, n))
+    P = A @ B
+    a, b = A.to_lists(), B.to_lists()
+    assert (P.rows, P.cols) == (m, n) and stores_no_zero(P)
+    assert P.to_lists() == [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+                            for i in range(m)]
+    S = data.draw(operands(m, c))
+    H = A.hstack(S)
+    assert (H.rows, H.cols) == (m, k + c) and stores_no_zero(H)
+    assert H.to_lists() == [x + y for x, y in zip(a, S.to_lists())]
+
+
+def test_interned_zero_and_identity_are_shared_and_read_only():
+    """Small shapes are one shared matrix whose columns cannot be written;
+    a shape above the bound is built each time and leaves no entry in the
+    tables."""
+    Z, I = IntMatrix.zero(2, 3), IntMatrix.identity(3)
+    assert Z is IntMatrix.zero(2, 3) and I is IntMatrix.identity(3)
+    for M in (Z, I):
+        with pytest.raises(TypeError):
+            M.columns[0][1] = 5
+    assert I.columns[1] == {1: 1} and Z.columns[0] == {}
+    big = exactlin._INTERN_MAX + 1
+    zeros, identities = dict(exactlin._zeros), dict(exactlin._identities)
+    for shape in ((big, 1), (1, big), (big, big)):
+        Z = IntMatrix.zero(*shape)
+        assert Z.is_zero() and (Z.rows, Z.cols) == shape and Z is not IntMatrix.zero(*shape)
+    I = IntMatrix.identity(big)
+    assert I == IntMatrix.from_rows([[int(i == j) for j in range(big)] for i in range(big)])
+    assert I is not IntMatrix.identity(big)
+    assert exactlin._zeros == zeros and exactlin._identities == identities
+    assert all(r <= exactlin._INTERN_MAX and c <= exactlin._INTERN_MAX
+               for r, c in exactlin._zeros)
+    assert all(n <= exactlin._INTERN_MAX for n in exactlin._identities)
 
 
 @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 4), (4, 2)])
