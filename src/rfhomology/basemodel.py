@@ -291,6 +291,14 @@ def model_from_spec(spec: str) -> BaseModel:
     raise UnsupportedModel(f"unknown model spec {spec!r}")
 
 
+def rational(text: str) -> Fraction:
+    """Fraction(text), refusing an exponent: Fraction("1e999999999") builds
+    10**999999999 before any check can run."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"expected p/q or a decimal without an exponent, got {text!r}")
+    return Fraction(text)
+
+
 def _whole(rows, field: str) -> None:
     """Raise UnsupportedModel, naming the field, on an entry of `rows` that
     is a JSON true or false, or a number that is not an integer: int() would
@@ -322,7 +330,7 @@ def load_model(source) -> BaseModel:
         obj = dict(source)
     if not isinstance(obj, Mapping):
         raise UnsupportedModel("a model file holds one JSON object")
-    lam = Fraction(str(obj.get("lambda", "0")))
+    lam = rational(str(obj.get("lambda", "0")))
     cap = obj.get("cap", "zero")
     if isinstance(cap, str) and cap.startswith("builtin:"):
         cap = cap.split(":", 1)[1]
@@ -330,10 +338,13 @@ def load_model(source) -> BaseModel:
     elif isinstance(cap, Mapping):
         cap = {"degree_matrices": {int(d): _matrix(rows, f"cap entry at degree {d}")
                                    for d, rows in cap.items()}}
-    morse = None
-    if obj.get("morseBoundary"):
+    morse = obj.get("morseBoundary") or None
+    if morse is not None:
+        if not isinstance(morse, Mapping):
+            raise UnsupportedModel(
+                f"morseBoundary must be an object of index: matrix, got {type(morse).__name__}")
         morse = {int(i): _matrix(rows, f"morseBoundary entry at index {i}")
-                 for i, rows in obj["morseBoundary"].items()}
+                 for i, rows in morse.items()}
     for field, values in (("dim", [obj["dim"]]), ("nu", [obj["nu"]]), ("cM", [obj.get("cM")]),
                           ("crit index", [c["index"] for c in obj["crit"]])):
         _whole([values], field)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Optional
 
-from .basemodel import BaseModel, cp_model, model_from_spec
+from .basemodel import BaseModel, cp_model, model_from_spec, rational
 from .chaincplx import verify_exactness
 from .errors import EngineError
 from .rfh import (GroupValue, action, boundary_full, enumerate_generators,
@@ -55,7 +55,7 @@ def _bundle_degree(text: str) -> int:
 
 def _radius(text: str) -> Fraction:
     try:
-        tau = Fraction(text.strip())
+        tau = rational(text.strip())
     except (ValueError, ZeroDivisionError):
         tau = Fraction(0)
     if tau <= 0:
@@ -75,7 +75,7 @@ def _range(text: str) -> tuple[int, int]:
 
 def _window(text: str) -> tuple[Fraction, Fraction]:
     try:
-        a, b = (Fraction(x) for x in text.split(".."))
+        a, b = (rational(x) for x in text.split(".."))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"expected a..b, got {text!r}") from None
     return a, b

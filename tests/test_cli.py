@@ -180,6 +180,11 @@ def test_usage_errors(capsys):
     ["rfh-w0", "cp:2"],                             # a stray positional argument
     [],                                             # no subcommand
     ["rfh-w0", "--model", "nosuch:1", "--model", "cp:1"],   # a bad value, then a good one
+    # an exponent: Fraction would build 10**n, and printing 10**9999 exceeds
+    # the digit limit of int to str
+    ["rfh-full", "--tau", "1e9999"],
+    ["cp2-demo", "--tau", "1e9999"],
+    ["cp2-demo", "--window", "1e9..2"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     """Malformed or unread arguments exit 2 with one `error:` line and no
@@ -273,12 +278,35 @@ def test_selftest_reports_a_raising_criterion_as_its_failure(capsys, monkeypatch
     assert "d_-1 . d_0 != 0" in results[4]["detail"]
 
 
+def test_selftest_markdown_lists_each_criterion(capsys, monkeypatch):
+    """`selftest --format md` prints one line per criterion, with the detail
+    of a failure, and its verdict last."""
+    records = [{"id": 1, "name": "one", "pass": True, "detail": "fine", "seconds": 0.1},
+               {"id": 2, "name": "two", "pass": False, "detail": "broke", "seconds": 0.2}]
+    monkeypatch.setattr(selftest, "run_all", lambda: records)
+    assert run(capsys, "selftest", "--format", "md") == (
+        1, "criterion  1 [PASS] one\ncriterion  2 [FAIL] two -- broke\n\nFAILURES present\n")
+    monkeypatch.setattr(selftest, "run_all", lambda: records[:1])
+    assert run(capsys, "selftest") == (0, "criterion  1 [PASS] one\n\nall criteria passed\n")
+
+
+def test_point_model_through_main(capsys):
+    """`--model point`: the cone of the zero cap on Z in degree 0 is Z in
+    degrees 0 and 1."""
+    code, out = run(capsys, "rfh-w0", "--model", "point", "--m", "2", "--degrees", "-2..2",
+                    "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["model"] == "point"
+    assert [row["degree"] for row in payload["table"] if row["group"] != "0"] == [0, 1]
+
+
 # -- fuzzed malformed input ----------------------------------------------------
 
 COMMANDS = sorted(COMMAND_FLAGS)
 BAD_VALUES = {
     "--m": st.sampled_from(["0", "-2", "x", "1.5", "", "1/2"]),
-    "--tau": st.sampled_from(["0", "-1", "1/0", "x", "", "--"]),
+    # an exponent is refused before Fraction builds 10**n
+    "--tau": st.sampled_from(["0", "-1", "1/0", "x", "", "--", "1e9999", "2e3"]),
     "--degrees": st.sampled_from(["3..1", "1", "a..b", "1..2..3", "..", ""]),
     "--coeff": st.sampled_from(["q", "fp:", "fp:0", "fp:1", "fp:9", "fp:-3", "zz"]),
     "--format": st.sampled_from(["", "txt", "JSON", "--"]),
@@ -292,7 +320,7 @@ SMALL_MODEL = {"dim": 2, "nu": 0, "lambda": "0", "cM": None,
 MODEL_CORRUPTIONS = {
     "dim": [-2, 3, "x", None, [], {}],
     "nu": [-1, "x", None, [2]],
-    "lambda": ["x", "1/0", [], {}],
+    "lambda": ["x", "1/0", [], {}, "2e3"],
     "cM": ["x", []],
     "crit": [None, 3, "ab", [1], [{"label": "a"}], [{"label": "a", "index": 9}],
              [{"label": "a", "index": "x"}], [{"index": 0}],
@@ -301,7 +329,7 @@ MODEL_CORRUPTIONS = {
               {"label": "e", "index": 1}, {"label": "top", "index": 2}]],
     "cap": ["builtin:nosuch", 7, {"1": [[1, 2], [3]]}, {"x": [[1]]}],
     "morseBoundary": [{"2": [[1], [2, 3]]}, {"x": [[1]]}, {"2": "ab"},
-                      {"2": [[1, 2, 3]]}, {"1": [[1, 2]]}, {"2": 5}],
+                      {"2": [[1, 2, 3]]}, {"1": [[1, 2]]}, {"2": 5}, [1], "ab"],
 }
 
 

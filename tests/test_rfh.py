@@ -852,6 +852,29 @@ def test_full_rfh_relations_fallback():
     assert "relations" in kinds
 
 
+# two critical points of each index, and the cap I_2 in both degrees
+RANK_TWO_MODEL = {"dim": 2, "nu": 1, "lambda": "2", "cM": 2,
+                  "crit": [{"label": "q0", "index": 0}, {"label": "p0", "index": 0},
+                           {"label": "q1", "index": 2}, {"label": "p1", "index": 2}],
+                  "cap": {"1": [[1, 0], [0, 1]], "-1": [[1, 0], [0, 1]]},
+                  "primitiveOmega": True}
+
+
+def test_full_rfh_rank_two_sectors_are_not_a_rank_one_pattern():
+    """Sectors Z^2 leave the rank-one pattern at its rank test and get the
+    relations description.  The cap is unimodular, so in the finite regime
+    the cell is the direct limit of isomorphisms Z^2, which the relations
+    description does not yet name."""
+    res = full_rfh(load_model(RANK_TWO_MODEL), 1, Fraction(1), (-2, 2))
+    assert res.regime == CompletionRegime.FINITE
+    for d in (-2, 0, 2):
+        assert res.table[d].kind == "relations"
+        sectors = res.table[d].to_json()["relations"]["sectors"]
+        assert [s["group"] for s in sectors] == [{"free": 2, "torsion": []}] * 2
+        assert [s["cap_to_previous"] for s in sectors] == [[[1, 0], [0, 1]]] * 2
+    assert res.table[-1].kind == res.table[1].kind == "zero"
+
+
 # -- injectivity, transfer, orderability -----------------------------------------
 
 def test_delta_injectivity_all_regimes():
