@@ -126,6 +126,9 @@ def golden():
 # the cp:n cap pattern on an aspherical model: q0 -> t q2 does not lower the degree by 2
 ASPHERICAL_CPN = json.dumps({"dim": 4, "nu": 0, "lambda": "0", "cM": None, "cap": "builtin:cpn",
                              "crit": [{"label": f"q{i}", "index": 2 * i} for i in range(3)]})
+# one critical point in dimension int(1e300): orderability's window -dim-2..dim+2
+HUGE_DIM = json.dumps({"dim": 1e300, "nu": 0, "lambda": "0", "cM": None, "cap": "builtin:zero",
+                       "crit": [{"label": "pt", "index": 0}]})
 CRITERION_1 = "tests/test_acceptance.py::test_criterion[criterion_1]"
 SURFACE_2048_W0 = {-1: {"free": 1, "torsion": []}, 0: {"free": 4096, "torsion": [3]},
                    1: {"free": 4096, "torsion": []}, 2: {"free": 1, "torsion": []}}
@@ -197,9 +200,16 @@ ROWS = [
         rfh("gysin --model cp:3 --m 2 --degrees -400..400 --format json", check=gysin_periodic)]),
     Row("Generators of a large cp:3 box", 30, [in_child("generators")]),
     Row("Golden outputs through a real process", None, [in_child("golden")]),
+    # it reads the degrees that the critical points reach, not the whole window
+    Row("Orderability of a model of dimension 1e300", 30, [
+        Cmd(["-c", "import pathlib, sys; pathlib.Path(sys.argv[1]).write_text(sys.argv[2])",
+             "{tmp}/huge.json", HUGE_DIM]),
+        rfh("orderability --model file:{tmp}/huge.json --format json",
+            check=lambda out, tmp: json.loads(out)["orderable"] is True)]),
 ]
 
 # a test is named as file::function, and runs with all its parameters
+ASSEMBLY = "test_assembly_reference.py"
 MUTANTS = [
     Mutant("pivot sign dropped", "exactlin.py", "f = col.pop(p) * u", "f = col.pop(p)", (9,)),
     Mutant("Bezout coefficients swapped", "exactlin.py", "r[0], r[j] = s * r[0] + t * r[j],",
@@ -226,6 +236,16 @@ MUTANTS = [
            (7, "test_rfh.py::test_primitive_residuals")),
     Mutant("action drops the 1/m", "rfh.py", "Fraction(tau, m) * gen.cov", "tau * gen.cov",
            (10, "test_rfh.py::test_winding_zero_relabeling")),
+    Mutant("matrix_from_terms keeps a cancelled 0", "chaincplx.py",
+           "columns.append({i: c for i, c in col.items() if c} if 0 in col.values() else col)",
+           "columns.append(col)",
+           (f"{ASSEMBLY}::test_matrix_from_terms_matches_reference_on_random_terms",)),
+    Mutant("_cone_boundary reuses a hat column without negating it", "chaincplx.py",
+           "{i: -x for i, x in col.items()} if col else col for", "col for",
+           (f"{ASSEMBLY}::test_base_cap_and_cone_match_reference",)),
+    Mutant("cap_terms check drops its second loop", "basemodel.py",
+           "for tgt, e in morse[src]:", "for tgt, e in ():",
+           (f"{ASSEMBLY}::test_cap_check_accepts_a_cap_that_commutes_by_cancellation",)),
 ]
 # prints the ids of the failing selftest criteria, once it has checked the copy of src/
 CRITERIA = ("import json, sys; from rfhomology import selftest; "

@@ -188,13 +188,13 @@ class BaseModel:
         # d . cap = cap . d on each critical point, keyed by (target, shift)
         morse = self.morse_terms
         for src, idx in self.crit:
-            diff = Counter()
+            diff: dict[tuple[str, int], int] = {}
             for tgt, _, s, c in terms[src]:
                 for u, e in morse[tgt]:
-                    diff[u, s] += c * e
+                    diff[u, s] = diff.get((u, s), 0) + c * e
             for tgt, e in morse[src]:
                 for u, _, s, c in terms[tgt]:
-                    diff[u, s] -= e * c
+                    diff[u, s] = diff.get((u, s), 0) - e * c
             if any(diff.values()):
                 raise NotAChainMap("cap does not commute with boundaries at degree "
                                    f"{self.fh_degree(idx, 0)}")

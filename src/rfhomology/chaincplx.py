@@ -81,7 +81,11 @@ def matrix_from_terms(source: Sequence[Hashable], target: Sequence[Hashable],
     of c*t over the (t, c) in terms(g): entry (i, j) is the sum of the c
     with t == target[i] in terms(source[j]).  A term whose t is not in
     `target` is dropped, which is how a window truncates a map.  Every
-    boundary and chain map built from generators comes from here."""
+    boundary and chain map built from generators comes from here.  With no
+    source or no target it is the zero matrix at once; a column is copied,
+    to drop its zeros, only when a sum cancelled to 0."""
+    if not (source and target):
+        return IntMatrix.zero(len(target), len(source))
     row_of = {t: i for i, t in enumerate(target)}
     columns = []
     for g in source:
@@ -90,7 +94,7 @@ def matrix_from_terms(source: Sequence[Hashable], target: Sequence[Hashable],
             i = row_of.get(t)
             if i is not None:
                 col[i] = col.get(i, 0) + c
-        columns.append({i: c for i, c in col.items() if c})
+        columns.append({i: c for i, c in col.items() if c} if 0 in col.values() else col)
     return IntMatrix(len(target), len(source), tuple(columns))
 
 
@@ -141,10 +145,13 @@ def _check_cone_map(psi: ChainMap) -> None:
 
 def _cone_boundary(d_below: IntMatrix, psi_d: IntMatrix, d_d: IntMatrix) -> IntMatrix:
     """Cone_d -> Cone_{d-1} from the base's d_{d-1}, psi_d and d_d: blocks
-    [[-d_{d-1}, psi_d], [0, d_d]] on the hats (C_{d-1}) and checks (C_d)."""
+    [[-d_{d-1}, psi_d], [0, d_d]] on the hats (C_{d-1}) and checks (C_d).
+    Empty columns of d_{d-1}, and psi_d's columns over empty ones of d_d,
+    are reused: no `IntMatrix` column is written after construction, the
+    rule that `hstack` and the shared empty column rest on."""
     off = d_below.rows                  # the hat rows come first
-    hats = tuple({i: -x for i, x in col.items()} for col in d_below.columns)
-    checks = tuple({**top, **{off + i: x for i, x in bottom.items()}}
+    hats = tuple({i: -x for i, x in col.items()} if col else col for col in d_below.columns)
+    checks = tuple({**top, **{off + i: x for i, x in bottom.items()}} if bottom else top
                    for top, bottom in zip(psi_d.columns, d_d.columns))
     return IntMatrix(off + d_d.rows, d_below.cols + d_d.cols, hats + checks)
 

@@ -668,16 +668,23 @@ def orderability_report(model: BaseModel, m: int) -> dict:
     """Nonvanishing of the zero-winding homology on the stabilized window
     implies orderability and the existence of translated points; vanishing
     leaves both questions open.  RFH^w0 is the cone of the one `_SectorData`
-    whose induced cap decides cap_surjective."""
+    whose induced cap decides cap_surjective.  Both are read on the window
+    -dim-2..dim+2 where they can be nonzero and not onto: C_e is nonempty
+    only for e a key of `BaseModel.degree_classes` (modulo the period, if
+    monotone), Cone_d = C_{d-1} + C_d, and psi onto H_{e-2} can fail only if
+    C_{e-2} is not empty.  So keys + 0, 1 and 2 are read, each residue once,
+    whatever dim is; every verdict is that of the whole window."""
     dlo, dhi = -model.dim - 2, model.dim + 2
     sect = _SectorData(model, m)
-    nonzero = any(not sect.cone.group(d).is_zero() for d in range(dlo, dhi + 1))
+    degrees = sorted(d for d in {dlo + sect.residue(e - dlo) for key in model.degree_classes
+                                 for e in (key, key + 1, key + 2)} if dlo <= d <= dhi)
+    nonzero = any(not sect.cone.group(d).is_zero() for d in degrees)
 
     def onto(e: int) -> bool:
         tgt = sect.basis(e - 2)
         return tgt.presentation.is_zero() or presentation_from_relations(
             tgt.cycles.cols, sect.psi_induced(e).hstack(tgt.relations)).is_zero()
-    surjective = all(onto(e) for e in range(dlo, dhi + 1))
+    surjective = all(onto(e) for e in degrees)
     return {
         "rfh_w0_nonzero": nonzero,
         "cap_surjective": surjective,

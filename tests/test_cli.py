@@ -3,6 +3,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -139,6 +141,34 @@ def test_orderability_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["orderable"] is True and payload["translated_points"] is True
+
+
+# one critical point in dimension int(1e300): the orderability window
+# -dim-2..dim+2 cannot be read degree by degree.  The monotone one has
+# lambda*nu = -dim/2, so its period is dim as well.
+HUGE_DIM = int(1e300)
+HUGE_DIM_MODELS = {
+    "aspherical": {"dim": 1e300, "nu": 0, "lambda": "0", "cM": None,
+                   "crit": [{"label": "pt", "index": 0}], "cap": "builtin:zero"},
+    "monotone": {"dim": HUGE_DIM, "nu": 1, "lambda": str(-HUGE_DIM // 2), "cM": HUGE_DIM // 2,
+                 "crit": [{"label": "pt", "index": 0}], "cap": "builtin:zero"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_DIM_MODELS))
+def test_orderability_of_a_huge_dimension_returns_at_once(tmp_path, name):
+    """`rfh orderability` on a model of dimension 1e300 exits 0 in a real
+    process within 2 s: it reads the degrees its critical points reach,
+    not the 2*dim + 5 degrees of its window."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(HUGE_DIM_MODELS[name]))
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "rfhomology.cli", "orderability", "--model",
+                          f"file:{path}", "--format", "json"], env=env, capture_output=True,
+                         text=True, timeout=2)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["orderable"] is True
 
 
 def test_cp2_demo(capsys):

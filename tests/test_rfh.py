@@ -1239,6 +1239,18 @@ def test_orderability_reports():
     assert reps["rfh_w0_nonzero"] is True and reps["orderable"] is True
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orderability_verdicts_match_the_literature(n):
+    """The prequantization space of cp:n at m = 1 is S^{2n+1}, which is not
+    orderable (Eliashberg-Kim-Polterovich 2006): the report must never say
+    True there.  At m >= 2 it is a lens space, which is orderable
+    (Eliashberg-Polterovich 2000 for RP^{2n+1}; Granja-Karshon-Pabiniak-
+    Sandon 2021): the report says True."""
+    assert orderability_report(cp_model(n), 1)["orderable"] is not True
+    for m in (2, 3, 4, 5):
+        assert orderability_report(cp_model(n), m)["orderable"] is True, m
+
+
 # -- the cap as one integer matrix ----------------------------------------------
 
 T = sympy.Symbol("t")
