@@ -225,7 +225,7 @@ MUTANTS = [
            "dlo, dhi = 0, 0", ("test_rfh.py::test_orderability_reports",)),
     Mutant("c1_primitive ignores m", "rfh.py", '"c1_primitive": m == 1 and', '"c1_primitive":',
            ("test_rfh.py::test_orderability_reports",)),
-    Mutant("cap_at drops m", "basemodel.py", "s), m * c) for", "s), c) for", (2, 4, 6, 9)),
+    Mutant("cap_at drops m", "basemodel.py", "return block.scale(m)", "return block", (2, 4, 6, 9)),
     Mutant("fh_degree shifted by one", "basemodel.py", "- 2 * self.lambda_nu * k",
            "- 2 * self.lambda_nu * k + 1", (2, 4)),
     Mutant("regime_for boundary off by one", "novikov.py", "if lhs < m:", "if lhs <= m:",
@@ -242,6 +242,17 @@ MUTANTS = [
            (f"{ASSEMBLY}::test_matrix_from_terms_matches_reference_on_random_terms",)),
     Mutant("_cone_boundary reuses a hat column without negating it", "chaincplx.py",
            "{i: -x for i, x in col.items()} if col else col for", "col for",
+           (f"{ASSEMBLY}::test_base_cap_and_cone_match_reference",)),
+    Mutant("boundary_at reads the block when degree - 1 mixes indices", "basemodel.py",
+           "self.class_index.get(self.degree_key(degree - 1), i - 1) == i - 1", "True",
+           (f"{ASSEMBLY}::test_base_cap_and_cone_match_reference",)),
+    # only the mixed-class reference model has a Morse term on a mixed class
+    Mutant("boundary_at moves a mixed class's terms one sphere class up", "basemodel.py",
+           "[((t, g[1]), c) for t, c in morse[g[0]]]",
+           "[((t, g[1] + 1), c) for t, c in morse[g[0]]]",
+           (f"{ASSEMBLY}::test_base_cap_and_cone_match_reference",)),
+    Mutant("class_index drops its single-index test", "basemodel.py",
+           "out[key] = None if key in out else idx", "out[key] = idx",
            (f"{ASSEMBLY}::test_base_cap_and_cone_match_reference",)),
     Mutant("cap_terms check drops its second loop", "basemodel.py",
            "for tgt, e in morse[src]:", "for tgt, e in ():",

@@ -11,9 +11,11 @@ model serves every bundle degree m.
 
 The cap lowers the degree by 2, and a generator's degree fixes its sphere
 class, so every cap term's sphere shift is fixed by the two Morse indices.
-The pattern is therefore stored by source (`BaseModel.cap_terms`) and read
-one degree at a time (`BaseModel.cap_at`); no matrix over the Novikov ring
-Z[t, t^-1] is built.
+The pattern is therefore stored by source (`BaseModel.cap_terms`) and
+assembled once per class of degrees (`BaseModel.cap_blocks`), which
+`cap_at` scales by m; no matrix over the Novikov ring Z[t, t^-1] is built.
+Where a degree holds the points of one Morse index and the degree below
+those of the index below, the boundary is the stored Morse block itself.
 
 Gradings follow the symmetric convention: a generator (q, k) sits in degree
 mu_{-f}(q) - dim/2 - 2*lambda*nu*k, and its action is -k*nu (critical values
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -62,13 +63,14 @@ class BaseModel:
             raise UnsupportedModel("critical point labels must be distinct")
         if self.cap == "surface" and not {"bot", "top"} <= self.position.keys():
             raise UnsupportedModel("the surface cap needs critical points bot and top")
-        count = Counter(idx for _, idx in self.crit)
+        count = self.index_count
         mats = self.morse_boundary or {}
         for idx, mat in sorted(mats.items()):
-            if (mat.rows, mat.cols) != (count[idx - 1], count[idx]):
+            shape = (count.get(idx - 1, 0), count.get(idx, 0))
+            if (mat.rows, mat.cols) != shape:
                 raise UnsupportedModel(
                     f"Morse boundary at index {idx} is {mat.rows}x{mat.cols}, "
-                    f"expected {count[idx - 1]}x{count[idx]}")
+                    f"expected {shape[0]}x{shape[1]}")
             # d_{idx-1} passed the shape check one step before
             if idx - 1 in mats and not (mats[idx - 1] @ mat).is_zero():
                 raise UnsupportedModel("Morse differential does not square to zero: "
@@ -126,18 +128,30 @@ class BaseModel:
         return dict(self.crit)
 
     @cached_property
+    def index_count(self) -> dict[int, int]:
+        """Morse index -> its number of critical points, the indices in the
+        order of their first point in `crit`."""
+        count: dict[int, int] = {}
+        for _, idx in self.crit:
+            count[idx] = count.get(idx, 0) + 1
+        return count
+
+    @cached_property
     def morse_terms(self) -> dict[str, tuple[tuple[str, int], ...]]:
         """The Morse differential by source: label -> its nonzero terms
-        (target label, coefficient)."""
+        (target label, coefficient), filled from the nonzero columns."""
+        terms = dict.fromkeys(self.position, ())
+        if not self.morse_boundary:
+            return terms
         by_index: dict[int, list[str]] = {}
         for label, idx in self.crit:
             by_index.setdefault(idx, []).append(label)
-        terms: dict[str, list[tuple[str, int]]] = {label: [] for label, _ in self.crit}
-        for idx, mat in (self.morse_boundary or {}).items():
+        for idx, mat in self.morse_boundary.items():
             tgts = by_index.get(idx - 1, [])
             for s, col in zip(by_index.get(idx, []), mat.columns):
-                terms[s].extend((tgts[i], c) for i, c in col.items())
-        return {s: tuple(ts) for s, ts in terms.items()}
+                if col:
+                    terms[s] = tuple((tgts[i], c) for i, c in col.items())
+        return terms
 
     @cached_property
     def cap_terms(self) -> dict[str, tuple[tuple[str, int, int, int], ...]]:
@@ -162,7 +176,7 @@ class BaseModel:
             mats = self.cap["degree_matrices"]
             # each degree of a critical point once, in `crit` order: its
             # points at k = 0 are the sources of their columns
-            for d in dict.fromkeys(self.fh_degree(idx, 0) for _, idx in self.crit):
+            for d in (self.fh_degree(idx, 0) for idx in self.index_count):
                 src = self.generators_in_degree(d)
                 tgt = self.generators_in_degree(d - 2)
                 if not tgt:
@@ -185,9 +199,12 @@ class BaseModel:
                 if self.fh_degree(tidx, s) != self.fh_degree(idx, 0) - 2:
                     raise UnsupportedModel(f"cap term {src} -> {tgt} (sphere shift {s}) "
                                            "does not lower the degree by 2")
-        # d . cap = cap . d on each critical point, keyed by (target, shift)
+        # d . cap = cap . d on each critical point with a cap or a Morse term
+        # (elsewhere both sides are 0), keyed by (target, shift)
         morse = self.morse_terms
         for src, idx in self.crit:
+            if not (terms[src] or morse[src]):
+                continue
             diff: dict[tuple[str, int], int] = {}
             for tgt, _, s, c in terms[src]:
                 for u, e in morse[tgt]:
@@ -212,42 +229,93 @@ class BaseModel:
         the one site of the grading convention (see the module docstring)."""
         return morse_index - self.half_dim - 2 * self.lambda_nu * k
 
+    def degree_key(self, degree: int) -> int:
+        """The key of `degree_classes` that holds the generators of a degree:
+        the degree modulo 2*lambda*nu, the degree itself when aspherical."""
+        return degree % (2 * self.lambda_nu) if self.lambda_nu else degree
+
     @cached_property
     def degree_classes(self) -> dict[int, tuple[tuple[str, int], ...]]:
-        """Critical points by the degrees their generators reach: the residue
-        of the degree at k = 0 modulo 2*lambda*nu (that degree itself when
-        aspherical) -> (label, degree at k = 0) in `crit` order."""
+        """Critical points by the degrees their generators reach: the
+        `degree_key` of the degree at k = 0 -> the generators (label, k) in
+        the degree of the key itself, in `crit` order.  The key and k
+        depend on the Morse index alone, so each is read once per index."""
+        den = 2 * self.lambda_nu
+        place = {}
+        for idx in self.index_count:
+            shifted = self.fh_degree(idx, 0)
+            place[idx] = (self.degree_key(shifted), shifted // den if den else 0)
         classes: dict[int, list[tuple[str, int]]] = {}
         for label, idx in self.crit:
-            shifted = self.fh_degree(idx, 0)
-            key = shifted if self.aspherical else shifted % (2 * self.lambda_nu)
-            classes.setdefault(key, []).append((label, shifted))
+            key, k = place[idx]
+            classes.setdefault(key, []).append((label, k))
         return {key: tuple(c) for key, c in classes.items()}
+
+    @cached_property
+    def class_index(self) -> dict[int, Optional[int]]:
+        """Each key of `degree_classes` -> the Morse index that all its
+        critical points share, None when they mix indices (a monotone base
+        with 2*|lambda*nu| <= dim can mix them)."""
+        out: dict[int, Optional[int]] = {}
+        for idx in self.index_count:
+            key = self.degree_key(self.fh_degree(idx, 0))
+            out[key] = None if key in out else idx
+        return out
 
     def generators_in_degree(self, degree: int) -> list[tuple[str, int]]:
         """(label, k) for every generator in the degree, in `crit` order: k is
-        the unique sphere-class coordinate putting the point there."""
-        if self.aspherical:
-            return [(label, 0) for label, _ in self.degree_classes.get(degree, ())]
-        den = 2 * self.lambda_nu
-        return [(label, (shifted - degree) // den)
-                for label, shifted in self.degree_classes.get(degree % den, ())]
+        the unique sphere-class coordinate putting the point there, that of
+        its class's key less degree // (2*lambda*nu)."""
+        gens = self.degree_classes.get(self.degree_key(degree), ())
+        q = degree // (2 * self.lambda_nu) if self.lambda_nu else 0
+        return [(label, k - q) for label, k in gens] if q else list(gens)
+
+    def rank(self, degree: int) -> int:
+        """The number of generators in the degree."""
+        return len(self.degree_classes.get(self.degree_key(degree), ()))
 
     def boundary_at(self, degree: int) -> IntMatrix:
         """The Floer boundary C_degree -> C_{degree-1}: the Morse
-        differential on each sphere class."""
+        differential on each sphere class.  Where the generators of the
+        degree are the points of one Morse index i (`class_index`) and those
+        of degree - 1 are the points of index i - 1, both at one sphere class
+        in `crit` order, it is the stored block d_i itself (the zero matrix
+        without one); a class that mixes indices is assembled term by term."""
+        key = self.degree_key(degree)
+        if key not in self.class_index:
+            return IntMatrix.zero(self.rank(degree - 1), 0)
+        i = self.class_index[key]
+        if i is not None and self.class_index.get(self.degree_key(degree - 1), i - 1) == i - 1:
+            block = (self.morse_boundary or {}).get(i)
+            if block is None:
+                return IntMatrix.zero(self.index_count.get(i - 1, 0), self.index_count[i])
+            return block
         morse = self.morse_terms
         return matrix_from_terms(
             self.generators_in_degree(degree), self.generators_in_degree(degree - 1),
             lambda g: [((t, g[1]), c) for t, c in morse[g[0]]])
 
+    @cached_property
+    def cap_blocks(self) -> dict[int, IntMatrix]:
+        """Each key of `degree_classes` -> the unit cap from the generators
+        of the key's degree.  Every cap term lowers the degree by 2 (see
+        `cap_terms`), so it lands on its target's one generator in degree
+        - 2, at the target's place in its class: the block is the same at
+        every degree of the class."""
+        caps = self.cap_terms
+        return {key: matrix_from_terms(
+                    gens, self.generators_in_degree(key - 2),
+                    lambda g: [((t, g[1] + s), c) for t, _, s, c in caps[g[0]]])
+                for key, gens in self.degree_classes.items()}
+
     def cap_at(self, degree: int, m: int) -> IntMatrix:
         """The cap with -m[omega], C_degree -> C_{degree-2}: (label, k) goes
-        to m*c (target, k + shift) for each cap term."""
-        caps = self.cap_terms
-        return matrix_from_terms(
-            self.generators_in_degree(degree), self.generators_in_degree(degree - 2),
-            lambda g: [((t, g[1] + s), m * c) for t, _, s, c in caps[g[0]]])
+        to m*c (target, k + shift) for each cap term, m times the unit block
+        of the degree's class (`cap_blocks`)."""
+        block = self.cap_blocks.get(self.degree_key(degree))
+        if block is None:
+            return IntMatrix.zero(self.rank(degree - 2), 0)
+        return block.scale(m)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +369,13 @@ def rational(text: str) -> Fraction:
 
 def _whole(rows, field: str) -> None:
     """Raise UnsupportedModel, naming the field, on an entry of `rows` that
-    is a JSON true or false, or a number that is not an integer: int() would
-    read true as 1 and truncate 2.9 to 2."""
+    is a JSON true or false, a string, or a number that is not an integer:
+    int() would read true as 1, " 1 " as 1, "1_0" as 10 and truncate 2.9
+    to 2."""
     kinds = set(map(type, chain.from_iterable(rows)))   # one pass in C
-    if bool in kinds or float in kinds:
+    if bool in kinds or str in kinds or float in kinds:
         for x in chain.from_iterable(rows):
-            if isinstance(x, bool):
+            if isinstance(x, (bool, str)):
                 raise UnsupportedModel(f"{field} must be an integer, got {json.dumps(x)}")
             if isinstance(x, float) and not x.is_integer():
                 raise UnsupportedModel(f"{field} must be an integer, got {x!r}")

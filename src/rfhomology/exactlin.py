@@ -12,12 +12,12 @@ with no rows or no columns, so `IntMatrix` is a slots class and does not
 build what it already knows.  Every zero matrix shares one read-only empty
 column, and zero and identity matrices with both sides at most
 `_INTERN_MAX` are interned, the identities with read-only unit columns
-(larger ones are built per call and not kept).  A product with no rows, no columns or an empty inner
-dimension is the zero matrix at once, a product with an interned identity
-is the other operand, and `hstack` with a side without columns is the
-other side.  `entries` has no caller in the package: it is the flat
-row-major view on which the tests and the benchmark's tracer compare and
-count entries.
+(larger ones are built per call and not kept).  A product with no rows, no
+columns or an empty inner dimension is the zero matrix at once, a product
+with an interned identity is the other operand, `hstack` with a side
+without columns is the other side, and `scale` by 1 is the matrix itself.
+`entries` has no caller in the package: it is the flat row-major view on
+which the tests and the benchmark's tracer compare and count entries.
 
 One sparse elimination, `_Elimination`, serves every engine caller.  It
 works on the columns of `IntMatrix`: while a +-1 entry is left, the one of
@@ -62,6 +62,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from types import MappingProxyType
 from typing import Optional, Sequence
 
@@ -112,14 +113,18 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+        """The matrix with these rows (`cols` is the width of a matrix
+        without rows).  Each entry is read by int(), and only the nonzero
+        ones of a row are visited in Python."""
         ncols = (len(rows[0]) if rows else 0) if cols is None else cols
         columns = tuple({} for _ in range(ncols))
+        everywhere = range(ncols)
         for i, r in enumerate(rows):
             if len(r) != ncols:
                 raise ShapeMismatch("ragged rows")
-            for col, x in zip(columns, map(int, r)):
-                if x:
-                    col[i] = x
+            r = list(map(int, r))
+            for j in compress(everywhere, r):
+                columns[j][i] = r[j]
         return cls(len(rows), ncols, columns)
 
     @classmethod
@@ -166,7 +171,9 @@ class IntMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def scale(self, c: int) -> "IntMatrix":
-        if c == 0:
+        if c == 1:
+            return self
+        if c == 0 or not any(self.columns):
             return IntMatrix.zero(self.rows, self.cols)
         return IntMatrix(self.rows, self.cols,
                          tuple({i: c * x for i, x in col.items()} for col in self.columns))

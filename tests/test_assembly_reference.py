@@ -144,6 +144,14 @@ CANCELLING_CAP = {"name": "cancelling", "dim": 4, "nu": 0, "lambda": "0", "cM": 
                   "cap": {"1": [[1]], "0": [[1]]}, "primitiveOmega": False,
                   "morseBoundary": {"1": [[3]], "3": [[3]]}}
 
+# a monotone base with 2*lambda*nu = dim whose class of degree -2 mixes the
+# Morse indices of a (0) and z (4): d b = 2a at degree -1 is [[2], [0]] on
+# (a, 0), (z, 1), not the stored 1 x 1 block of index 1
+MIXED_CLASS = {"name": "mixed", "dim": 4, "nu": 1, "lambda": "2", "cM": 2,
+               "crit": [{"label": "a", "index": 0}, {"label": "b", "index": 1},
+                        {"label": "z", "index": 4}],
+               "cap": "builtin:zero", "primitiveOmega": False, "morseBoundary": {"1": [[2]]}}
+
 # each raises at its cap, keyed by the test it comes from or by what is wrong
 BAD_CAPS = {
     "test_custom_cap_validation": NOT_A_CHAIN_MAP_CAP,
@@ -166,7 +174,8 @@ def models():
     out += [point_model(), custom_cap_model(), load_model(CANCELLING_CAP)]
     out += [load_model(os.path.join(GOLDEN, name))
             for name in ("relations_model.json", "paired_model.json")]
-    out += [load_model(TORSION_MODEL), load_model(MONOTONE_TORSION_MODEL)]
+    out += [load_model(TORSION_MODEL), load_model(MONOTONE_TORSION_MODEL),
+            load_model(MIXED_CLASS)]
     out += [nonperfect_surface(g, random.Random(g)) for g in range(1, 7)]
     out += [random_custom_cap_model(rng, kind)
             for kind in ("aspherical", "monotone", "permutation") * 20]
@@ -213,6 +222,18 @@ def test_base_cap_and_cone_match_reference():
                 checked["nonzero caps"] += not psi.is_zero()
                 checked["nonzero base boundaries"] += not d_d.is_zero()
     assert min(checked.values()) > 40, checked
+
+
+def test_boundary_is_the_stored_block_on_a_class_of_one_index():
+    """Where the generators of d and d - 1 are the points of index i and
+    i - 1, `boundary_at(d)` is the model's block d_i itself; where the class
+    of d - 1 mixes indices, it is assembled on that class."""
+    model = nonperfect_surface(3, random.Random(3))
+    assert model.boundary_at(1) is model.morse_boundary[2]
+    mixed = load_model(MIXED_CLASS)
+    assert mixed.class_index == {2: None, 3: 1}
+    assert mixed.generators_in_degree(-2) == [("a", 0), ("z", 1)]
+    assert mixed.boundary_at(-1) == IntMatrix.from_rows([[2], [0]])
 
 
 def test_cap_check_accepts_a_cap_that_commutes_by_cancellation():

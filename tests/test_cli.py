@@ -484,6 +484,16 @@ NON_INTEGER_MODELS = {
                            "morseBoundary entry at index 1 must be an integer, got true"),
     "cap-bool": ({**SMALL_MODEL, "cap": {"1": [[False]]}},
                  "cap entry at degree 1 must be an integer, got false"),
+    # int() strips the spaces of " 1 " and reads the underscore of "1_0"
+    "dim-string": ({**SMALL_MODEL, "dim": "2"}, 'dim must be an integer, got "2"'),
+    "index-string": ({**SMALL_MODEL, "crit": [{"label": "bot", "index": 0},
+                                              {"label": "e", "index": " 1 "},
+                                              {"label": "top", "index": 2}]},
+                     'crit index must be an integer, got " 1 "'),
+    "morseBoundary-string": ({**SMALL_MODEL, "morseBoundary": {"2": [["1_0"]]}},
+                             'morseBoundary entry at index 2 must be an integer, got "1_0"'),
+    "cap-string": ({**SMALL_MODEL, "cap": {"1": [["1"]]}},
+                   'cap entry at degree 1 must be an integer, got "1"'),
     # bool() reads the string "false" as true, and any number as a flag
     "primitiveOmega-string": ({**SMALL_MODEL, "primitiveOmega": "false"},
                               'primitiveOmega must be true or false, got "false"'),
@@ -497,7 +507,8 @@ def test_non_integer_number_in_a_model_file_is_a_usage_error(tmp_path, field):
     """A model-file number whose value is not an integer used to be
     truncated by int(): `rfh-w0` read [[0.5]] as 0 and exited 0.  Now it
     exits 2 with one line naming the field, and so do an infinite one, a
-    JSON true or false, which int() read as 1 or 0, and a primitiveOmega
+    JSON true or false, which int() read as 1 or 0, a string, which int()
+    read as the number it spells ("1_0" as 10), and a primitiveOmega
     that is not a JSON true or false, which bool() read as a flag."""
     spec, message = NON_INTEGER_MODELS[field]
     path = tmp_path / "model.json"
