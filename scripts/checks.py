@@ -257,6 +257,16 @@ MUTANTS = [
     Mutant("cap_terms check drops its second loop", "basemodel.py",
            "for tgt, e in morse[src]:", "for tgt, e in ():",
            (f"{ASSEMBLY}::test_cap_check_accepts_a_cap_that_commutes_by_cancellation",)),
+    # d.d = 0 and the chain-map property are proved once, where a complex or map enters
+    Mutant("Morse d.d check dropped", "basemodel.py",
+           "if idx - 1 in mats and not (mats[idx - 1] @ mat).is_zero():", "if False:",
+           ("test_cli.py::test_morse_boundary_not_squaring_to_zero_is_a_usage_error",)),
+    Mutant("GradedComplex d.d check dropped", "oracles.py",
+           "if d > lo + 1 and not (self.boundary[d - 1] @ m).is_zero():", "if False:",
+           ("test_chaincplx.py::test_homology_table_rejects_non_complex",)),
+    Mutant("ChainMap checks nothing when built", "oracles.py",
+           "        tlo, thi = self.target.degrees\n", "        return\n",
+           ("test_chaincplx.py::test_cone_requires_chain_map_and_shift",)),
 ]
 # prints the ids of the failing selftest criteria, once it has checked the copy of src/
 CRITERIA = ("import json, sys; from rfhomology import selftest; "

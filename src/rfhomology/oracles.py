@@ -4,19 +4,96 @@ divisors, the circle bundle's homology in closed form, and the windowed
 complexes `build_fc`, `cap_map`, `mapping_cone` (with its own blocks) and
 `rfc_w0`.  No engine module imports this one, and it reads none of the
 engine's homology, eliminations or lazy cones (a tier-1 test checks both).
+
+A windowed complex is a `GradedComplex`, a map between two a `ChainMap`;
+each proves d . d = 0, or that it commutes with the boundaries, when built.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from typing import Hashable
 
 from .basemodel import BaseModel
-from .chaincplx import (ChainMap, GradedComplex, _check_cone_map,
-                        _degree_range, matrix_from_terms)
-from .errors import DegreeOutOfRange, NotAComplex, NotSquare
+from .chaincplx import _check_cone_map, _degree_range, matrix_from_terms
+from .errors import DegreeOutOfRange, NotAChainMap, NotAComplex, NotSquare, ShapeMismatch
 from .exactlin import IntMatrix, ZModulePresentation
 from .rfh import RFHGenerator
+
+
+@dataclass(frozen=True)
+class GradedComplex:
+    """degrees = (lo, hi) inclusive; basis[d] holds distinct hashable
+    generators in degree d, in the order of matrix rows and columns, and
+    `matrix_from_terms` writes maps on them; boundary[d] maps C_d -> C_{d-1}
+    (rows indexed by the basis of degree d-1).  A boundary of the wrong
+    shape raises ShapeMismatch, and d_{d-1} . d_d != 0 NotAComplex."""
+
+    degrees: tuple[int, int]
+    basis: dict[int, tuple[Hashable, ...]]
+    boundary: dict[int, IntMatrix]
+
+    def __post_init__(self):
+        lo, hi = _degree_range(self.degrees)
+        for d in range(lo, hi + 1):
+            gens = self.basis.setdefault(d, ())
+            if len(set(gens)) != len(gens):
+                raise DegreeOutOfRange(f"degree {d} repeats a generator")
+        for d in range(lo + 1, hi + 1):
+            m = self.boundary.get(d)
+            if m is None:
+                m = self.boundary[d] = IntMatrix.zero(self.rank(d - 1), self.rank(d))
+            elif (m.rows, m.cols) != (self.rank(d - 1), self.rank(d)):
+                raise ShapeMismatch(
+                    f"boundary at degree {d} has shape {m.rows}x{m.cols}, "
+                    f"expected {self.rank(d - 1)}x{self.rank(d)}")
+            if d > lo + 1 and not (self.boundary[d - 1] @ m).is_zero():
+                raise NotAComplex(f"d_{d - 1} . d_{d} != 0")
+
+    def rank(self, d: int) -> int:
+        return len(self.basis.get(d, ()))
+
+    def boundary_at(self, d: int) -> IntMatrix:
+        """d : C_d -> C_{d-1}; zero map of the right shape at or beyond the
+        window edges."""
+        lo, hi = self.degrees
+        return self.boundary[d] if lo < d <= hi else IntMatrix.zero(self.rank(d - 1), self.rank(d))
+
+
+@dataclass(frozen=True)
+class ChainMap:
+    """Per-degree matrices phi_d : source_d -> target_{d+shift}, a missing
+    degree the zero map, satisfying d . phi = phi . d wherever both sides
+    lie inside both windows."""
+
+    source: GradedComplex
+    target: GradedComplex
+    shift: int
+    maps: dict[int, IntMatrix]
+
+    def __post_init__(self):
+        """A map of the wrong shape, or one that does not commute with the
+        boundaries, raises NotAChainMap naming the degree."""
+        lo, hi = self.source.degrees
+        tlo, thi = self.target.degrees
+        for d in range(lo, hi + 1):
+            m = self.at(d)
+            if (m.rows, m.cols) != (self.target.rank(d + self.shift), self.source.rank(d)):
+                raise NotAChainMap(f"map at degree {d} has the wrong shape")
+        # commutation where all four maps are inside both windows
+        for d in range(lo + 1, hi + 1):
+            if not (tlo < d + self.shift <= thi):
+                continue
+            if (self.target.boundary_at(d + self.shift) @ self.at(d)
+                    != self.at(d - 1) @ self.source.boundary_at(d)):
+                raise NotAChainMap(f"does not commute with boundaries at degree {d}")
+
+    def at(self, d: int) -> IntMatrix:
+        m = self.maps.get(d)
+        return m if m is not None else IntMatrix.zero(self.target.rank(d + self.shift),
+                                                      self.source.rank(d))
 
 
 def rank_bareiss(A: IntMatrix) -> int:
@@ -99,8 +176,6 @@ def homology_by_minors(C: GradedComplex, degrees: range) -> dict[int, ZModulePre
         if not (lo < d < hi):
             raise DegreeOutOfRange(f"degree {d} not interior to {C.degrees}")
         d_out, d_in = C.boundary_at(d), C.boundary_at(d + 1)
-        if not (d_out @ d_in).is_zero():
-            raise NotAComplex(f"d_{d} . d_{d + 1} != 0")
         out, inc = minor_factors(d_out), minor_factors(d_in)
         table[d] = ZModulePresentation(C.rank(d) - len(out) - len(inc),
                                        tuple(t for t in inc if t >= 2))
@@ -137,9 +212,7 @@ def cap_map(model: BaseModel, m: int, fc: GradedComplex) -> ChainMap:
     `BaseModel.cap_at`; the two lowest degrees map to zero, their targets
     lying below the range."""
     lo, hi = fc.degrees
-    psi = ChainMap(fc, fc, -2, {d: model.cap_at(d, m) for d in range(lo + 2, hi + 1)})
-    psi.check()
-    return psi
+    return ChainMap(fc, fc, -2, {d: model.cap_at(d, m) for d in range(lo + 2, hi + 1)})
 
 
 def mapping_cone(psi: ChainMap) -> GradedComplex:

@@ -10,10 +10,16 @@ read every degree of its window.  Over two periods of degrees at m = 1..3
 the base boundaries, the caps and the cone boundaries of `_SectorData`
 must equal theirs, store no zero, and raise the same errors on bad caps;
 the orderability verdicts must be the same.
+
+The last test pins the proof that the engine relies on: the cone of a
+model's cap squares to zero, since the model checked its Morse differential
+and its cap when it was built, and `LazyHomology` no longer checks it.
 """
 
+import importlib.util
 import os
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -328,3 +334,39 @@ def test_orderability_reads_one_degree_per_reachable_residue(monkeypatch):
     read.clear()
     orderability_report(surface_model(1), 1)
     assert read and set(read) <= set(range(-1, 4)), read
+
+
+def bench_workloads():
+    """The benchmark's `bench/workloads.py`, loaded from its file."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)      # its dataclass looks itself up there
+    return workloads
+
+
+def test_model_cones_square_to_zero():
+    """The cone of `_SectorData` at m = 1..3 has d . d = 0 at every residue
+    of a monotone model and at every degree around the support of an
+    aspherical one (`degrees`): on the zoo, MIXED_CLASS, the two golden
+    model files, the benchmark's non-perfect surfaces and seeded custom
+    caps.  Enough of the products have two nonzero factors to mean
+    something."""
+    rng = random.Random(36)
+    zoo = [cp_model(n) for n in (1, 2, 3, 4)] + [surface_model(g) for g in (1, 2, 3, 4)]
+    zoo += [point_model(), load_model(MIXED_CLASS)]
+    zoo += [load_model(os.path.join(GOLDEN, name))
+            for name in ("relations_model.json", "paired_model.json")]
+    nonperfect = bench_workloads().nonperfect_surface
+    zoo += [load_model(nonperfect(g, random.Random(g))) for g in (1, 2, 3, 4)]
+    zoo += [random_custom_cap_model(rng, kind)
+            for kind in ("aspherical", "monotone", "permutation") * 4]
+    both_nonzero = 0
+    for model in zoo:
+        for m in (1, 2, 3):
+            cone = _SectorData(model, m).cone
+            for d in degrees(model):
+                below, above = cone.boundary(d), cone.boundary(d + 1)
+                assert (below @ above).is_zero(), (model.name, m, d)
+                both_nonzero += not (below.is_zero() or above.is_zero())
+    assert both_nonzero > 20, both_nonzero      # 30 of them

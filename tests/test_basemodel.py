@@ -46,8 +46,7 @@ def test_morse_isomorphism_ranks():
 def test_cap_map_is_chain_map_and_pattern(n, m):
     model = cp_model(n)
     fc = build_fc(model, degrees=(-11, 11))
-    psi = cap_map(model, m, fc=fc)
-    psi.check()   # strict commutation
+    psi = cap_map(model, m, fc=fc)      # a ChainMap: strict commutation, checked when built
     for d in range(-8, 9):
         M = psi.at(d)
         if M.rows == 1 and M.cols == 1:

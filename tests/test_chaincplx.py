@@ -3,14 +3,13 @@ import random
 import pytest
 
 from rfhomology.basemodel import cp_model, point_model, surface_model
-from rfhomology.chaincplx import (ChainMap, GradedComplex, HomologyBasis,
-                                  LazyHomology, LongExactSequence, cone_les,
-                                  exact_at, induced_matrix, matrix_from_terms,
-                                  verify_exactness)
+from rfhomology.chaincplx import (HomologyBasis, LazyHomology, LongExactSequence,
+                                  cone_les, exact_at, induced_matrix,
+                                  matrix_from_terms, verify_exactness)
 from rfhomology.errors import DegreeOutOfRange, NotAChainMap, NotAComplex
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation,
                                  presentation_from_relations)
-from rfhomology.oracles import mapping_cone
+from rfhomology.oracles import ChainMap, GradedComplex, mapping_cone
 from rfhomology.rfh import gysin
 from rfhomology.selftest import random_complex_and_map
 
@@ -56,57 +55,63 @@ def test_mapping_cone_hand_example():
 
 
 def test_cone_requires_chain_map_and_shift():
+    """Both cones refuse a chain map of degree 0; a map that does not commute
+    with the boundaries is refused when it is built, so no cone sees it."""
     C = two_step(2, 0)
     identity = ChainMap(C, C, 0, {d: IntMatrix.identity(1) for d in range(3)})
     with pytest.raises(NotAChainMap, match="degree -2 map, got 0"):
         mapping_cone(identity)
+    with pytest.raises(NotAChainMap, match="degree -2 map, got 0"):
+        cone_les(identity)
     # d(b) = 3a but psi(c) = b with d(c) = 0: commutation fails in the interior
     D = GradedComplex((0, 3), {0: ("a",), 1: ("b",), 3: ("c",)},
                       {1: IntMatrix.from_rows([[3]])})
-    bad = ChainMap(D, D, -2, {3: IntMatrix.from_rows([[1]])})
-    with pytest.raises(NotAChainMap):
-        mapping_cone(bad)
+    with pytest.raises(NotAChainMap, match="does not commute with boundaries at degree 3$"):
+        ChainMap(D, D, -2, {3: IntMatrix.from_rows([[1]])})
 
 
-def first_dense_failure(phi):
+def first_dense_failure(C, maps, shift=-2):
     """The first degree d where d . phi_d != phi_{d-1} . d by dense
-    products, among the degrees whose four maps lie inside the window."""
-    C = phi.source
+    products, for the self map phi of C given by `maps` (a missing degree
+    the zero map), among the degrees whose four maps lie inside the window."""
     lo, hi = C.degrees
+
+    def phi(d):
+        return maps[d] if d in maps else IntMatrix.zero(C.rank(d + shift), C.rank(d))
     for d in range(lo + 1, hi + 1):
-        if lo < d + phi.shift <= hi:
-            lhs = C.boundary_at(d + phi.shift) @ phi.at(d)
-            rhs = phi.at(d - 1) @ C.boundary_at(d)
+        if lo < d + shift <= hi:
+            lhs = C.boundary_at(d + shift) @ phi(d)
+            rhs = phi(d - 1) @ C.boundary_at(d)
             if lhs.entries != rhs.entries:
                 return d
     return None
 
 
 def test_chain_map_check_matches_dense_products():
-    """The sparse commutation check of `ChainMap.check` against dense
-    products: seeded random chain maps pass, and with one entry changed
-    they fail exactly when a dense product differs, naming that degree."""
+    """The sparse commutation check that `ChainMap` makes when it is built
+    against dense products: seeded random chain maps are built, and with one
+    entry changed they are refused exactly when a dense product differs,
+    naming that degree."""
     rng = random.Random(31)
     outcomes = set()
     for _ in range(300):
         C, phi = random_complex_and_map(rng)
-        assert first_dense_failure(phi) is None
-        phi.check()
+        assert first_dense_failure(C, phi.maps) is None
         spots = [d for d, M in phi.maps.items() if M.rows and M.cols]
         if not spots:
             continue
         d = rng.choice(spots)
         rows = phi.maps[d].to_lists()
         rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += rng.choice([-2, -1, 1, 3])
-        bad = ChainMap(C, C, -2, {**phi.maps, d: IntMatrix.from_rows(rows)})
-        failure = first_dense_failure(bad)
+        maps = {**phi.maps, d: IntMatrix.from_rows(rows)}
+        failure = first_dense_failure(C, maps)
         outcomes.add(failure is None)
         if failure is None:
-            bad.check()
+            ChainMap(C, C, -2, maps)
         else:
             with pytest.raises(NotAChainMap,
                                match=f"does not commute with boundaries at degree {failure}$"):
-                bad.check()
+                ChainMap(C, C, -2, maps)
     assert outcomes == {True, False}
 
 
@@ -148,14 +153,15 @@ def test_matrix_from_terms_sums_and_truncates():
 
 
 def test_homology_table_rejects_non_complex():
-    """The rank formula is only valid when d . d = 0, so `LazyHomology`
-    checks it for a group and for a cycle basis alike."""
-    C = GradedComplex((0, 3), {0: ("a",), 1: ("b",), 2: ("c",)},
-                      {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[1]])})
-    with pytest.raises(NotAComplex):
-        LazyHomology(C.boundary_at).basis(1)
-    with pytest.raises(NotAComplex):
-        LazyHomology(C.boundary_at).group(1)
+    """The rank formula is only valid when d . d = 0, which `LazyHomology`
+    does not read: a `GradedComplex` proves it at every degree of its window
+    when it is built, so neither a group nor a cycle basis of a non-complex
+    can be asked for.  A window that leaves out the bad product is a complex."""
+    basis = {0: ("a",), 1: ("b",), 2: ("c",)}
+    ones = {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[1]])}
+    with pytest.raises(NotAComplex, match=r"^d_1 \. d_2 != 0$"):
+        GradedComplex((0, 3), dict(basis), dict(ones))
+    C = GradedComplex((1, 3), dict(basis), {2: ones[2]})
     assert LazyHomology(C.boundary_at).group(2) == ZModulePresentation(0, ())
 
 

@@ -16,7 +16,7 @@ from rfhomology.errors import NotAComplex, ShapeMismatch
 from rfhomology.exactlin import (IntMatrix, ZModulePresentation, _Elimination,
                                  _smith, _xgcd, invariant_factors, presentation_from_relations,
                                  rank_mod_p, solve_matrix)
-from rfhomology.oracles import (det_bareiss, mapping_cone, minor_factors,
+from rfhomology.oracles import (GradedComplex, det_bareiss, mapping_cone, minor_factors,
                                 minor_gcd, rank_bareiss)
 from rfhomology.selftest import random_complex_and_map
 
@@ -32,7 +32,14 @@ def column(v):
 
 
 def homology(d_out, d_in):
-    return LazyHomology({0: d_out, 1: d_in}.__getitem__).group(0)
+    """H_0 of d_in : C_1 -> C_0 and d_out : C_0 -> C_-1, read through a
+    `GradedComplex` with the ranks of C_-1, C_0 and C_1 taken from the rows
+    of d_out, the rows of d_in and the columns of d_in: the complex refuses
+    a mis-shaped or non-complex pair when it is built."""
+    ranks = {-1: d_out.rows, 0: d_in.rows, 1: d_in.cols}
+    C = GradedComplex((-1, 1), {d: tuple(range(n)) for d, n in ranks.items()},
+                      {0: d_out, 1: d_in})
+    return LazyHomology(C.boundary_at).group(0)
 
 
 def kernel(A):

@@ -11,10 +11,11 @@ import re
 import pytest
 
 from rfhomology import oracles
-from rfhomology.chaincplx import GradedComplex, LazyHomology, _cone_boundary
+from rfhomology.chaincplx import LazyHomology, _cone_boundary
 from rfhomology.errors import DegreeOutOfRange
 from rfhomology.exactlin import IntMatrix
-from rfhomology.oracles import circle_bundle_homology, homology_by_minors, mapping_cone
+from rfhomology.oracles import (GradedComplex, circle_bundle_homology, homology_by_minors,
+                                mapping_cone)
 from rfhomology.selftest import random_complex_and_map
 
 ENGINE_ONLY = {"LazyHomology", "LazyCone", "_SectorData", "_Elimination", "_smith",
