@@ -141,11 +141,13 @@ ROWS = [
             None, lambda out, tmp: junit_failing(f"{tmp}/junit.xml") == {CRITERION_1})]),
     Row("Benchmark smoke test", None, [Cmd(["bench/smoke.py"])]),
     # help at both levels exits 0; an abbreviated flag takes a value that begins with
-    # a minus sign; importing the CLI loads neither the selftest criteria nor argparse
+    # a minus sign; importing the CLI loads neither the selftest criteria, argparse nor
+    # difflib (read only to name an unknown model key)
     Row("Command line through real processes", None, [
         rfh("--help"), rfh("rfh-full --help"), rfh("rfh-w0 --deg -1..1 --model cp:1 --format json"),
         Cmd(["-c", "import sys, rfhomology.cli; assert 'rfhomology.selftest' not in "
-                   "sys.modules and 'argparse' not in sys.modules"])]),
+                   "sys.modules and 'argparse' not in sys.modules and 'difflib' not in "
+                   "sys.modules"])]),
     # exit 1 alone cannot tell criterion 1's documented failure from a new
     # one (a raising criterion is a failure too): the failing ids must be [1]
     Row("Selftest through a real process", 60, [rfh("selftest --format json", code=1, check=(
@@ -267,6 +269,15 @@ MUTANTS = [
     Mutant("ChainMap checks nothing when built", "oracles.py",
            "        tlo, thi = self.target.degrees\n", "        return\n",
            ("test_chaincplx.py::test_cone_requires_chain_map_and_shift",)),
+    # a model file's matrix costs one scan per row plus its nonzeros, and its entries are
+    # proved numbers first: from_rows skips a falsy entry unread
+    Mutant("from_rows stores an entry that converts to 0", "exactlin.py",
+           "                if x:\n                    columns[j][i] = x\n",
+           "                columns[j][i] = x\n",
+           (f"{ASSEMBLY}::test_from_rows_matches_reference_on_random_rows",)),
+    Mutant("_whole lets null through", "basemodel.py",
+           "if type(x) is not int and not", "if x is not None and type(x) is not int and not",
+           ("test_cli.py::test_bad_model_entry_or_key_is_named",)),
 ]
 # prints the ids of the failing selftest criteria, once it has checked the copy of src/
 CRITERIA = ("import json, sys; from rfhomology import selftest; "

@@ -369,16 +369,13 @@ def rational(text: str) -> Fraction:
 
 def _whole(rows, field: str) -> None:
     """Raise UnsupportedModel, naming the field, on an entry of `rows` that
-    is a JSON true or false, a string, or a number that is not an integer:
-    int() would read true as 1, " 1 " as 1, "1_0" as 10 and truncate 2.9
-    to 2."""
-    kinds = set(map(type, chain.from_iterable(rows)))   # one pass in C
-    if bool in kinds or str in kinds or float in kinds:
+    is not an int or an integral float: int() would read true, " 1 ", "1_0"
+    and 2.9 as integers, and `from_rows` reads null, [], {} and "" as 0."""
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:     # one pass in C
         for x in chain.from_iterable(rows):
-            if isinstance(x, (bool, str)):
-                raise UnsupportedModel(f"{field} must be an integer, got {json.dumps(x)}")
-            if isinstance(x, float) and not x.is_integer():
-                raise UnsupportedModel(f"{field} must be an integer, got {x!r}")
+            if type(x) is not int and not (type(x) is float and x.is_integer()):
+                got = repr(x) if type(x) is float else json.dumps(x, default=repr)
+                raise UnsupportedModel(f"{field} must be an integer, got {got}")
 
 
 def _matrix(rows, field: str) -> IntMatrix:
@@ -386,12 +383,24 @@ def _matrix(rows, field: str) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+MODEL_KEYS = ("name", "dim", "nu", "lambda", "cM", "crit", "cap", "primitiveOmega",
+              "morseBoundary")
+CRIT_KEYS = ("label", "index")
+
+
+def _known(keys, known, where: str) -> None:
+    for key in sorted(map(str, set(keys).difference(known)))[:1]:
+        from difflib import get_close_matches       # 1.5 ms to import, for an error alone
+        near = " or ".join(get_close_matches(key, known, 1) or known)
+        raise UnsupportedModel(f"unknown {where} key {json.dumps(key)}, did you mean {near}?")
+
+
 def load_model(source) -> BaseModel:
-    """Model file: {"dim", "nu", "lambda": "p/q", "cM", "crit": [{"label",
-    "index"}...], "cap": "builtin:cpn"|"builtin:surface"|{...},
-    "primitiveOmega", optional "morseBoundary": {index: matrix}}.  Every
-    number but lambda is an integer; 2.0 reads as 2, and 2.5 is an error.
-    primitiveOmega is a JSON true or false, false when absent."""
+    """Model file: {"name", "dim", "nu", "lambda": "p/q", "cM", "crit": [{"label",
+    "index"}...], "cap": "builtin:cpn"|"builtin:surface"|{...}, "primitiveOmega",
+    optional "morseBoundary": {index: matrix}} and no other key.  Every number but
+    lambda is an integer (2.0 reads as 2), only cM may be null, name is a string,
+    and primitiveOmega a JSON true or false (not "false"), false when absent."""
     if isinstance(source, str):
         with open(source) as fh:
             obj = json.load(fh)
@@ -399,6 +408,15 @@ def load_model(source) -> BaseModel:
         obj = dict(source)
     if not isinstance(obj, Mapping):
         raise UnsupportedModel("a model file holds one JSON object")
+    _known(obj, MODEL_KEYS, "model")
+    crit = obj.get("crit")
+    if not isinstance(crit, list) or not set(map(type, crit)) <= {dict}:
+        raise UnsupportedModel("crit must be a list of objects {label, index}")
+    _known(chain.from_iterable(crit), CRIT_KEYS, "crit entry")     # one pass in C
+    for field, kind, what in (("name", str, "a string"),
+                              ("primitiveOmega", bool, "true or false")):
+        if not isinstance(obj.get(field, kind()), kind):
+            raise UnsupportedModel(f"{field} must be {what}, got {json.dumps(obj[field])}")
     lam = rational(str(obj.get("lambda", "0")))
     cap = obj.get("cap", "zero")
     if isinstance(cap, str) and cap.startswith("builtin:"):
@@ -414,22 +432,18 @@ def load_model(source) -> BaseModel:
                 f"morseBoundary must be an object of index: matrix, got {type(morse).__name__}")
         morse = {int(i): _matrix(rows, f"morseBoundary entry at index {i}")
                  for i, rows in morse.items()}
-    for field, values in (("dim", [obj["dim"]]), ("nu", [obj["nu"]]), ("cM", [obj.get("cM")]),
-                          ("crit index", [c["index"] for c in obj["crit"]])):
+    for field, values in (("dim", [obj["dim"]]), ("nu", [obj["nu"]]),
+                          ("cM", [obj["cM"]] if obj.get("cM") is not None else []),
+                          ("crit index", [c["index"] for c in crit])):
         _whole([values], field)
-    primitive = obj.get("primitiveOmega", False)
-    if not isinstance(primitive, bool):
-        # bool() would read the string "false" as true
-        raise UnsupportedModel(
-            f"primitiveOmega must be true or false, got {json.dumps(primitive)}")
     return BaseModel(
         name=obj.get("name", "file"),
         dim=int(obj["dim"]),
         nu=int(obj["nu"]),
         lam=lam,
         c_min=(int(obj["cM"]) if obj.get("cM") is not None else None),
-        crit=tuple((c["label"], int(c["index"])) for c in obj["crit"]),
+        crit=tuple((c["label"], int(c["index"])) for c in crit),
         cap=cap,
-        primitive_omega=primitive,
+        primitive_omega=obj.get("primitiveOmega", False),
         morse_boundary=morse,
     )

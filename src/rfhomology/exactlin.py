@@ -114,17 +114,18 @@ class IntMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
         """The matrix with these rows (`cols` is the width of a matrix
-        without rows).  Each entry is read by int(), and only the nonzero
-        ones of a row are visited in Python."""
+        without rows).  Only truthy entries are visited in Python and read
+        by int(); a falsy one reads as 0 unchecked (see `basemodel._whole`)."""
         ncols = (len(rows[0]) if rows else 0) if cols is None else cols
         columns = tuple({} for _ in range(ncols))
         everywhere = range(ncols)
         for i, r in enumerate(rows):
             if len(r) != ncols:
                 raise ShapeMismatch("ragged rows")
-            r = list(map(int, r))
             for j in compress(everywhere, r):
-                columns[j][i] = r[j]
+                x = int(r[j])
+                if x:
+                    columns[j][i] = x
         return cls(len(rows), ncols, columns)
 
     @classmethod

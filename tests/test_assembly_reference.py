@@ -1,12 +1,13 @@
 """The assembly of the base complex, its cap and its cone against frozen
 references.
 
-`parent_matrix_from_terms`, `parent_cone_boundary`, `parent_cap_terms` and
-`parent_orderability_report` below are the implementations that the
-current ones replaced, frozen as the reference: the assembler that copied
-every column, the cone boundary that copied every column, the cap check
-with one `Counter` per critical point, and the orderability report that
-read every degree of its window.  Over two periods of degrees at m = 1..3
+`parent_matrix_from_terms`, `parent_cone_boundary`, `parent_from_rows`,
+`parent_cap_terms` and `parent_orderability_report` below are the
+implementations that the current ones replaced, frozen as the reference:
+the assembler that copied every column, the cone boundary that copied every
+column, the row reader that read every entry by int(), the cap check with
+one `Counter` per critical point, and the orderability report that read
+every degree of its window.  Over two periods of degrees at m = 1..3
 the base boundaries, the caps and the cone boundaries of `_SectorData`
 must equal theirs, store no zero, and raise the same errors on bad caps;
 the orderability verdicts must be the same.
@@ -21,12 +22,13 @@ import os
 import random
 import sys
 from collections import Counter
+from itertools import compress
 
 import pytest
 
 from rfhomology.basemodel import cp_model, load_model, point_model, surface_model
 from rfhomology.chaincplx import LazyHomology, _cone_boundary, matrix_from_terms
-from rfhomology.errors import NotAChainMap, UnsupportedModel
+from rfhomology.errors import NotAChainMap, ShapeMismatch, UnsupportedModel
 from rfhomology.exactlin import IntMatrix, _Elimination, presentation_from_relations
 from rfhomology.rfh import _SectorData, orderability_report
 from rfhomology.selftest import random_complex_and_map
@@ -57,6 +59,19 @@ def parent_cone_boundary(d_below, psi_d, d_d):
     checks = tuple({**top, **{off + i: x for i, x in bottom.items()}}
                    for top, bottom in zip(psi_d.columns, d_d.columns))
     return IntMatrix(off + d_d.rows, d_below.cols + d_d.cols, hats + checks)
+
+
+def parent_from_rows(rows, cols=None):
+    ncols = (len(rows[0]) if rows else 0) if cols is None else cols
+    columns = tuple({} for _ in range(ncols))
+    everywhere = range(ncols)
+    for i, r in enumerate(rows):
+        if len(r) != ncols:
+            raise ShapeMismatch("ragged rows")
+        r = list(map(int, r))
+        for j in compress(everywhere, r):
+            columns[j][i] = r[j]
+    return IntMatrix(len(rows), ncols, columns)
 
 
 def parent_cap_terms(model):
@@ -283,6 +298,37 @@ def test_matrix_from_terms_matches_reference_on_random_terms():
         if not (source and target):
             assert got is IntMatrix.zero(len(target), len(source))
     assert cancelled > 200, cancelled
+
+
+def test_from_rows_matches_reference_on_random_rows():
+    """Seeded dense and sparse rows of ints, integral floats (2.0, -0.0),
+    and fractional floats that int() reads as 0: the reference's matrix,
+    with int entries and no zero stored.  A ragged row raises ShapeMismatch
+    in both."""
+    rng = random.Random(37)
+    values = (1, -1, 2, -3, 10**20, 0, 2.0, -2.0, -0.0, 0.5, -0.7)
+    seen = Counter()
+    for _ in range(400):
+        nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+        density = rng.choice((0.2, 1.0))
+        rows = [[rng.choice(values) if rng.random() < density else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        cols = ncols if not rows or rng.random() < 0.5 else None
+        got = IntMatrix.from_rows(rows, cols)
+        assert got == parent_from_rows(rows, cols), rows
+        assert stores_no_zero(got) and {type(x) for c in got.columns for x in c.values()} <= {int}
+        entries = [x for r in rows for x in r]
+        seen["dense"] += density == 1.0 and nrows * ncols > 9
+        seen["fractional"] += 0.5 in entries or -0.7 in entries
+        seen["integral float"] += 2.0 in entries and type(entries[entries.index(2.0)]) is float
+        seen["-0.0"] += any(str(x) == "-0.0" for x in entries)
+        if rows and ncols:
+            i = rng.randrange(nrows)
+            rows[i] = rows[i][:-1] if rng.random() < 0.5 else rows[i] + [1]
+            for from_rows in (IntMatrix.from_rows, parent_from_rows):
+                with pytest.raises(ShapeMismatch, match="ragged rows"):
+                    from_rows(rows, ncols)
+    assert min(seen.values()) > 40, seen
 
 
 def test_cone_boundary_matches_reference_and_leaves_its_blocks_alone():

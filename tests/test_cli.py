@@ -361,6 +361,26 @@ MODEL_CORRUPTIONS = {
     "morseBoundary": [{"2": [[1], [2, 3]]}, {"x": [[1]]}, {"2": "ab"},
                       {"2": [[1, 2, 3]]}, {"1": [[1, 2]]}, {"2": 5}, [1], "ab"],
 }
+# each of these also names its field or key in its one error line; `from_rows`
+# reads a falsy entry as 0 unread, so null, [], {} and "" must be refused before it
+NAMED_MODEL_CORRUPTIONS = [
+    *(("morseBoundary", {"2": [[x]]}, f"morseBoundary entry at index 2 must be an integer, "
+       f"got {json.dumps(x)}") for x in (None, [], {}, "", True)),
+    *(("cap", {"1": [[x]]}, f"cap entry at degree 1 must be an integer, got {json.dumps(x)}")
+      for x in (None, [], {}, "", True)),
+    ("dim", None, "dim must be an integer, got null"),
+    ("morseboundary", {"1": [[2]]}, 'unknown model key "morseboundary", did you mean '
+     "morseBoundary?"),
+    ("primitiveomega", True, 'unknown model key "primitiveomega", did you mean primitiveOmega?'),
+    ("lamda", "1", 'unknown model key "lamda", did you mean lambda?'),
+    ("crit", [{"label": "bot", "index": 0}, {"label": "e", "index": 1, "Index": 1},
+              {"label": "top", "index": 2}], 'unknown crit entry key "Index", did you mean index?'),
+    ("name", [1], "name must be a string, got [1]"),
+    ("name", None, "name must be a string, got null"),
+    ("crit", [5], "crit must be a list of objects {label, index}"),
+]
+for _key, _value, _ in NAMED_MODEL_CORRUPTIONS:
+    MODEL_CORRUPTIONS.setdefault(_key, []).append(_value)
 
 
 @st.composite
@@ -423,6 +443,23 @@ def test_fuzzed_model_file_is_a_usage_error(corruption, wrapper, command):
             fh.write(text)
         argv = [command, "--model", f"file:{path}"]
         assert_usage_error(argv, *run_quietly(argv))
+
+
+@pytest.mark.parametrize("key,value,message", NAMED_MODEL_CORRUPTIONS,
+                         ids=[f"{key}-{n}" for n, (key, _, _) in
+                              enumerate(NAMED_MODEL_CORRUPTIONS)])
+def test_bad_model_entry_or_key_is_named(tmp_path, key, value, message):
+    """A non-number in a matrix row, a misspelt top-level or crit key, a
+    name that is not a string and a crit entry that is not an object exit 2
+    with one `error:` line naming the field or the key.  A misspelt
+    morseBoundary used to load as a model without it, and a misspelt
+    primitiveOmega as false."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**SMALL_MODEL, key: value}))
+    argv = ["rfh-w0", "--model", f"file:{path}"]
+    code, err = run_quietly(argv)
+    assert_usage_error(argv, code, err)
+    assert err == f"error: argument --model: bad model 'file:{path}': {message}\n"
 
 
 def test_small_model_file_is_valid(tmp_path):
