@@ -254,11 +254,15 @@ MUTANTS = [
            "[((t, g[1] + 1), c) for t, c in morse[g[0]]]",
            (f"{ASSEMBLY}::test_base_cap_and_cone_match_reference",)),
     Mutant("class_index drops its single-index test", "basemodel.py",
-           "out[key] = None if key in out else idx", "out[key] = idx",
+           "class_index[key] = None if key in class_index else idx", "class_index[key] = idx",
            (f"{ASSEMBLY}::test_base_cap_and_cone_match_reference",)),
     Mutant("cap_terms check drops its second loop", "basemodel.py",
            "for tgt, e in morse[src]:", "for tgt, e in ():",
            (f"{ASSEMBLY}::test_cap_check_accepts_a_cap_that_commutes_by_cancellation",)),
+    # a point whose Morse terms land on cap sources fails the check with no cap term of its own
+    Mutant("cap check skips the points that only have Morse terms", "basemodel.py",
+           "terms.keys() | set(compress(morse, morse.values()))", "terms.keys()",
+           (f"{ASSEMBLY}::test_cap_errors_name_the_first_failing_point",)),
     # d.d = 0 and the chain-map property are proved once, where a complex or map enters
     Mutant("Morse d.d check dropped", "basemodel.py",
            "if idx - 1 in mats and not (mats[idx - 1] @ mat).is_zero():", "if False:",

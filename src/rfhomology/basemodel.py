@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Mapping, Optional, Union
 
 from .chaincplx import matrix_from_terms
@@ -56,14 +56,26 @@ class BaseModel:
             raise UnsupportedModel(f"dimension {self.dim} must be even and >= 0")
         if self.nu < 0:
             raise UnsupportedModel("nu must be >= 0")
-        for label, idx in self.crit:
+        if not self.crit:
+            raise UnsupportedModel("a model needs at least one critical point")
+        # the per-point tables, in one pass over `crit` that checks each point:
+        # label -> its position and its Morse index; Morse index -> its labels
+        # in `crit` order, the indices in the order of their first point
+        position, index_of, index_labels = {}, {}, {}
+        for i, (label, idx) in enumerate(self.crit):
             if not 0 <= idx <= self.dim:
                 raise UnsupportedModel(f"Morse index {idx} of {label} out of [0, {self.dim}]")
-        if len(self.position) != len(self.crit):
+            if not isinstance(label, str):
+                raise UnsupportedModel("critical point label must be a string, got "
+                                       + json.dumps(label, default=repr))
+            position[label] = i
+            index_of[label] = idx
+            index_labels.setdefault(idx, []).append(label)
+        if len(position) != len(self.crit):
             raise UnsupportedModel("critical point labels must be distinct")
-        if self.cap == "surface" and not {"bot", "top"} <= self.position.keys():
+        if self.cap == "surface" and not {"bot", "top"} <= position.keys():
             raise UnsupportedModel("the surface cap needs critical points bot and top")
-        count = self.index_count
+        count = {idx: len(labels) for idx, labels in index_labels.items()}
         mats = self.morse_boundary or {}
         for idx, mat in sorted(mats.items()):
             shape = (count.get(idx - 1, 0), count.get(idx, 0))
@@ -75,6 +87,7 @@ class BaseModel:
             if idx - 1 in mats and not (mats[idx - 1] @ mat).is_zero():
                 raise UnsupportedModel("Morse differential does not square to zero: "
                                        f"d_{idx - 1} . d_{idx} != 0")
+        ln = 0
         if self.nu > 0:
             ln = self.lam * self.nu
             if ln.denominator != 1:
@@ -100,6 +113,26 @@ class BaseModel:
                     raise UnsupportedModel(
                         f"lambda*nu = {ln} violates the monotonicity bounds "
                         f"(need >= 1 or <= {-self.dim // 2})")
+        vars(self).update(position=position, index_of=index_of, index_labels=index_labels,
+                          index_count=count, lambda_nu=ln)
+        # `degree_classes`: the `degree_key` of a point's degree at k = 0 -> the
+        # generators (label, k) in the degree of the key itself, in `crit`
+        # order; `class_index`: each key -> the Morse index that all its points
+        # share, None when they mix indices (a monotone base with 2*|lambda*nu|
+        # <= dim can), and such a class is sorted back into `crit` order.  The
+        # key and k depend on the Morse index alone, so each is read once per index
+        classes: dict[int, list[tuple[str, int]]] = {}
+        class_index: dict[int, Optional[int]] = {}
+        for idx, labels in index_labels.items():
+            shifted = self.fh_degree(idx, 0)
+            key, k = self.degree_key(shifted), shifted // (2 * ln) if ln else 0
+            classes.setdefault(key, []).extend((label, k) for label in labels)
+            class_index[key] = None if key in class_index else idx
+        for key, idx in class_index.items():
+            if idx is None:
+                classes[key].sort(key=lambda g: position[g[0]])
+        vars(self).update(degree_classes={key: tuple(c) for key, c in classes.items()},
+                          class_index=class_index)
 
     # -- structure -----------------------------------------------------------
 
@@ -114,41 +147,13 @@ class BaseModel:
     # -- lookups, built once per model ----------------------------------------
 
     @cached_property
-    def lambda_nu(self) -> int:
-        return 0 if self.aspherical else int(self.lam * self.nu)
-
-    @cached_property
-    def position(self) -> dict[str, int]:
-        """Critical-point label -> its position in `crit`."""
-        return {label: i for i, (label, _) in enumerate(self.crit)}
-
-    @cached_property
-    def index_of(self) -> dict[str, int]:
-        """Critical-point label -> its Morse index."""
-        return dict(self.crit)
-
-    @cached_property
-    def index_count(self) -> dict[int, int]:
-        """Morse index -> its number of critical points, the indices in the
-        order of their first point in `crit`."""
-        count: dict[int, int] = {}
-        for _, idx in self.crit:
-            count[idx] = count.get(idx, 0) + 1
-        return count
-
-    @cached_property
     def morse_terms(self) -> dict[str, tuple[tuple[str, int], ...]]:
         """The Morse differential by source: label -> its nonzero terms
         (target label, coefficient), filled from the nonzero columns."""
         terms = dict.fromkeys(self.position, ())
-        if not self.morse_boundary:
-            return terms
-        by_index: dict[int, list[str]] = {}
-        for label, idx in self.crit:
-            by_index.setdefault(idx, []).append(label)
-        for idx, mat in self.morse_boundary.items():
-            tgts = by_index.get(idx - 1, [])
-            for s, col in zip(by_index.get(idx, []), mat.columns):
+        for idx, mat in (self.morse_boundary or {}).items():
+            tgts = self.index_labels.get(idx - 1, [])
+            for s, col in zip(self.index_labels.get(idx, []), mat.columns):
                 if col:
                     terms[s] = tuple((tgts[i], c) for i, c in col.items())
         return terms
@@ -157,21 +162,22 @@ class BaseModel:
     def cap_terms(self) -> dict[str, tuple[tuple[str, int, int, int], ...]]:
         """The unit cap pattern by source: label -> its terms (target label,
         target Morse index, sphere-class shift, coefficient), targets in
-        `crit` order.  Each term must lower the degree by 2 (a built-in
-        pattern on indices that do not fit it raises UnsupportedModel), so
-        its shift is (idx_tgt - idx_src + 2) / (2*lambda*nu), and 0 when
-        aspherical, where the cap lowers the Morse index by 2 and is
-        nilpotent.  A cap that does not commute with the Morse differential
-        raises NotAChainMap.  Both are checked here, so every command that
-        uses the model reports them the same way."""
-        terms: dict[str, list[tuple[str, int, int, int]]] = {src: [] for src, _ in self.crit}
+        `crit` order, () for a point without one.  Each term must lower the
+        degree by 2 (a built-in pattern on indices that do not fit it raises
+        UnsupportedModel), so its shift is (idx_tgt - idx_src + 2) /
+        (2*lambda*nu), and 0 when aspherical, where the cap lowers the Morse
+        index by 2 and is nilpotent.  A cap that does not commute with the
+        Morse differential raises NotAChainMap.  Both are checked here, on
+        the first failing point in `crit` order, so every command that uses
+        the model reports them the same way."""
+        terms: dict[str, list[tuple[str, int, int, int]]] = {}     # the points with terms
         if self.cap == "cpn":
             # q_i -> q_{i-1}, and q_0 -> t q_n closes the cycle
             for i, (src, _) in enumerate(self.crit):
                 tgt, idx = self.crit[i - 1]
-                terms[src].append((tgt, idx, int(i == 0), 1))
+                terms[src] = [(tgt, idx, int(i == 0), 1)]
         elif self.cap == "surface":
-            terms["top"].append(("bot", self.index_of["bot"], 0, 1))
+            terms["top"] = [("bot", self.index_of["bot"], 0, 1)]
         elif isinstance(self.cap, dict):
             mats = self.cap["degree_matrices"]
             # each degree of a critical point once, in `crit` order: its
@@ -187,41 +193,43 @@ class BaseModel:
                 if (M.rows, M.cols) != (len(tgt), len(src)):
                     raise NotAChainMap(f"custom cap at degree {d} has the wrong shape")
                 for (label, k), col in zip(src, M.columns):
-                    if k != 0:
-                        continue
-                    for i, c in sorted(col.items()):
-                        tl, tk = tgt[i]
-                        terms[label].append((tl, self.index_of[tl], tk, c))
+                    if k == 0 and col:
+                        ts = terms[label] = []
+                        for i, c in sorted(col.items()):
+                            tl, tk = tgt[i]
+                            ts.append((tl, self.index_of[tl], tk, c))
         elif self.cap != "zero":
             raise UnsupportedModel(f"unknown cap spec {self.cap!r}")
-        for src, idx in self.crit:
-            for tgt, tidx, s, _ in terms[src]:
-                if self.fh_degree(tidx, s) != self.fh_degree(idx, 0) - 2:
+        # both checks visit only the points with a cap or a Morse term, in
+        # `crit` order: elsewhere both sides of d . cap = cap . d are 0
+        morse = self.morse_terms
+        points = sorted(terms.keys() | set(compress(morse, morse.values())),
+                        key=self.position.__getitem__)
+        for src in points:
+            for tgt, tidx, s, _ in terms.get(src, ()):
+                if self.fh_degree(tidx, s) != self.fh_degree(self.index_of[src], 0) - 2:
                     raise UnsupportedModel(f"cap term {src} -> {tgt} (sphere shift {s}) "
                                            "does not lower the degree by 2")
-        # d . cap = cap . d on each critical point with a cap or a Morse term
-        # (elsewhere both sides are 0), keyed by (target, shift)
-        morse = self.morse_terms
-        for src, idx in self.crit:
-            if not (terms[src] or morse[src]):
-                continue
+        for src in points:      # keyed by (target, shift)
             diff: dict[tuple[str, int], int] = {}
-            for tgt, _, s, c in terms[src]:
+            for tgt, _, s, c in terms.get(src, ()):
                 for u, e in morse[tgt]:
                     diff[u, s] = diff.get((u, s), 0) + c * e
             for tgt, e in morse[src]:
-                for u, _, s, c in terms[tgt]:
+                for u, _, s, c in terms.get(tgt, ()):
                     diff[u, s] = diff.get((u, s), 0) - e * c
             if any(diff.values()):
                 raise NotAChainMap("cap does not commute with boundaries at degree "
-                                   f"{self.fh_degree(idx, 0)}")
-        return {src: tuple(ts) for src, ts in terms.items()}
+                                   f"{self.fh_degree(self.index_of[src], 0)}")
+        out = dict.fromkeys(self.position, ())
+        out.update((src, tuple(ts)) for src, ts in terms.items())
+        return out
 
     @cached_property
     def index_gaps(self) -> bool:
         """No two critical points have consecutive Morse index, so the Morse
         part of the full boundary vanishes (see `rfh.boundary_full`)."""
-        idxs = sorted(idx for _, idx in self.crit)
+        idxs = sorted(self.index_count)
         return all(b - a != 1 for a, b in zip(idxs, idxs[1:]))
 
     def fh_degree(self, morse_index: int, k: int) -> int:
@@ -233,34 +241,6 @@ class BaseModel:
         """The key of `degree_classes` that holds the generators of a degree:
         the degree modulo 2*lambda*nu, the degree itself when aspherical."""
         return degree % (2 * self.lambda_nu) if self.lambda_nu else degree
-
-    @cached_property
-    def degree_classes(self) -> dict[int, tuple[tuple[str, int], ...]]:
-        """Critical points by the degrees their generators reach: the
-        `degree_key` of the degree at k = 0 -> the generators (label, k) in
-        the degree of the key itself, in `crit` order.  The key and k
-        depend on the Morse index alone, so each is read once per index."""
-        den = 2 * self.lambda_nu
-        place = {}
-        for idx in self.index_count:
-            shifted = self.fh_degree(idx, 0)
-            place[idx] = (self.degree_key(shifted), shifted // den if den else 0)
-        classes: dict[int, list[tuple[str, int]]] = {}
-        for label, idx in self.crit:
-            key, k = place[idx]
-            classes.setdefault(key, []).append((label, k))
-        return {key: tuple(c) for key, c in classes.items()}
-
-    @cached_property
-    def class_index(self) -> dict[int, Optional[int]]:
-        """Each key of `degree_classes` -> the Morse index that all its
-        critical points share, None when they mix indices (a monotone base
-        with 2*|lambda*nu| <= dim can mix them)."""
-        out: dict[int, Optional[int]] = {}
-        for idx in self.index_count:
-            key = self.degree_key(self.fh_degree(idx, 0))
-            out[key] = None if key in out else idx
-        return out
 
     def generators_in_degree(self, degree: int) -> list[tuple[str, int]]:
         """(label, k) for every generator in the degree, in `crit` order: k is

@@ -2,15 +2,16 @@
 references.
 
 `parent_matrix_from_terms`, `parent_cone_boundary`, `parent_from_rows`,
-`parent_cap_terms` and `parent_orderability_report` below are the
-implementations that the current ones replaced, frozen as the reference:
-the assembler that copied every column, the cone boundary that copied every
-column, the row reader that read every entry by int(), the cap check with
-one `Counter` per critical point, and the orderability report that read
+`parent_cap_terms`, `parent_model_tables` and `parent_orderability_report`
+below are the implementations that the current ones replaced, frozen as the
+reference: the assembler that copied every column, the cone boundary that
+copied every column, the row reader that read every entry by int(), the cap
+check with one `Counter` per critical point, the per-point tables of a model
+with one pass over `crit` each, and the orderability report that read
 every degree of its window.  Over two periods of degrees at m = 1..3
 the base boundaries, the caps and the cone boundaries of `_SectorData`
 must equal theirs, store no zero, and raise the same errors on bad caps;
-the orderability verdicts must be the same.
+the tables and the orderability verdicts must be the same.
 
 The last test pins the proof that the engine relies on: the cone of a
 model's cap squares to zero, since the model checked its Morse differential
@@ -23,6 +24,7 @@ import random
 import sys
 from collections import Counter
 from itertools import compress
+from types import SimpleNamespace
 
 import pytest
 
@@ -122,6 +124,62 @@ def parent_cap_terms(model):
             raise NotAChainMap("cap does not commute with boundaries at degree "
                                f"{model.fh_degree(idx, 0)}")
     return {src: tuple(ts) for src, ts in terms.items()}
+
+
+TABLES = ("position", "index_of", "index_count", "morse_terms", "degree_classes",
+          "class_index", "cap_terms")
+
+
+def parent_model_tables(model):
+    """The per-point tables of `BaseModel` as they were, one cached property
+    and one pass over `crit` each, read from the model's fields alone;
+    `cap_terms` is `parent_cap_terms` on these tables, or the error it raises."""
+    crit, half = model.crit, model.dim // 2
+    ln = int(model.lam * model.nu)
+    den = 2 * ln
+
+    def fh_degree(idx, k):
+        return idx - half - den * k
+
+    def degree_key(degree):
+        return degree % den if den else degree
+
+    position = {label: i for i, (label, _) in enumerate(crit)}
+    index_of = dict(crit)
+    index_count = {}
+    for _, idx in crit:
+        index_count[idx] = index_count.get(idx, 0) + 1
+    morse_terms = dict.fromkeys(position, ())
+    by_index = {}
+    for label, idx in crit:
+        by_index.setdefault(idx, []).append(label)
+    for idx, mat in (model.morse_boundary or {}).items():
+        tgts = by_index.get(idx - 1, [])
+        for s, col in zip(by_index.get(idx, []), mat.columns):
+            if col:
+                morse_terms[s] = tuple((tgts[i], c) for i, c in col.items())
+    place = {}
+    for idx in index_count:
+        shifted = fh_degree(idx, 0)
+        place[idx] = (degree_key(shifted), shifted // den if den else 0)
+    classes = {}
+    for label, idx in crit:
+        key, k = place[idx]
+        classes.setdefault(key, []).append((label, k))
+    degree_classes = {key: tuple(c) for key, c in classes.items()}
+    class_index = {}
+    for idx in index_count:
+        key = degree_key(fh_degree(idx, 0))
+        class_index[key] = None if key in class_index else idx
+
+    def generators_in_degree(degree):
+        q = degree // den if den else 0
+        return [(label, k - q) for label, k in degree_classes.get(degree_key(degree), ())]
+    view = SimpleNamespace(crit=crit, cap=model.cap, index_of=index_of, morse_terms=morse_terms,
+                           fh_degree=fh_degree, generators_in_degree=generators_in_degree)
+    return {"position": position, "index_of": index_of, "index_count": index_count,
+            "morse_terms": morse_terms, "degree_classes": degree_classes,
+            "class_index": class_index, "cap_terms": outcome(parent_cap_terms, view)}
 
 
 def parent_boundary_at(model, degree):
@@ -264,6 +322,68 @@ def test_cap_check_accepts_a_cap_that_commutes_by_cancellation():
     assert model.cap_terms == {"a": (), "b": (), "x": (("a", 0, 0, 1),),
                                "y": (("b", 1, 0, 1),)}
     assert model.cap_at(1, 2) == IntMatrix.from_rows([[2]])
+
+
+def test_model_tables_match_reference():
+    """`position`, `index_of`, `index_count`, `morse_terms`, `degree_classes`,
+    `class_index` and `cap_terms` equal the reference's, the order of every
+    table's keys included, on the zoo, MIXED_CLASS, both golden model files,
+    the non-perfect surfaces of genus 1..39 (of the tests and of the
+    benchmark), seeded custom caps and the bad caps (whose `cap_terms` raise
+    the same error)."""
+    rng = random.Random(38)
+    zoo = [cp_model(n) for n in (1, 2, 3, 4)] + [surface_model(g) for g in (1, 2, 3, 17)]
+    zoo += [point_model(), custom_cap_model(), load_model(CANCELLING_CAP), load_model(MIXED_CLASS)]
+    zoo += [load_model(os.path.join(GOLDEN, name))
+            for name in ("relations_model.json", "paired_model.json")]
+    bench_nonperfect = bench_workloads().nonperfect_surface
+    zoo += [model for g in range(1, 40) for model in (
+        nonperfect_surface(g, random.Random(g)),
+        load_model(bench_nonperfect(g, random.Random(g))))]
+    zoo += [random_custom_cap_model(rng, kind)
+            for kind in ("aspherical", "monotone", "permutation") * 30]
+    zoo += [load_model(spec) for spec in BAD_CAPS.values()]
+    mixed = 0
+    for model in zoo:
+        want = parent_model_tables(model)
+        got = {name: outcome(lambda: getattr(model, name)) for name in TABLES}
+        assert got == want, model.name
+        assert [list(table) for table in got.values() if isinstance(table, dict)] == \
+            [list(table) for table in want.values() if isinstance(table, dict)], model.name
+        mixed += None in model.class_index.values()
+    assert mixed >= 3, mixed
+
+
+# dim 6, aspherical: d b = 3a, d w = 3 y2, and the cap y -> b, y2 -> e.  It fails
+# at y (degree 0: d(cap y) = 3a, cap(d y) = 0) and at w (degree 1, a point with a
+# Morse term alone: d(cap w) = 0, cap(d w) = 3e); y2 and b commute
+TWO_FAILURES = {"dim": 6, "nu": 0, "lambda": "0", "cM": None,
+                "cap": {"0": [[1, 0], [0, 1]]},
+                "morseBoundary": {"1": [[3, 0]], "4": [[0], [3]]}}
+TWO_FAILURES_CRIT = {"a": 0, "b": 1, "e": 1, "y": 3, "y2": 3, "w": 4}
+
+
+def test_cap_errors_name_the_first_failing_point():
+    """With two failing points, the degree check and the chain-map check
+    each name the first in `crit` order, whichever it is, as the reference
+    does.  The cp:n pattern on u, v, w of index 2, 1, 0 fails the degree
+    check at v and w, and on w, v, u at all three; TWO_FAILURES fails the
+    chain-map check at y and at w."""
+    cases = []
+    for order, first in ((("u", "v", "w"), "v"), (("w", "v", "u"), "w")):
+        crit = [{"label": label, "index": {"u": 2, "v": 1, "w": 0}[label]} for label in order]
+        spec = {"dim": 4, "nu": 0, "lambda": "0", "cM": None, "cap": "builtin:cpn", "crit": crit}
+        cases.append((spec, f"cap term {first} -> "))
+    for order, degree in ((("a", "b", "e", "y", "y2", "w"), 0),
+                          (("a", "b", "e", "w", "y", "y2"), 1)):
+        crit = [{"label": label, "index": TWO_FAILURES_CRIT[label]} for label in order]
+        cases.append(({**TWO_FAILURES, "crit": crit},
+                      f"cap does not commute with boundaries at degree {degree}"))
+    for spec, message in cases:
+        model = load_model(spec)
+        got = outcome(lambda: model.cap_terms)
+        assert got == parent_model_tables(model)["cap_terms"], spec["crit"]
+        assert got[1].startswith(message), (spec["crit"], got)
 
 
 @pytest.mark.parametrize("spec", list(BAD_CAPS.values()), ids=list(BAD_CAPS))

@@ -378,6 +378,9 @@ NAMED_MODEL_CORRUPTIONS = [
     ("name", [1], "name must be a string, got [1]"),
     ("name", None, "name must be a string, got null"),
     ("crit", [5], "crit must be a list of objects {label, index}"),
+    ("crit", [], "a model needs at least one critical point"),
+    ("crit", [{"label": "bot", "index": 0}, {"label": ["a"], "index": 1},
+              {"label": "top", "index": 2}], 'critical point label must be a string, got ["a"]'),
 ]
 for _key, _value, _ in NAMED_MODEL_CORRUPTIONS:
     MODEL_CORRUPTIONS.setdefault(_key, []).append(_value)
@@ -450,10 +453,11 @@ def test_fuzzed_model_file_is_a_usage_error(corruption, wrapper, command):
                               enumerate(NAMED_MODEL_CORRUPTIONS)])
 def test_bad_model_entry_or_key_is_named(tmp_path, key, value, message):
     """A non-number in a matrix row, a misspelt top-level or crit key, a
-    name that is not a string and a crit entry that is not an object exit 2
-    with one `error:` line naming the field or the key.  A misspelt
-    morseBoundary used to load as a model without it, and a misspelt
-    primitiveOmega as false."""
+    name or a critical point label that is not a string, a crit entry that
+    is not an object and an empty crit exit 2 with one `error:` line naming
+    the field or the key.  A misspelt morseBoundary used to load as a model
+    without it, a misspelt primitiveOmega as false, and an empty crit as a
+    model whose homology is 0 in every degree."""
     path = tmp_path / "model.json"
     path.write_text(json.dumps({**SMALL_MODEL, key: value}))
     argv = ["rfh-w0", "--model", f"file:{path}"]
